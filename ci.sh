@@ -51,6 +51,13 @@ if [ "$GEN_FNV" != "$PINNED_FNV" ]; then
 fi
 echo "regenerated tables match pin $PINNED_FNV"
 
+echo "== posit32 codec: dedicated codec vs the generic reference =="
+# Posit32::{to_f64, from_f64} run a dedicated codec; the generic
+# PositFormat path stays the reference. The default tests compare them on
+# every regime boundary, a strided pattern sweep, ties, the saturation
+# band and non-posit f64 values (the exhaustive 2^32 sweep is #[ignore]d).
+cargo test -q --offline --release -p rlibm-posit
+
 echo "== tier counters: delta accounting in both telemetry configs =="
 # Every in-domain call ships from exactly one of the three progressive
 # tiers (prefix/full/dd), scalar and batched alike; with telemetry off
@@ -72,10 +79,13 @@ echo "== simd feature leg: build, bit-identity matrix, clippy =="
 # drop-in bit-identical to the scalar reference. The workspace test run
 # above already pins the batched-output checksum with default features;
 # this leg re-runs the identity suite with `simd` on — same pinned
-# constant, so a single diverging output bit fails one of the two runs.
-# Clippy with the feature keeps the intrinsics cfg warning-clean.
+# constant, so a single diverging output bit fails one of the two runs —
+# and the special-value matrix, so NaN payloads, infinities, subnormals
+# and saturating inputs also reach the AVX2 dispatch through the batched
+# entries. Clippy with the feature keeps the intrinsics cfg warning-clean.
 cargo build --workspace --release --offline --features rlibm/simd,rlibm-bench/simd
-cargo test -q --offline --release -p rlibm --features simd --test two_tier_identity
+cargo test -q --offline --release -p rlibm --features simd \
+    --test two_tier_identity --test special_values
 cargo clippy --workspace --all-targets --offline \
     --features rlibm/simd,rlibm-bench/simd -- -D warnings
 

@@ -409,10 +409,11 @@ fn main() {
     ),
 
     // 6. Kernel faults under supervision: the PR-3 fast-path corruption
-    //    hooks armed on every worker thread (posit-heavy traffic — the
-    //    posit slice path routes through the scalar fns, which carry
-    //    the injection sites) *composed with* shard panics. Both
-    //    failure layers at once, still bit-identical completions.
+    //    hooks armed on every worker thread *composed with* shard
+    //    panics. The injection sites live in the scalar fns, which the
+    //    batched entries re-enter for every lane a domain filter or
+    //    both bands reject. Both failure layers at once, still
+    //    bit-identical completions.
     run_scenario(
         "kernel_faults",
         &ServeConfig {

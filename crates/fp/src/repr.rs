@@ -54,14 +54,17 @@ impl Representation for f32 {
         f32::from_bits(bits)
     }
 
+    #[inline]
     fn to_bits_u32(self) -> u32 {
         self.to_bits()
     }
 
+    #[inline]
     fn to_f64(self) -> f64 {
         self as f64
     }
 
+    #[inline]
     fn round_from_f64(x: f64) -> Self {
         x as f32 // IEEE-correct single rounding, ties to even
     }

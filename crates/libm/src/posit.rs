@@ -16,9 +16,11 @@ use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
 use crate::round::round_dd;
 
 /// `ln 2^120` — results beyond this saturate posit32's `maxpos = 2^120`.
-const LN_MAXPOS: f64 = 83.17766166719343;
+/// The batched entry ([`crate::eval_slice_posit32`]) filters on the same
+/// thresholds.
+pub(crate) const LN_MAXPOS: f64 = 83.17766166719343;
 /// `log10 2^120`.
-const LOG10_MAXPOS: f64 = 36.123599478912376;
+pub(crate) const LOG10_MAXPOS: f64 = 36.123599478912376;
 
 /// Common three-tier front end for the logarithm family: prefix
 /// polynomial, full-degree plain-double kernel on escalation, dd only

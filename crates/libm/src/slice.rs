@@ -37,14 +37,19 @@
 //! per lane inside the chunk driver — their reduction is short but
 //! branch-heavy (mirror folds), so staging buys nothing there.
 //!
-//! Posit32 batching ([`eval_slice_posit32`]) is a chunked scalar loop:
-//! posit decode/encode is regime-dependent bit manipulation with no
-//! shared stage structure to hoist, so the honest batched form is the
-//! scalar two-tier call per lane.
+//! Posit32 batching ([`eval_slice_posit32`]) runs the same driver and
+//! the same f64 chunk kernels: a posit32 widens exactly to f64, so the
+//! format only changes the widen stage (the posit decode), the
+//! round-safety test (`posit32_round_safe`) and the final narrowing cast
+//! (the posit encode). Each function's posit domain filter mirrors its
+//! scalar entry in [`crate::posit`], and special and saturating lanes
+//! resolve through that entry. The AVX2 stages are f32-only.
 
 use crate::fast;
 use crate::tables as t;
+use rlibm_fp::Representation;
 use rlibm_obs::Counter;
+use rlibm_posit::Posit32;
 
 /// AVX2 implementations of the staged pipeline (`simd` feature, x86_64
 /// only). The entry points below dispatch into it at runtime when AVX2
@@ -67,10 +72,10 @@ const LANES: usize = 64;
 static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
 static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
 
-// Posit batching has no staged pipeline (and so no rescalar lanes), but
-// serving-layer posit traffic still needs to show up in TELEM snapshots:
-// chunks processed and total requests (lanes) served.
+// The posit32 counterparts, plus the total requests (lanes) served, so
+// serving-layer posit traffic shows up in TELEM snapshots.
 static SLICE_POSIT_CHUNKS: Counter = Counter::new("runtime.slice.posit32.chunks");
+static SLICE_POSIT_RESCALAR: Counter = Counter::new("runtime.slice.posit32.rescalar_lanes");
 static SLICE_POSIT_REQUESTS: Counter = Counter::new("runtime.slice.posit32.requests");
 
 /// Forces the slice counters into the snapshot registry at value zero.
@@ -78,7 +83,43 @@ pub(crate) fn register_metrics() {
     SLICE_CHUNKS.register();
     SLICE_RESCALAR.register();
     SLICE_POSIT_CHUNKS.register();
+    SLICE_POSIT_RESCALAR.register();
     SLICE_POSIT_REQUESTS.register();
+}
+
+/// A lane format the chunk driver batches. The staged kernels evaluate
+/// in f64 whatever the format, so a format only supplies its exact
+/// widening and its correctly rounding narrowing ([`Representation`]),
+/// the round-safety test that certifies a staged double, and the
+/// counters its chunks land in.
+trait Lane: Representation {
+    /// True when narrowing `y` is the correct rounding of every value
+    /// within `band · 2^-53` relative of it (see [`crate::round`]).
+    fn round_safe(y: f64, band: u64) -> bool;
+    /// This format's `(chunks, rescalar lanes)` counters.
+    fn counters() -> (&'static Counter, &'static Counter);
+}
+
+impl Lane for f32 {
+    #[inline(always)]
+    fn round_safe(y: f64, band: u64) -> bool {
+        crate::round::f32_round_safe(y, band)
+    }
+
+    fn counters() -> (&'static Counter, &'static Counter) {
+        (&SLICE_CHUNKS, &SLICE_RESCALAR)
+    }
+}
+
+impl Lane for Posit32 {
+    #[inline(always)]
+    fn round_safe(y: f64, band: u64) -> bool {
+        crate::round::posit32_round_safe(y, band)
+    }
+
+    fn counters() -> (&'static Counter, &'static Counter) {
+        (&SLICE_POSIT_CHUNKS, &SLICE_POSIT_RESCALAR)
+    }
 }
 
 /// Resolves one rescalar lane through the scalar two-tier entry. With
@@ -90,38 +131,39 @@ pub(crate) fn register_metrics() {
 /// identically in both configs — tracing observes, never alters.
 #[cfg(feature = "telemetry")]
 #[inline]
-fn rescalar_resolve(scalar: fn(f32) -> f32, x: f32) -> f32 {
+fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     let t0 = std::time::Instant::now();
     let v = scalar(x);
     let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    rlibm_obs::trace::rescalar_exemplar(x.to_bits(), ns);
+    rlibm_obs::trace::rescalar_exemplar(x.to_bits_u32(), ns);
     v
 }
 
 #[cfg(not(feature = "telemetry"))]
 #[inline(always)]
-fn rescalar_resolve(scalar: fn(f32) -> f32, x: f32) -> f32 {
+fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     scalar(x)
 }
 
-/// Shared chunk driver: widen in-domain lanes, run the staged
-/// prefix-tier evaluation, then resolve every lane through the prefix
-/// round-safety band. Chunks with prefix-rejected in-domain lanes
-/// escalate those lanes through the full-degree staged kernel; lanes the
-/// full band rejects too (and special lanes) re-enter the scalar
-/// progressive front end.
+/// Shared chunk driver, generic over the lane format: widen every lane
+/// and classify it against the function's fast-path domain `dom` (tested
+/// on the widened value), run the staged prefix-tier evaluation, then
+/// resolve every lane through the prefix round-safety band. Chunks with
+/// prefix-rejected in-domain lanes escalate those lanes through the
+/// full-degree staged kernel; lanes the full band rejects too (and
+/// special lanes) re-enter the scalar progressive front end.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // tier plumbing: two staged kernels + their bands
-fn drive(
-    xs: &[f32],
-    out: &mut [f32],
-    dom: impl Fn(f32) -> bool,
+fn drive<L: Lane>(
+    xs: &[L],
+    out: &mut [L],
+    dom: impl Fn(f64) -> bool,
     prefix_chunk: impl Fn(&[f64], &mut [f64]),
     prefix_band: u64,
     fast_chunk: impl Fn(&[f64], &mut [f64]),
     band: u64,
     slot: usize,
-    scalar: fn(f32) -> f32,
+    scalar: fn(L) -> L,
 ) {
     assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
     let mut xd = [0.0f64; LANES];
@@ -133,22 +175,30 @@ fn drive(
     for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
         chunks += 1;
         let n = xc.len();
+        // Lane bitmask of special (out-of-domain) lanes; LANES = 64 keeps
+        // this and `pending` below single words. Placeholder 1.0 keeps
+        // every stage total for special lanes; their staged result is
+        // discarded in the resolve stage.
+        let mut special = 0u64;
         for i in 0..n {
-            // Placeholder 1.0 keeps every stage total for special lanes;
-            // their staged result is discarded in the resolve stage.
-            xd[i] = if dom(xc[i]) { xc[i] as f64 } else { 1.0 };
+            let x = xc[i].to_f64();
+            if dom(x) {
+                xd[i] = x;
+            } else {
+                xd[i] = 1.0;
+                special |= 1 << i;
+            }
         }
         prefix_chunk(&xd[..n], &mut y[..n]);
-        // Lane bitmask of in-domain lanes the prefix band rejected
-        // (LANES = 64 keeps this a single word).
+        // Lane bitmask of in-domain lanes the prefix band rejected.
         let mut pending = 0u64;
         for i in 0..n {
-            if !dom(xc[i]) {
+            if (special >> i) & 1 == 1 {
                 rescalar += 1;
                 oc[i] = rescalar_resolve(scalar, xc[i]);
-            } else if crate::round::f32_round_safe(y[i], prefix_band) {
+            } else if L::round_safe(y[i], prefix_band) {
                 prefix_hits += 1;
-                oc[i] = y[i] as f32;
+                oc[i] = L::round_from_f64(y[i]);
             } else {
                 pending |= 1 << i;
             }
@@ -171,9 +221,9 @@ fn drive(
             }
             fast_chunk(&xp[..np], &mut y[..np]);
             for (j, &i) in lanes[..np].iter().enumerate() {
-                if crate::round::f32_round_safe(y[j], band) {
+                if L::round_safe(y[j], band) {
                     full_hits += 1;
-                    oc[i] = y[j] as f32;
+                    oc[i] = L::round_from_f64(y[j]);
                 } else {
                     rescalar += 1;
                     oc[i] = rescalar_resolve(scalar, xc[i]);
@@ -181,8 +231,9 @@ fn drive(
             }
         }
     }
-    SLICE_CHUNKS.add(chunks);
-    SLICE_RESCALAR.add(rescalar);
+    let (chunk_counter, rescalar_counter) = L::counters();
+    chunk_counter.add(chunks);
+    rescalar_counter.add(rescalar);
     crate::stats::record_tier_prefix_n(slot, prefix_hits);
     crate::stats::record_tier_full_n(slot, full_hits);
 }
@@ -495,7 +546,7 @@ pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
     drive(
         xs,
         out,
-        |x| (-45.5..=38.6).contains(&x),
+        |x| (-45.5..=f64::from(38.6f32)).contains(&x),
         exp10_prefix_chunk,
         fast::EXP10_PREFIX_BAND,
         exp10_chunk,
@@ -511,7 +562,7 @@ pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
     drive(
         xs,
         out,
-        |x| x > 0.0 && x < f32::INFINITY,
+        |x| x > 0.0 && x < f64::INFINITY,
         ln_prefix_chunk,
         fast::LN_PREFIX_BAND,
         ln_chunk,
@@ -527,7 +578,7 @@ pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
     drive(
         xs,
         out,
-        |x| x > 0.0 && x < f32::INFINITY,
+        |x| x > 0.0 && x < f64::INFINITY,
         log2_prefix_chunk,
         fast::LOG2_PREFIX_BAND,
         log2_chunk,
@@ -543,7 +594,7 @@ pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
     drive(
         xs,
         out,
-        |x| x > 0.0 && x < f32::INFINITY,
+        |x| x > 0.0 && x < f64::INFINITY,
         log10_prefix_chunk,
         fast::LOG10_PREFIX_BAND,
         log10_chunk,
@@ -556,7 +607,7 @@ pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
 /// Batched [`crate::sinh`].
 pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
     simd_dispatch!(sinh_slice, xs, out);
-    let tiny = 2f32.powi(-12);
+    let tiny = 2f64.powi(-12);
     drive(
         xs,
         out,
@@ -573,7 +624,7 @@ pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
 /// Batched [`crate::cosh`].
 pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
     simd_dispatch!(cosh_slice, xs, out);
-    let tiny = 2f32.powi(-13);
+    let tiny = 2f64.powi(-13);
     drive(
         xs,
         out,
@@ -594,7 +645,7 @@ pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         |x| {
-            let a = (x as f64).abs();
+            let a = x.abs();
             x.is_finite() && a < 8_388_608.0 && a >= 2f64.powi(-36) && a != a.trunc()
         },
         sinpi_prefix_chunk,
@@ -613,7 +664,7 @@ pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         |x| {
-            let a = (x as f64).abs();
+            let a = x.abs();
             // 2a == trunc(2a) catches integers AND half-integers (both
             // handled by the scalar front's exact special cases).
             x.is_finite()
@@ -663,27 +714,116 @@ pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), Unk
     Ok(())
 }
 
-/// Batched evaluation of a posit32 function by name. Posit encode/decode
-/// is regime-dependent bit twiddling, so the chunked loop simply applies
-/// the scalar two-tier function per lane — the entry point exists so
-/// harnesses can time "batched posit" without pretending there is a
-/// staged pipeline to exploit. NaR lanes resolve per lane exactly like
-/// the scalar API (NaR in, NaR out).
+/// Batched evaluation of a posit32 function by name: `out[i] = f(xs[i])`,
+/// bit-identical to the scalar function. Lanes run the same staged f64
+/// chunk kernels as [`eval_slice_f32`], behind the posit decode and
+/// encode; each function's domain filter is exactly its scalar entry's
+/// filter in [`crate::posit`], so NaR, zero and negative log inputs,
+/// saturating exp/sinh/cosh inputs and sinh's `|x| < 2^-13` lanes
+/// resolve per lane through that entry (NaR in, NaR out), as do the
+/// in-domain lanes both bands reject. Unknown names are a typed error.
 pub fn eval_slice_posit32(
     name: &str,
-    xs: &[rlibm_posit::Posit32],
-    out: &mut [rlibm_posit::Posit32],
+    xs: &[Posit32],
+    out: &mut [Posit32],
 ) -> Result<(), UnknownFunction> {
-    assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
-    let f = crate::posit32_fn_by_name(name).ok_or_else(|| UnknownFunction(name.to_owned()))?;
-    let mut chunks = 0u64;
-    for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-        chunks += 1;
-        for i in 0..xc.len() {
-            oc[i] = f(xc[i]);
-        }
+    use crate::posit::{self as p, LN_MAXPOS, LOG10_MAXPOS};
+    use crate::stats::slot;
+    // NaR widens to NaN, which every filter below rejects.
+    let log_dom = |x: f64| x > 0.0;
+    let tiny = 2f64.powi(-13);
+    let sinh_dom = move |x: f64| (tiny..=LN_MAXPOS + 1.5).contains(&x.abs());
+    match name {
+        "ln" => drive(
+            xs,
+            out,
+            log_dom,
+            ln_prefix_chunk,
+            fast::LN_PREFIX_BAND,
+            ln_chunk,
+            fast::LN_BAND,
+            slot::P32_LN,
+            p::ln_p32,
+        ),
+        "log2" => drive(
+            xs,
+            out,
+            log_dom,
+            log2_prefix_chunk,
+            fast::LOG2_PREFIX_BAND,
+            log2_chunk,
+            fast::LOG2_BAND,
+            slot::P32_LOG2,
+            p::log2_p32,
+        ),
+        "log10" => drive(
+            xs,
+            out,
+            log_dom,
+            log10_prefix_chunk,
+            fast::LOG10_PREFIX_BAND,
+            log10_chunk,
+            fast::LOG10_BAND,
+            slot::P32_LOG10,
+            p::log10_p32,
+        ),
+        "exp" => drive(
+            xs,
+            out,
+            |x| x.abs() <= LN_MAXPOS + 0.5,
+            exp_prefix_chunk,
+            fast::EXP_PREFIX_BAND,
+            exp_chunk,
+            fast::EXP_BAND,
+            slot::P32_EXP,
+            p::exp_p32,
+        ),
+        "exp2" => drive(
+            xs,
+            out,
+            |x| x.abs() <= 120.5,
+            exp2_prefix_chunk,
+            fast::EXP2_PREFIX_BAND,
+            exp2_chunk,
+            fast::EXP2_BAND,
+            slot::P32_EXP2,
+            p::exp2_p32,
+        ),
+        "exp10" => drive(
+            xs,
+            out,
+            |x| x.abs() <= LOG10_MAXPOS + 0.5,
+            exp10_prefix_chunk,
+            fast::EXP10_PREFIX_BAND,
+            exp10_chunk,
+            fast::EXP10_BAND,
+            slot::P32_EXP10,
+            p::exp10_p32,
+        ),
+        "sinh" => drive(
+            xs,
+            out,
+            sinh_dom,
+            sinh_prefix_chunk,
+            fast::SINH_PREFIX_BAND,
+            sinh_chunk,
+            fast::SINH_BAND,
+            slot::P32_SINH,
+            p::sinh_p32,
+        ),
+        "cosh" => drive(
+            xs,
+            out,
+            |x| x.abs() <= LN_MAXPOS + 1.5,
+            cosh_prefix_chunk,
+            fast::COSH_PREFIX_BAND,
+            cosh_chunk,
+            fast::COSH_BAND,
+            slot::P32_COSH,
+            p::cosh_p32,
+        ),
+        _ => return Err(UnknownFunction(name.to_owned())),
     }
-    SLICE_POSIT_CHUNKS.add(chunks);
     SLICE_POSIT_REQUESTS.add(xs.len() as u64);
     Ok(())
 }
@@ -753,16 +893,48 @@ mod tests {
         }
     }
 
+    /// Posit lanes at every edge of the batched domain filters: NaR,
+    /// zero, negatives (the logs' domain), ±minpos/±maxpos, and the
+    /// patterns on and either side of each saturation threshold and of
+    /// sinh's `|x| < 2^-13` cut, both signs.
+    fn posit_edge_lanes() -> Vec<Posit32> {
+        use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
+        let mut lanes = vec![
+            Posit32::NAR,
+            Posit32::ZERO,
+            Posit32::MINPOS,
+            -Posit32::MINPOS,
+            Posit32::MAXPOS,
+            -Posit32::MAXPOS,
+            Posit32::from_f64(-1.0),
+            Posit32::from_f64(-0.37),
+        ];
+        for t in [LN_MAXPOS + 0.5, 120.5, LOG10_MAXPOS + 0.5, LN_MAXPOS + 1.5, 2f64.powi(-13)] {
+            let p = Posit32::from_f64(t).to_bits();
+            for q in [p - 1, p, p + 1] {
+                lanes.push(Posit32::from_bits(q));
+                lanes.push(-Posit32::from_bits(q));
+            }
+        }
+        lanes
+    }
+
     #[test]
     fn posit_slice_matches_scalar() {
-        use rlibm_posit::Posit32;
         let mut rng = XorShift64::new(0x9051);
-        let xs: Vec<Posit32> = (0..3000).map(|_| Posit32::from_bits(rng.next_u32())).collect();
+        let mut xs: Vec<Posit32> =
+            (0..3000).map(|_| Posit32::from_bits(rng.next_u32())).collect();
+        // Scatter the edge lanes through the 64-lane chunks, at a
+        // different lane offset in each chunk.
+        for (k, s) in posit_edge_lanes().into_iter().enumerate() {
+            xs[(k * 67 + 11) % 3000] = s;
+        }
         let mut out = vec![Posit32::ZERO; xs.len()];
         for name in ["ln", "exp", "sinh", "cosh", "log10", "exp2", "exp10", "log2"] {
             eval_slice_posit32(name, &xs, &mut out).expect("known name");
             for (&x, &got) in xs.iter().zip(out.iter()) {
-                assert_eq!(got, crate::eval_posit32_by_name(name, x).expect("known name"), "{name}");
+                let want = crate::eval_posit32_by_name(name, x).expect("known name");
+                assert_eq!(got, want, "{name}({:#010x})", x.to_bits());
             }
         }
     }
@@ -811,7 +983,6 @@ mod tests {
         }
 
         // Posit chunk with NaR / min / max scattered among ordinary values.
-        use rlibm_posit::Posit32;
         let mut pxs = [Posit32::from_f64(1.5); 64];
         for (i, lane) in pxs.iter_mut().enumerate() {
             *lane = Posit32::from_f64(0.3 + i as f64 * 0.21);
@@ -836,8 +1007,8 @@ mod tests {
         let mut out = [0.0f32; 1];
         let err = eval_slice_f32("tanh", &[1.0], &mut out).expect_err("unknown");
         assert_eq!(err, UnknownFunction("tanh".to_owned()));
-        let mut pout = [rlibm_posit::Posit32::ZERO; 1];
-        assert!(eval_slice_posit32("sinpi", &[rlibm_posit::Posit32::ZERO], &mut pout).is_err());
+        let mut pout = [Posit32::ZERO; 1];
+        assert!(eval_slice_posit32("sinpi", &[Posit32::ZERO], &mut pout).is_err());
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub enum TraceKind {
     /// A sampled request completed. Payload: latency (ns, saturated).
     Complete = 4,
     /// A slice-kernel lane fell back to the scalar two-tier path.
-    /// Payload: the lane's f32 input bits.
+    /// Payload: the lane's input bits (f32 or posit32, per the aux
+    /// function id).
     Rescalar = 5,
     /// Shed: deadline exceeded. Payload: input bits.
     ShedDeadline = 6,

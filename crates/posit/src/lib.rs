@@ -22,6 +22,7 @@
 //! ```
 
 pub mod arith;
+mod codec32;
 pub mod format;
 pub mod types;
 

@@ -1,11 +1,18 @@
 //! The [`Posit32`] and [`Posit16`] value types.
 
 use crate::arith;
+use crate::codec32;
 use crate::format::{Decoded, PositFormat};
 use rlibm_fp::Representation;
 
+// `$decode: fn(u32) -> f64` and `$encode: fn(f64) -> u32` are the
+// pattern/f64 codec: the dedicated one for Posit32, the generic
+// `PositFormat` one for Posit16.
 macro_rules! posit_type {
-    ($(#[$doc:meta])* $name:ident, $storage:ty, $fmt:expr, $repr_name:literal, $bits:literal) => {
+    (
+        $(#[$doc:meta])* $name:ident, $storage:ty, $fmt:expr, $repr_name:literal, $bits:literal,
+        $decode:expr, $encode:expr
+    ) => {
         $(#[$doc])*
         // Posit equality is plain pattern equality: NaR == NaR and there
         // is only one zero, so the derived bitwise PartialEq is exact.
@@ -39,13 +46,15 @@ macro_rules! posit_type {
 
             /// Rounds an `f64` into this posit format (NaN/inf become NaR;
             /// finite values saturate at `MAXPOS`/`MINPOS`).
+            #[inline]
             pub fn from_f64(x: f64) -> Self {
-                $name(Self::FORMAT.round_from_f64(x) as $storage)
+                $name(($encode)(x) as $storage)
             }
 
             /// Exact conversion to `f64` (`NaR` becomes NaN).
+            #[inline]
             pub fn to_f64(self) -> f64 {
-                Self::FORMAT.to_f64(self.0 as u32)
+                ($decode)(self.0 as u32)
             }
 
             /// True for the NaR pattern.
@@ -140,14 +149,17 @@ macro_rules! posit_type {
                 $name((bits & Self::FORMAT.mask()) as $storage)
             }
 
+            #[inline]
             fn to_bits_u32(self) -> u32 {
                 self.0 as u32
             }
 
+            #[inline]
             fn to_f64(self) -> f64 {
                 $name::to_f64(self)
             }
 
+            #[inline]
             fn round_from_f64(x: f64) -> Self {
                 $name::from_f64(x)
             }
@@ -195,7 +207,9 @@ posit_type!(
     u32,
     PositFormat::POSIT32,
     "posit32",
-    32
+    32,
+    codec32::to_f64,
+    codec32::from_f64
 );
 
 posit_type!(
@@ -212,7 +226,9 @@ posit_type!(
     u16,
     PositFormat::POSIT16,
     "posit16",
-    16
+    16,
+    |bits| PositFormat::POSIT16.to_f64(bits),
+    |x| PositFormat::POSIT16.round_from_f64(x)
 );
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Requests address functions by a dense `u8` id: `0..10` are the f32
 //! tier-1 functions (batched through the staged slice kernels), `10..18`
-//! are the posit32 functions (batched through the chunked posit slice
-//! entry). Ids are stable — they appear in `BENCH_serve.json` rows via
+//! are the posit32 functions (batched through the same staged chunk
+//! kernels behind the posit codec). Ids are stable — they appear in `BENCH_serve.json` rows via
 //! [`func_name`].
 //!
 //! Traffic synthesis reuses the workspace PRNG ([`XorShift64`]) and the

@@ -74,14 +74,13 @@ fn scalar_calls_land_in_exactly_one_tier() {
 
 #[test]
 fn posit_calls_land_in_exactly_one_tier() {
-    let xs = workload(0x9057, 2_000);
+    let xs: Vec<Posit32> =
+        workload(0x9057, 2_000).iter().map(|&x| Posit32::from_f64(x as f64)).collect();
     for name in POSIT32_FUNCS {
         let slot = stats::posit32_slot_by_name(name).expect("slot");
+        let f = rlibm_math::posit32_fn_by_name(name).expect("known fn");
         let (p0, f0, d0, fb0) = snapshot(slot);
-        for &x in &xs {
-            let p = Posit32::from_f64(x as f64);
-            let _ = rlibm_math::eval_posit32_by_name(name, p).expect("known fn");
-        }
+        let scalar: Vec<Posit32> = xs.iter().map(|&x| f(x)).collect();
         let (p1, f1, d1, fb1) = snapshot(slot);
         let (dp, df, dd) = (p1 - p0, f1 - f0, d1 - d0);
         if stats::enabled() {
@@ -90,6 +89,25 @@ fn posit_calls_land_in_exactly_one_tier() {
         } else {
             assert_eq!((dp, df, dd), (0, 0, 0));
         }
+
+        // The same in-domain lanes through one batched call. Only the sum
+        // is pinned: the staged chunk kernels read both table words where
+        // the scalar prefix reads only the hi word, so a lane may ship
+        // from a different tier than its scalar call did.
+        let mut out = vec![Posit32::ZERO; xs.len()];
+        rlibm_math::eval_slice_posit32(name, &xs, &mut out).expect("known fn");
+        let (p2, f2, d2, _) = snapshot(slot);
+        let (dp, df, dd) = (p2 - p1, f2 - f1, d2 - d1);
+        if stats::enabled() {
+            assert_eq!(
+                dp + df + dd,
+                xs.len() as u64,
+                "{name}: batched posit lanes must tier-account exactly once each"
+            );
+        } else {
+            assert_eq!((dp, df, dd), (0, 0, 0));
+        }
+        assert_eq!(out, scalar, "{name}: batched outputs match the scalar calls");
     }
 }
 

@@ -130,6 +130,39 @@ fn batched_output_checksum_is_feature_invariant() {
     );
 }
 
+/// Posit32 counterpart of the checksum above, over `eval_slice_posit32`.
+/// The inputs are every posit32 whose low 16 bits are zero (each
+/// regime, sign, zero and NaR, like the bf16 sweep for f32) plus a fixed
+/// 200k raw-pattern draw per function. The constant was computed from
+/// the *scalar* posit functions before the batched path ran the staged
+/// kernels, so it pins the batched path to the scalar outputs, and both
+/// to the pre-batching bits.
+#[test]
+fn posit_batched_output_checksum_is_pinned() {
+    use rlibm::posit::Posit32;
+    use rlibm_fp::rng::XorShift64;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |bits: u32| {
+        for b in bits.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let embedded: Vec<Posit32> =
+        (0..=u16::MAX).map(|b| Posit32::from_bits(u32::from(b) << 16)).collect();
+    for (i, f) in Func::POSIT.iter().enumerate() {
+        let mut rng = XorShift64::new(0x9051_C0DE ^ (i as u64));
+        let mut inputs = embedded.clone();
+        inputs.extend((0..200_000).map(|_| Posit32::from_bits(rng.next_u32())));
+        let mut out = vec![Posit32::ZERO; inputs.len()];
+        rlibm::math::eval_slice_posit32(f.name(), &inputs, &mut out).expect("known name");
+        for y in out {
+            mix(y.to_bits());
+        }
+    }
+    assert_eq!(h, 0x9d41_c3e3_ef4a_3d40, "batched posit32 outputs changed");
+}
+
 /// The batched API must agree bit-for-bit with the scalar two-tier
 /// functions on the same stratified inputs (plus every bf16 pattern).
 #[test]
