@@ -27,6 +27,8 @@ use rlibm_posit::Posit32;
 
 /// The model of a mainstream single-precision libm.
 pub mod float32 {
+    use crate::fast::round_even_i64;
+
     /// `e^x`: cheap reduction + degree-5 polynomial, no lookup table.
     pub fn exp(x: f32) -> f32 {
         if x.is_nan() {
@@ -39,11 +41,11 @@ pub mod float32 {
             return 0.0;
         }
         let xd = x as f64;
-        let k = (xd * core::f64::consts::LOG2_E).round_ties_even();
-        let r = xd - k * core::f64::consts::LN_2; // one rounding: ~2^-53 abs
+        let k = round_even_i64(xd * core::f64::consts::LOG2_E);
+        let r = xd - k as f64 * core::f64::consts::LN_2; // one rounding: ~2^-53 abs
         // Degree-5 Taylor: truncation ~r^6/720 ~ 2^-33 relative.
         let p = 1.0 + r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r / 120.0))));
-        (p * super::pow2_f64(k as i64)) as f32
+        (p * super::pow2_f64(k)) as f32
     }
 
     /// `2^x` via `exp(x ln 2)` (compounding the reduction error).
@@ -58,10 +60,10 @@ pub mod float32 {
             return 0.0;
         }
         let xd = x as f64;
-        let k = xd.round_ties_even();
-        let r = (xd - k) * core::f64::consts::LN_2;
+        let k = round_even_i64(xd);
+        let r = (xd - k as f64) * core::f64::consts::LN_2;
         let p = 1.0 + r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r / 120.0))));
-        (p * super::pow2_f64(k as i64)) as f32
+        (p * super::pow2_f64(k)) as f32
     }
 
     /// `10^x` via `2^(x log2 10)`.
@@ -76,10 +78,10 @@ pub mod float32 {
             return 0.0;
         }
         let xd = x as f64 * core::f64::consts::LOG2_10; // rounding here hurts
-        let k = xd.round_ties_even();
-        let r = (xd - k) * core::f64::consts::LN_2;
+        let k = round_even_i64(xd);
+        let r = (xd - k as f64) * core::f64::consts::LN_2;
         let p = 1.0 + r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r / 120.0))));
-        (p * super::pow2_f64(k as i64)) as f32
+        (p * super::pow2_f64(k)) as f32
     }
 
     /// `ln`: atanh-series over the full `[1, 2)` mantissa (no table).

@@ -7,9 +7,16 @@
 //! which double rounding into a 32-bit target could ever matter. The final
 //! hi/lo pair is rounded *once* into the target by [`crate::round`].
 //!
-//! All error-free transformations are the classical ones (Dekker, Knuth);
-//! `two_prod` uses the hardware FMA (the workspace builds with
-//! `target-cpu=native`, mirroring the paper's AVX2 build flags).
+//! All error-free transformations are the classical ones (Dekker, Knuth).
+//! `two_prod` computes its error term with `f64::mul_add`. The workspace
+//! builds for baseline x86-64 (no `target-cpu` flag, so no hardware
+//! FMA), where `mul_add` is a call into the software `fma`: the shipped
+//! build has one such call at every `two_prod` site, all on the dd tier
+//! or on `sinpi`/`cospi`'s tiny-input path (`|x| < 2^-36`), none on the
+//! plain-double tiers that ship almost every result. A Dekker-split
+//! `two_prod` (no `fma`) was measured as a replacement and came out
+//! mixed: dd `exp10` about 7% faster, dd `exp` and `ln` 2–4% slower,
+//! dd `log2`/`log10` 16–24% slower (EXPERIMENTS.md, Figure 3).
 
 /// Error-free sum: returns `(s, e)` with `s = fl(a+b)` and `a+b = s + e`
 /// exactly. (Knuth's TwoSum — no magnitude precondition.)

@@ -198,7 +198,7 @@ pub(crate) fn exp_combined_fast(k64: i64, r: f64) -> f64 {
 /// `k·LN2_64_HI` exact: 39-bit constant x 14-bit integer).
 #[inline(always)]
 pub(crate) fn exp_fast(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_E)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_E));
     let kf = k as f64;
     // x - k·LN2_64_HI is exact (cancellation => Sterbenz); the MID word is
     // a power of two, so its product is exact and the subtraction rounds
@@ -210,7 +210,7 @@ pub(crate) fn exp_fast(x: f64) -> f64 {
 /// Fast `2^x`. Requires finite `|x| <= 155`.
 #[inline(always)]
 pub(crate) fn exp2_fast(x: f64) -> f64 {
-    let k = (x * 64.0).round_ties_even() as i64;
+    let k = round_even_i64(x * 64.0);
     let tt = x - (k as f64) / 64.0; // exact: shared grid, Sterbenz
     let r = tt * t::LN2_HI + tt * t::LN2_LO;
     exp_combined_fast(k, r)
@@ -223,7 +223,7 @@ pub(crate) fn exp2_fast(x: f64) -> f64 {
 /// in the table above, absorbed by `EXP10_BAND`.
 #[inline(always)]
 pub(crate) fn exp10_fast(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_10)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_10));
     let kf = k as f64;
     let b = kf * t::LN2_64_HI; // exact (|k| < 2^14)
     let r = (x * t::LN10_HI - b) + (x * t::LN10_LO - kf * t::LN2_64_MID);
@@ -251,7 +251,7 @@ pub(crate) fn exp_combined_prefix(k64: i64, r: f64) -> f64 {
 /// Prefix-tier `e^x` (same reduction as [`exp_fast`]).
 #[inline(always)]
 pub(crate) fn exp_prefix(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_E)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_E));
     let kf = k as f64;
     let r = (x - kf * t::LN2_64_HI) - kf * t::LN2_64_MID;
     exp_combined_prefix(k, r)
@@ -260,7 +260,7 @@ pub(crate) fn exp_prefix(x: f64) -> f64 {
 /// Prefix-tier `2^x`.
 #[inline(always)]
 pub(crate) fn exp2_prefix(x: f64) -> f64 {
-    let k = (x * 64.0).round_ties_even() as i64;
+    let k = round_even_i64(x * 64.0);
     let tt = x - (k as f64) / 64.0;
     let r = tt * t::LN2_HI + tt * t::LN2_LO;
     exp_combined_prefix(k, r)
@@ -269,7 +269,7 @@ pub(crate) fn exp2_prefix(x: f64) -> f64 {
 /// Prefix-tier `10^x`.
 #[inline(always)]
 pub(crate) fn exp10_prefix(x: f64) -> f64 {
-    let k = (x * (64.0 * t::LOG2_10)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_10));
     let kf = k as f64;
     let b = kf * t::LN2_64_HI;
     let r = (x * t::LN10_HI - b) + (x * t::LN10_LO - kf * t::LN2_64_MID);
@@ -290,7 +290,7 @@ pub(crate) fn reduce_fast(x: f64) -> (i64, usize, f64) {
     let bits = x.to_bits();
     let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
     let mut z = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-    let mut j = ((z - 1.0) * 128.0).round_ties_even() as usize; // 0..=128
+    let mut j = round_even_i64((z - 1.0) * 128.0) as usize; // 0..=128
     if j == 128 {
         e += 1;
         z *= 0.5; // exact
@@ -479,6 +479,22 @@ pub(crate) fn cospi_poly_fast(r: f64) -> f64 {
     1.0 + (r2 * t::COSPI_C2_HI + (r2 * t::COSPI_C2_LO + r2 * r2 * (t::COSPI_C4 + r2 * t::COSPI_C6)))
 }
 
+/// `v.round_ties_even() as i64` for `|v| <= 2^51`, without a libm call.
+///
+/// `f64::round_ties_even` lowers to a call into the software `rint` on
+/// the baseline x86-64 target (no SSE4.1 `roundsd`). Adding `1.5·2^52`
+/// moves `v` into the binade `[2^52, 2^53]`, where one ulp is 1, so the
+/// add itself rounds `v` to the nearest integer, ties to even (the
+/// default rounding mode, which Rust never changes); inside that binade
+/// the bit pattern is the value plus a fixed offset, so subtracting the
+/// constant's bits leaves the integer. Every reduction in this crate
+/// feeds it at most ~2^17 (`|k| <= 64645` in the dd `exp` kernel).
+#[inline(always)]
+pub(crate) fn round_even_i64(v: f64) -> i64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    (v + SHIFT).to_bits() as i64 - SHIFT.to_bits() as i64
+}
+
 /// `floor(x)` for non-negative `x < 2^53` via an exact integer-cast
 /// round trip. `f64::floor` lowers to a dynamic libm call on the
 /// baseline x86-64 target (no SSE4.1 `roundsd`), which costs more than
@@ -634,6 +650,48 @@ mod tests {
                 rel <= band as f64 * 2f64.powi(-53),
                 "fast kernel out of band at x = {x:e}: rel = {rel:e}, band = {band}"
             );
+        }
+    }
+
+    #[test]
+    fn round_even_i64_matches_round_ties_even() {
+        let check = |v: f64| {
+            assert_eq!(
+                round_even_i64(v),
+                v.round_ties_even() as i64,
+                "v = {v:e} ({:#x})",
+                v.to_bits()
+            );
+        };
+        // Every tie in ±2^17 (the dd exp kernel's |k| <= 64645 and
+        // beyond), with the f64 neighbours on both sides.
+        for n in -(1i64 << 17)..(1i64 << 17) {
+            let tie = n as f64 + 0.5;
+            check(tie.next_down());
+            check(tie);
+            check(tie.next_up());
+        }
+        for v in [0.0, -0.0, 0.5, -0.5, 1.5, -1.5] {
+            check(v);
+        }
+        // The edge of the helper's stated range.
+        for v in [(1u64 << 51) as f64 - 1.0, -((1u64 << 51) as f64 - 1.0)] {
+            check(v.next_down());
+            check(v);
+            check(v.next_up());
+        }
+        // The log reduction's index (z - 1)·128 in [0, 128]: a dense grid
+        // (every 1/4096, ties included) and a stride over the mantissas.
+        for i in 0..=(128u32 << 12) {
+            check(f64::from(i) / 4096.0);
+        }
+        for m in (0..1u64 << 52).step_by(0x0100_0000_011b) {
+            let z = f64::from_bits(m | 0x3FF0_0000_0000_0000);
+            check((z - 1.0) * 128.0);
+        }
+        let mut rng = XorShift64::new(0x2_0E7E);
+        for _ in 0..1_000_000 {
+            check(rng.uniform_f64(-1_048_576.0, 1_048_576.0));
         }
     }
 

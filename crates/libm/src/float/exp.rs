@@ -9,6 +9,7 @@
 //! reduced inputs handled uniformly.
 
 use crate::dd::{two_prod, two_sum, Dd};
+use crate::fast::round_even_i64;
 use crate::tables as t;
 
 /// `2^i` as a double, total over every integer: exact for
@@ -64,7 +65,7 @@ pub(crate) fn exp_kernel(x: f64) -> Dd {
     debug_assert!(x.is_finite() && x.abs() <= 700.0);
     // k = round(x * 64/ln2): |k| <= 64645 < 2^17; the 39-bit LN2_64_HI
     // keeps k * LN2_64_HI exact up to 2^14, so the clamp range matters.
-    let k = (x * (64.0 * t::LOG2_E)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_E));
     // r_hi = x - k*LN2_64_HI is exact (both operands on a coarse shared
     // grid, difference representable); the two tail corrections are tiny.
     let kf = k as f64;
@@ -76,7 +77,7 @@ pub(crate) fn exp_kernel(x: f64) -> Dd {
 /// Kernel: `2^x`. `|x| <= 1100`.
 pub(crate) fn exp2_kernel(x: f64) -> Dd {
     debug_assert!(x.is_finite() && x.abs() <= 1100.0);
-    let k = (x * 64.0).round_ties_even() as i64;
+    let k = round_even_i64(x * 64.0);
     // t = x - k/64 is exact: both are multiples of 2^-64-ish grids and
     // the difference is tiny.
     let tt = x - (k as f64) / 64.0;
@@ -89,7 +90,7 @@ pub(crate) fn exp2_kernel(x: f64) -> Dd {
 /// Kernel: `10^x`. `|x| <= 330`.
 pub(crate) fn exp10_kernel(x: f64) -> Dd {
     debug_assert!(x.is_finite() && x.abs() <= 330.0);
-    let k = (x * (64.0 * t::LOG2_10)).round_ties_even() as i64;
+    let k = round_even_i64(x * (64.0 * t::LOG2_10));
     let kf = k as f64;
     // u = x*ln10 - k*(ln2/64), double-double with ~7 bits of cancellation
     // absorbed by the ~2^-100 component error.

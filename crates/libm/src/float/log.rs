@@ -9,6 +9,7 @@
 //! kernel stays within ~2^-85 relative error.
 
 use crate::dd::{two_prod, two_sum, Dd};
+use crate::fast::round_even_i64;
 use crate::tables as t;
 
 /// Decomposes a positive finite double into `(e, z)` with `x = z * 2^e`,
@@ -49,7 +50,7 @@ fn reduce(x: f64) -> (i64, usize, Dd) {
         e = e2 - 120;
         z = z2;
     }
-    let j = ((z - 1.0) * 128.0).round_ties_even() as usize; // 0..=128
+    let j = round_even_i64((z - 1.0) * 128.0) as usize; // 0..=128
     let f = 1.0 + j as f64 / 128.0;
     let num = z - f; // exact: same binade, shared grid
     // u = num / f as a double-double via a Newton residual step.
@@ -96,15 +97,15 @@ pub(crate) fn log10_kernel(x: f64) -> Dd {
 /// polynomial, escalating to the full-degree plain-double kernel when
 /// the wide prefix band rejects, and to the dd kernel when the full
 /// band rejects too.
-#[inline]
+#[inline(always)]
 fn log_front(
     x: f32,
-    prefix: fn(f64) -> f64,
+    prefix: impl Fn(f64) -> f64,
     prefix_band: u64,
-    fast: fn(f64) -> f64,
+    fast: impl Fn(f64) -> f64,
     band: u64,
     slot: usize,
-    kernel: fn(f64) -> Dd,
+    kernel: impl Fn(f64) -> Dd,
 ) -> f32 {
     if x.is_nan() {
         return f32::NAN;
@@ -135,8 +136,8 @@ fn log_front(
 
 /// dd-only front end (tier 2 alone), kept for the `*_dd` reference
 /// entry points that the bit-identity tests and benches compare against.
-#[inline]
-fn log_front_dd(x: f32, kernel: fn(f64) -> Dd) -> f32 {
+#[inline(always)]
+fn log_front_dd(x: f32, kernel: impl Fn(f64) -> Dd) -> f32 {
     if x.is_nan() {
         return f32::NAN;
     }

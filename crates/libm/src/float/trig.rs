@@ -54,7 +54,7 @@ fn mod2_split(a: f64) -> (bool, f64) {
 /// `a == trunc(a)` for non-negative `a < 2^53`, via the same exact
 /// integer-cast round trip (avoids the `trunc` libm call).
 #[inline(always)]
-fn is_int_pos(a: f64) -> bool {
+pub(crate) fn is_int_pos(a: f64) -> bool {
     a == ((a as u64) as f64)
 }
 

@@ -25,15 +25,15 @@ pub(crate) const LOG10_MAXPOS: f64 = 36.123599478912376;
 /// Common three-tier front end for the logarithm family: prefix
 /// polynomial, full-degree plain-double kernel on escalation, dd only
 /// when the posit safety test rejects both.
-#[inline]
+#[inline(always)]
 fn log_front(
     x: Posit32,
-    prefix: fn(f64) -> f64,
+    prefix: impl Fn(f64) -> f64,
     prefix_band: u64,
-    fast: fn(f64) -> f64,
+    fast: impl Fn(f64) -> f64,
     band: u64,
     slot: usize,
-    kernel: fn(f64) -> crate::dd::Dd,
+    kernel: impl Fn(f64) -> crate::dd::Dd,
 ) -> Posit32 {
     if x.is_nar() || x.is_zero() || x.is_negative() {
         // ln(0) = -inf and ln(negative) = NaN both map to NaR in posits.
@@ -55,8 +55,8 @@ fn log_front(
 }
 
 /// dd-only front end for the logarithm family (tier 2 alone).
-#[inline]
-fn log_front_dd(x: Posit32, kernel: fn(f64) -> crate::dd::Dd) -> Posit32 {
+#[inline(always)]
+fn log_front_dd(x: Posit32, kernel: impl Fn(f64) -> crate::dd::Dd) -> Posit32 {
     if x.is_nar() || x.is_zero() || x.is_negative() {
         return Posit32::NAR;
     }

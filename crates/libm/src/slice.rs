@@ -14,9 +14,12 @@
 //! 2. **reduce**: the range reduction for every lane (k/r for the exp
 //!    family, e/j/u for the logs) into parallel arrays;
 //! 3. **lookup + Horner**: table access and *prefix-degree* polynomial
-//!    evaluation over the arrays — straight-line plain-double code the
-//!    compiler can unroll and schedule across lanes (and auto-vectorize
-//!    where the target allows);
+//!    evaluation over the arrays. The tier's polynomial is a generic
+//!    parameter of each chunk kernel, inlined into it, and the reductions
+//!    round with `fast::round_even_i64` instead of a `rint` libcall, so
+//!    every (function, tier) pair compiles to its own call-free loop of
+//!    plain-double code the compiler can unroll, schedule across lanes
+//!    and vectorize where the target allows;
 //! 4. **resolve**: per lane, the round-safety test against the wide
 //!    prefix band decides whether the prefix double ships. Lanes the
 //!    prefix band rejects escalate **as a chunk** to the full-degree
@@ -46,6 +49,7 @@
 //! resolve through that entry. The AVX2 stages are f32-only.
 
 use crate::fast;
+use crate::float::trig::is_int_pos;
 use crate::tables as t;
 use rlibm_fp::Representation;
 use rlibm_obs::Counter;
@@ -245,11 +249,12 @@ fn drive<L: Lane>(
 /// Staged `e^x` over a chunk: reduction array pass, then lookup+Horner.
 /// `combined` selects the polynomial tier (prefix or full degree) — the
 /// reduction stages are tier-invariant.
-fn exp_chunk_with(xd: &[f64], y: &mut [f64], combined: fn(i64, f64) -> f64) {
+#[inline(always)]
+fn exp_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
     let mut k = [0i64; LANES];
     let mut r = [0.0f64; LANES];
     for i in 0..xd.len() {
-        let kk = (xd[i] * (64.0 * t::LOG2_E)).round_ties_even() as i64;
+        let kk = fast::round_even_i64(xd[i] * (64.0 * t::LOG2_E));
         let kf = kk as f64;
         k[i] = kk;
         r[i] = (xd[i] - kf * t::LN2_64_HI) - kf * t::LN2_64_MID;
@@ -267,11 +272,12 @@ fn exp_chunk(xd: &[f64], y: &mut [f64]) {
     exp_chunk_with(xd, y, fast::exp_combined_fast)
 }
 
-fn exp2_chunk_with(xd: &[f64], y: &mut [f64], combined: fn(i64, f64) -> f64) {
+#[inline(always)]
+fn exp2_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
     let mut k = [0i64; LANES];
     let mut r = [0.0f64; LANES];
     for i in 0..xd.len() {
-        let kk = (xd[i] * 64.0).round_ties_even() as i64;
+        let kk = fast::round_even_i64(xd[i] * 64.0);
         let tt = xd[i] - (kk as f64) / 64.0;
         k[i] = kk;
         r[i] = tt * t::LN2_HI + tt * t::LN2_LO;
@@ -289,11 +295,12 @@ fn exp2_chunk(xd: &[f64], y: &mut [f64]) {
     exp2_chunk_with(xd, y, fast::exp_combined_fast)
 }
 
-fn exp10_chunk_with(xd: &[f64], y: &mut [f64], combined: fn(i64, f64) -> f64) {
+#[inline(always)]
+fn exp10_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
     let mut k = [0i64; LANES];
     let mut r = [0.0f64; LANES];
     for i in 0..xd.len() {
-        let kk = (xd[i] * (64.0 * t::LOG2_10)).round_ties_even() as i64;
+        let kk = fast::round_even_i64(xd[i] * (64.0 * t::LOG2_10));
         let kf = kk as f64;
         let b = kf * t::LN2_64_HI;
         k[i] = kk;
@@ -320,7 +327,13 @@ fn exp10_chunk(xd: &[f64], y: &mut [f64]) {
 /// then the `log1p` Horner pass at the tier's degree (`poly` is
 /// [`fast::log1p_poly_prefix`] or [`fast::log1p_poly_fast`]).
 #[inline(always)]
-fn log_stages(xd: &[f64], e: &mut [i64], j: &mut [usize], p: &mut [f64], poly: fn(f64) -> f64) {
+fn log_stages(
+    xd: &[f64],
+    e: &mut [i64],
+    j: &mut [usize],
+    p: &mut [f64],
+    poly: impl Fn(f64) -> f64,
+) {
     let mut u = [0.0f64; LANES];
     for i in 0..xd.len() {
         let (ei, ji, ui) = fast::reduce_fast(xd[i]);
@@ -333,7 +346,8 @@ fn log_stages(xd: &[f64], e: &mut [i64], j: &mut [usize], p: &mut [f64], poly: f
     }
 }
 
-fn ln_chunk_with(xd: &[f64], y: &mut [f64], poly: fn(f64) -> f64) {
+#[inline(always)]
+fn ln_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     let mut e = [0i64; LANES];
     let mut j = [0usize; LANES];
     let mut p = [0.0f64; LANES];
@@ -355,7 +369,8 @@ fn ln_chunk(xd: &[f64], y: &mut [f64]) {
     ln_chunk_with(xd, y, fast::log1p_poly_fast)
 }
 
-fn log2_chunk_with(xd: &[f64], y: &mut [f64], poly: fn(f64) -> f64) {
+#[inline(always)]
+fn log2_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     let mut e = [0i64; LANES];
     let mut j = [0usize; LANES];
     let mut p = [0.0f64; LANES];
@@ -375,7 +390,8 @@ fn log2_chunk(xd: &[f64], y: &mut [f64]) {
     log2_chunk_with(xd, y, fast::log1p_poly_fast)
 }
 
-fn log10_chunk_with(xd: &[f64], y: &mut [f64], poly: fn(f64) -> f64) {
+#[inline(always)]
+fn log10_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     let mut e = [0i64; LANES];
     let mut j = [0usize; LANES];
     let mut p = [0.0f64; LANES];
@@ -402,7 +418,8 @@ fn log10_chunk(xd: &[f64], y: &mut [f64]) {
 // hyperbolic chunks (big factor through the staged exp pipeline)
 // ---------------------------------------------------------------------
 
-fn sinh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: fn(&[f64], &mut [f64])) {
+#[inline(always)]
+fn sinh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f64])) {
     let mut a = [0.0f64; LANES];
     for i in 0..xd.len() {
         a[i] = xd[i].abs();
@@ -431,7 +448,8 @@ fn sinh_chunk(xd: &[f64], y: &mut [f64]) {
     sinh_chunk_with(xd, y, exp_chunk)
 }
 
-fn cosh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: fn(&[f64], &mut [f64])) {
+#[inline(always)]
+fn cosh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f64])) {
     let mut a = [0.0f64; LANES];
     for i in 0..xd.len() {
         a[i] = xd[i].abs();
@@ -460,7 +478,8 @@ fn cosh_chunk(xd: &[f64], y: &mut [f64]) {
 // sinpi / cospi chunks (per-lane: reduction is branch-heavy)
 // ---------------------------------------------------------------------
 
-fn sinpi_chunk_with(xd: &[f64], y: &mut [f64], reduced: fn(f64) -> (bool, f64)) {
+#[inline(always)]
+fn sinpi_chunk_with(xd: &[f64], y: &mut [f64], reduced: impl Fn(f64) -> (bool, f64)) {
     for i in 0..xd.len() {
         let a = xd[i].abs();
         let (k, v) = reduced(a);
@@ -477,7 +496,8 @@ fn sinpi_chunk(xd: &[f64], y: &mut [f64]) {
     sinpi_chunk_with(xd, y, fast::sinpi_fast_reduced)
 }
 
-fn cospi_chunk_with(xd: &[f64], y: &mut [f64], reduced: fn(f64) -> (bool, f64)) {
+#[inline(always)]
+fn cospi_chunk_with(xd: &[f64], y: &mut [f64], reduced: impl Fn(f64) -> (bool, f64)) {
     for i in 0..xd.len() {
         let (neg, v) = reduced(xd[i].abs());
         y[i] = if neg { -v } else { v };
@@ -646,7 +666,7 @@ pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| {
             let a = x.abs();
-            x.is_finite() && a < 8_388_608.0 && a >= 2f64.powi(-36) && a != a.trunc()
+            x.is_finite() && a < 8_388_608.0 && a >= 2f64.powi(-36) && !is_int_pos(a)
         },
         sinpi_prefix_chunk,
         fast::SINPI_PREFIX_BAND,
@@ -665,11 +685,9 @@ pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| {
             let a = x.abs();
-            // 2a == trunc(2a) catches integers AND half-integers (both
+            // An integral 2a catches integers AND half-integers (both
             // handled by the scalar front's exact special cases).
-            x.is_finite()
-                && (7.77e-5..16_777_216.0).contains(&a)
-                && 2.0 * a != (2.0 * a).trunc()
+            x.is_finite() && (7.77e-5..16_777_216.0).contains(&a) && !is_int_pos(2.0 * a)
         },
         cospi_prefix_chunk,
         fast::COSPI_PREFIX_BAND,

@@ -18,8 +18,8 @@
 //!   scalar f64 ops (no FMA contraction — the scalar kernels use plain
 //!   mul/add, and so does this module);
 //! * `_mm256_cvtpd_epi32` rounds with the MXCSR mode, which Rust leaves
-//!   at round-to-nearest-even — exactly `f64::round_ties_even` followed
-//!   by the integral cast the scalar reductions perform;
+//!   at round-to-nearest-even — exactly the rounding
+//!   `fast::round_even_i64` performs in the scalar reductions;
 //! * `_mm256_cvttpd_epi32` truncates, matching `.floor() as usize` on
 //!   the non-negative values the trig reductions feed it;
 //! * table gathers read the identical `(hi, lo)` entries, and the
@@ -314,7 +314,7 @@ unsafe fn exp_combined4<const PREFIX: bool>(k: __m128i, r: __m256d) -> __m256d {
 #[target_feature(enable = "avx2")]
 unsafe fn exp4<const PREFIX: bool>(xd: __m256d) -> __m256d {
     // cvtpd_epi32 rounds ties-to-even (MXCSR default): identical to
-    // `(x * C).round_ties_even() as i64` for these small magnitudes.
+    // `fast::round_even_i64(x * C)` for these small magnitudes.
     let k = _mm256_cvtpd_epi32(_mm256_mul_pd(xd, _mm256_set1_pd(64.0 * t::LOG2_E)));
     let kf = _mm256_cvtepi32_pd(k);
     let r = _mm256_sub_pd(
@@ -386,7 +386,7 @@ unsafe fn log_reduce4(xd: __m256d) -> (__m256d, __m128i, __m256d) {
         _mm256_and_si256(bits, _mm256_set1_epi64x(0x000F_FFFF_FFFF_FFFF)),
         _mm256_set1_epi64x(0x3FF0_0000_0000_0000u64 as i64),
     ));
-    // j = round_ties_even((z - 1) * 128), 0..=128
+    // j = round_even_i64((z - 1) * 128), 0..=128
     let j = _mm256_cvtpd_epi32(_mm256_mul_pd(
         _mm256_sub_pd(z, _mm256_set1_pd(1.0)),
         _mm256_set1_pd(128.0),
