@@ -79,7 +79,7 @@ fn parse_cli() -> Cli {
 
 fn main() {
     let cli = parse_cli();
-    assert!(stats::enabled(), "bench builds carry fallback counters");
+    assert!(stats::enabled(), "bench builds carry the tier counters");
     println!(
         "Figure 3: RLIBM-32 float functions, two-tier measurement (inputs/function: {}{})\n",
         cli.n,
@@ -159,7 +159,8 @@ fn main() {
         for &x in &xs {
             std::hint::black_box(fast_fn(x));
         }
-        let rate = stats::fallbacks_f32(name) as f64 / xs.len() as f64;
+        let slot = stats::f32_slot_by_name(name).expect("known name");
+        let rate = stats::tier_dd(slot) as f64 / xs.len() as f64;
 
         let [fast, dd, batched, fl, db, cr] = best[fi];
         s_dd.push(dd / fast);

@@ -40,7 +40,7 @@ fn main() {
             other => n = other.parse().unwrap_or_else(|_| panic!("bad arg '{other}'")),
         }
     }
-    assert!(stats::enabled(), "bench builds carry fallback counters");
+    assert!(stats::enabled(), "bench builds carry the tier counters");
     println!(
         "Figure 4: RLIBM-32 posit32 functions, two-tier measurement (inputs/function: {n}{})\n",
         if quick { ", quick mode" } else { "" }
@@ -62,7 +62,8 @@ fn main() {
         for &x in &xs {
             std::hint::black_box(fast_fn(x));
         }
-        let rate = stats::fallbacks_posit32(name) as f64 / xs.len() as f64;
+        let slot = stats::posit32_slot_by_name(name).expect("known name");
+        let rate = stats::tier_dd(slot) as f64 / xs.len() as f64;
 
         let fast = ns_per_call(&xs, reps, fast_fn);
         let dd = ns_per_call(&xs, reps, dd_fn);

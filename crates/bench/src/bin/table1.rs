@@ -48,19 +48,7 @@ fn main() {
         let ours = validate_par(f, |x: f32| rlibm_math::eval_f32_by_name(name, x).expect("known name"), &xs, threads);
         let fl32 = validate_par(
             f,
-            |x: f32| match name {
-                "ln" => rlibm_math::baselines::float32::ln(x),
-                "log2" => rlibm_math::baselines::float32::log2(x),
-                "log10" => rlibm_math::baselines::float32::log10(x),
-                "exp" => rlibm_math::baselines::float32::exp(x),
-                "exp2" => rlibm_math::baselines::float32::exp2(x),
-                "exp10" => rlibm_math::baselines::float32::exp10(x),
-                "sinh" => rlibm_math::baselines::float32::sinh(x),
-                "cosh" => rlibm_math::baselines::float32::cosh(x),
-                "sinpi" => rlibm_math::baselines::float32::sinpi(x),
-                "cospi" => rlibm_math::baselines::float32::cospi(x),
-                _ => unreachable!(),
-            },
+            rlibm_math::baseline_f32_fn_by_name(name).expect("known name"),
             &xs,
             threads,
         );

@@ -11,7 +11,7 @@
 //!    f32 inputs, populating `oracle.ziv.final_prec.<fn>` histograms
 //!    and the escalation/cache/eval counters.
 //! 3. **Runtime fallbacks** — per-function input sweeps through the
-//!    two-tier entry points until each of the 18 `runtime.fallback.*`
+//!    two-tier entry points until each of the 18 `runtime.tier.dd.*`
 //!    counters has fired (fallbacks are parts-per-million events, so
 //!    the full run draws up to 20M inputs per function; `--quick` caps
 //!    at 200k and settles for registered-at-zero presence).
@@ -129,7 +129,7 @@ fn exercise_oracle(seed: u64, per_fn: u32) {
     println!("  oracle: {} Ziv evaluations per function", per_fn);
 }
 
-/// Phase 3: drive the two-tier runtimes until each fallback counter has
+/// Phase 3: drive the two-tier runtimes until each dd-tier counter has
 /// fired, up to `cap` draws per function. Returns counters still at
 /// their starting value.
 fn exercise_fallbacks(seed: u64, cap: u64) -> Vec<String> {
@@ -138,33 +138,30 @@ fn exercise_fallbacks(seed: u64, cap: u64) -> Vec<String> {
         let name = f.name();
         let fast = rlibm_math::f32_fn_by_name(name).expect("known name");
         let slot = stats::f32_slot_by_name(name).expect("known name");
-        let before = stats::fallbacks(slot);
+        let before = stats::tier_dd(slot);
         let mut rng = XorShift64::new(seed ^ (i as u64 + 1));
         let mut draws = 0u64;
-        while stats::fallbacks(slot) == before && draws < cap {
+        while stats::tier_dd(slot) == before && draws < cap {
             std::hint::black_box(fast(draw_biased_f32(&mut rng, name)));
             draws += 1;
         }
-        if stats::fallbacks(slot) == before {
+        if stats::tier_dd(slot) == before {
             missing.push(format!("f32.{name}"));
         }
     }
-    for (i, name) in ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"]
-        .iter()
-        .enumerate()
-    {
+    for (i, name) in rlibm_math::POSIT32_NAMES.into_iter().enumerate() {
         let fast = rlibm_math::posit32_fn_by_name(name).expect("known name");
         let slot = stats::posit32_slot_by_name(name).expect("known name");
-        let before = stats::fallbacks(slot);
+        let before = stats::tier_dd(slot);
         let mut rng = XorShift64::new(seed ^ (0x100 + i as u64));
         let mut draws = 0u64;
         // Random posit bit patterns concentrate near 1, inside every
         // kernel's domain (cf. the fault sweep's posit strategy).
-        while stats::fallbacks(slot) == before && draws < cap {
+        while stats::tier_dd(slot) == before && draws < cap {
             std::hint::black_box(fast(Posit32::from_bits(rng.next_u32())));
             draws += 1;
         }
-        if stats::fallbacks(slot) == before {
+        if stats::tier_dd(slot) == before {
             missing.push(format!("posit32.{name}"));
         }
     }
@@ -275,15 +272,12 @@ fn main() {
         snap.span("pipeline.generate").map_or(0, |s| s.count) >= 1,
         "pipeline.generate span never closed"
     );
-    let fallback_counters: Vec<_> = snap
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("runtime.fallback."))
-        .collect();
+    let dd_counters: Vec<_> =
+        snap.counters.iter().filter(|c| c.name.starts_with("runtime.tier.dd.")).collect();
     assert!(
-        fallback_counters.len() == 18,
-        "expected 18 runtime.fallback.* counters, snapshot has {}",
-        fallback_counters.len()
+        dd_counters.len() == 18,
+        "expected 18 runtime.tier.dd.* counters, snapshot has {}",
+        dd_counters.len()
     );
     let tier_counters =
         snap.counters.iter().filter(|c| c.name.starts_with("runtime.tier.")).count();

@@ -22,7 +22,8 @@
 //! path, the pure double-double kernel, and the batched
 //! `eval_slice_*` path — alongside the baselines, and report observed
 //! dd-fallback rates (this crate builds `rlibm-math` with the
-//! `fallback-counters` feature). Each accepts `--quick` (small
+//! `telemetry` feature, whose `runtime.tier.dd.*` counters count them).
+//! Each accepts `--quick` (small
 //! CI-smoke workload, used by `ci.sh`) and `--out PATH`. Emitted
 //! documents use the hand-rolled [`json`] module (the workspace has no
 //! registry dependencies): schema-tagged (`rlibm-bench/fig3/v1`, ...),

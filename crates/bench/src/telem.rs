@@ -143,7 +143,7 @@ mod tests {
         TelemetrySnapshot {
             counters: vec![
                 CounterSnapshot { name: "lp.exact.solves", value: 7 },
-                CounterSnapshot { name: "runtime.fallback.f32.exp", value: 0 },
+                CounterSnapshot { name: "runtime.tier.dd.f32.exp", value: 0 },
             ],
             histograms: vec![HistogramSnapshot {
                 name: "oracle.ziv.final_prec.ln",
@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(counters.get("lp.exact.solves").and_then(Json::as_num), Some(7.0));
         // Zero-valued counters stay present: "observed zero" is data.
         assert_eq!(
-            counters.get("runtime.fallback.f32.exp").and_then(Json::as_num),
+            counters.get("runtime.tier.dd.f32.exp").and_then(Json::as_num),
             Some(0.0)
         );
     }

@@ -77,6 +77,20 @@ mod tests {
     }
 
     #[test]
+    fn workloads_cover_both_tables() {
+        for name in rlibm_math::F32_NAMES {
+            let xs = timing_inputs_f32(name, 64, 7);
+            assert_eq!(xs.len(), 64, "f32 workload for {name}");
+            assert!(xs.iter().all(|x| x.is_finite()), "f32 workload for {name} must be finite");
+        }
+        for name in rlibm_math::POSIT32_NAMES {
+            let xs = timing_inputs_posit32(name, 64, 7);
+            assert_eq!(xs.len(), 64, "posit workload for {name}");
+            assert!(!xs.iter().any(|x| x.is_nar()), "posit workload for {name} must avoid NaR");
+        }
+    }
+
+    #[test]
     fn workloads_are_deterministic() {
         assert_eq!(timing_inputs_f32("exp", 32, 5), timing_inputs_f32("exp", 32, 5));
         let a = timing_inputs_posit32("ln", 16, 1);

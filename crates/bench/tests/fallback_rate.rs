@@ -2,7 +2,7 @@
 //! fast path must serve the overwhelming majority of inputs, with the
 //! certified dd fallback firing only inside the narrow unsafe bands.
 //!
-//! Everything runs in ONE `#[test]` because the fallback counters are
+//! Everything runs in ONE `#[test]` because the dd-tier counters are
 //! process-global atomics; parallel test binaries would race the
 //! reset/read windows.
 
@@ -32,7 +32,7 @@ fn posit_count() -> u32 {
 fn fast_path_serves_at_least_99_percent() {
     assert!(
         stats::enabled(),
-        "bench must be built with rlibm-math/fallback-counters"
+        "bench must be built with rlibm-math/telemetry"
     );
 
     for f in Func::ALL {
@@ -42,7 +42,7 @@ fn fast_path_serves_at_least_99_percent() {
         for &x in &xs {
             std::hint::black_box(func(x));
         }
-        let fallbacks = stats::fallbacks_f32(f.name());
+        let fallbacks = stats::tier_dd(stats::f32_slot_by_name(f.name()).expect("slot"));
         let rate = fallbacks as f64 / xs.len() as f64;
         assert!(
             rate <= 0.01,
@@ -60,7 +60,7 @@ fn fast_path_serves_at_least_99_percent() {
         for &x in &xs {
             std::hint::black_box(func(x));
         }
-        let fallbacks = stats::fallbacks_posit32(f.name());
+        let fallbacks = stats::tier_dd(stats::posit32_slot_by_name(f.name()).expect("slot"));
         let rate = fallbacks as f64 / xs.len() as f64;
         assert!(
             rate <= 0.01,

@@ -22,15 +22,9 @@
 
 use rlibm_fp::rng::{draw_biased_f32, XorShift64};
 use rlibm_math::fault as hooks;
+use rlibm_math::stats::tier_dd;
+use rlibm_math::{F32_NAMES, POSIT32_NAMES};
 use rlibm_posit::Posit32;
-
-/// The ten f32 functions with a tier-1 injection site.
-pub const F32_FUNCS: [&str; 10] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
-
-/// The eight posit32 functions with a tier-1 injection site.
-pub const POSIT32_FUNCS: [&str; 8] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"];
 
 /// Outcome of sweeping one function.
 #[derive(Debug, Clone)]
@@ -64,13 +58,13 @@ fn bits_match_f32(a: f32, b: f32) -> bool {
 /// Sweeps one f32 function until `target_injections` faults landed.
 /// Returns `None` for a name outside the paper's tables.
 pub fn sweep_f32(name: &str, target_injections: u64, seed: u64) -> Option<FaultReport> {
-    let static_name = F32_FUNCS.iter().find(|n| **n == name)?;
+    let static_name = F32_NAMES.iter().find(|n| **n == name)?;
     let fast = rlibm_math::f32_fn_by_name(name)?;
     let dd = rlibm_math::f32_dd_fn_by_name(name)?;
     let site = rlibm_math::stats::f32_slot_by_name(name)?;
     let mut rng = XorShift64::new(seed);
     let injected0 = hooks::injected(site);
-    let fallbacks0 = rlibm_math::stats::fallbacks(site);
+    let dd0 = tier_dd(site);
     let mut evaluated = 0u64;
     let mut mismatches = 0u64;
     // The domain bias makes the injection rate per draw high, but cap the
@@ -95,20 +89,20 @@ pub fn sweep_f32(name: &str, target_injections: u64, seed: u64) -> Option<FaultR
         repr: "f32",
         evaluated,
         injected: hooks::injected(site) - injected0,
-        dd_fallbacks: rlibm_math::stats::fallbacks(site) - fallbacks0,
+        dd_fallbacks: tier_dd(site) - dd0,
         mismatches,
     })
 }
 
 /// Sweeps one posit32 function until `target_injections` faults landed.
 pub fn sweep_posit32(name: &str, target_injections: u64, seed: u64) -> Option<FaultReport> {
-    let static_name = POSIT32_FUNCS.iter().find(|n| **n == name)?;
+    let static_name = POSIT32_NAMES.iter().find(|n| **n == name)?;
     let fast = rlibm_math::posit32_fn_by_name(name)?;
     let dd = rlibm_math::posit32_dd_fn_by_name(name)?;
     let site = rlibm_math::stats::posit32_slot_by_name(name)?;
     let mut rng = XorShift64::new(seed ^ 0xBEEF);
     let injected0 = hooks::injected(site);
-    let fallbacks0 = rlibm_math::stats::fallbacks(site);
+    let dd0 = tier_dd(site);
     let mut evaluated = 0u64;
     let mut mismatches = 0u64;
     let max_evals = target_injections.saturating_mul(40).max(1000);
@@ -133,7 +127,7 @@ pub fn sweep_posit32(name: &str, target_injections: u64, seed: u64) -> Option<Fa
         repr: "posit32",
         evaluated,
         injected: hooks::injected(site) - injected0,
-        dd_fallbacks: rlibm_math::stats::fallbacks(site) - fallbacks0,
+        dd_fallbacks: tier_dd(site) - dd0,
         mismatches,
     })
 }
@@ -141,13 +135,13 @@ pub fn sweep_posit32(name: &str, target_injections: u64, seed: u64) -> Option<Fa
 /// Sweeps every f32 and posit32 function. Reports come back in table
 /// order, f32 first.
 pub fn sweep_all(target_injections_per_func: u64, seed: u64) -> Vec<FaultReport> {
-    let mut reports = Vec::with_capacity(F32_FUNCS.len() + POSIT32_FUNCS.len());
-    for (i, name) in F32_FUNCS.iter().enumerate() {
+    let mut reports = Vec::with_capacity(F32_NAMES.len() + POSIT32_NAMES.len());
+    for (i, name) in F32_NAMES.iter().enumerate() {
         if let Some(r) = sweep_f32(name, target_injections_per_func, seed ^ (i as u64 + 1)) {
             reports.push(r);
         }
     }
-    for (i, name) in POSIT32_FUNCS.iter().enumerate() {
+    for (i, name) in POSIT32_NAMES.iter().enumerate() {
         if let Some(r) = sweep_posit32(name, target_injections_per_func, seed ^ (0x100 + i as u64))
         {
             reports.push(r);
@@ -163,13 +157,13 @@ pub fn sweep_all(target_injections_per_func: u64, seed: u64) -> Vec<FaultReport>
 /// their kernel-fault totals to functions; counters are cumulative per
 /// process, so callers diff two snapshots around a run.
 pub fn site_injections() -> Vec<(&'static str, &'static str, u64)> {
-    let mut out = Vec::with_capacity(F32_FUNCS.len() + POSIT32_FUNCS.len());
-    for name in F32_FUNCS {
+    let mut out = Vec::with_capacity(F32_NAMES.len() + POSIT32_NAMES.len());
+    for name in F32_NAMES {
         if let Some(site) = rlibm_math::stats::f32_slot_by_name(name) {
             out.push((name, "f32", hooks::injected(site)));
         }
     }
-    for name in POSIT32_FUNCS {
+    for name in POSIT32_NAMES {
         if let Some(site) = rlibm_math::stats::posit32_slot_by_name(name) {
             out.push((name, "posit32", hooks::injected(site)));
         }
@@ -187,7 +181,7 @@ mod tests {
         let r = sweep_f32("exp", 500, 0xABCD).expect("known name");
         assert!(r.injected >= 500);
         let after = site_injections();
-        assert_eq!(after.len(), F32_FUNCS.len() + POSIT32_FUNCS.len());
+        assert_eq!(after.len(), F32_NAMES.len() + POSIT32_NAMES.len());
         let total: u64 = after.iter().map(|(_, _, n)| n).sum();
         assert!(total - before >= r.injected, "snapshot diff sees the sweep's injections");
         let exp = after.iter().find(|(n, r, _)| *n == "exp" && *r == "f32").expect("exp row");
@@ -198,12 +192,12 @@ mod tests {
     fn smoke_sweep_is_clean_and_injects() {
         // Small target: the full 100k-per-function run is the
         // `fault_sweep` bin exercised by ci.sh.
-        for name in F32_FUNCS {
+        for name in F32_NAMES {
             let r = sweep_f32(name, 2_000, 0xF00D).expect("known name");
             assert!(r.clean(), "{name}/f32: {} mismatches", r.mismatches);
             assert!(r.injected >= 2_000, "{name}/f32: only {} injections", r.injected);
         }
-        for name in POSIT32_FUNCS {
+        for name in POSIT32_NAMES {
             let r = sweep_posit32(name, 2_000, 0xF00D).expect("known name");
             assert!(r.clean(), "{name}/posit32: {} mismatches", r.mismatches);
             assert!(r.injected >= 2_000, "{name}/posit32: only {} injections", r.injected);

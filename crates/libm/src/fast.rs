@@ -70,45 +70,15 @@
 use crate::float::exp::pow2i;
 use crate::tables as t;
 
-// Certified relative error bounds, in units of 2^-53 (see module docs).
-pub(crate) const EXP_BAND: u64 = 256;
-pub(crate) const EXP2_BAND: u64 = 256;
-pub(crate) const EXP10_BAND: u64 = 1024;
-pub(crate) const LN_BAND: u64 = 256;
-pub(crate) const LOG2_BAND: u64 = 256;
-pub(crate) const LOG10_BAND: u64 = 384;
-pub(crate) const SINH_BAND: u64 = 2048;
-pub(crate) const COSH_BAND: u64 = 512;
-pub(crate) const SINPI_BAND: u64 = 2048;
-pub(crate) const COSPI_BAND: u64 = 2048;
-
-// Derived worst-case kernel errors from the table above, rounded *up* to
-// the next power of two (same 2^-53 units as the bands). The difference
-// `BAND - DERIVED` is the certification **slack**: a perturbation that
-// moves a kernel result by at most that many f64 ulps keeps the total
-// error within BAND, so an accepted round-safe test still implies a
-// correct cast. The `fault` feature's in-band nudges are sized by these
-// (see `crate::fault`).
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const EXP_DERIVED: u64 = 16;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const EXP2_DERIVED: u64 = 16;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const EXP10_DERIVED: u64 = 256;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const LN_DERIVED: u64 = 32;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const LOG2_DERIVED: u64 = 32;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const LOG10_DERIVED: u64 = 64;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const SINH_DERIVED: u64 = 128;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const COSH_DERIVED: u64 = 16;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const SINPI_DERIVED: u64 = 1024;
-#[cfg_attr(not(feature = "fault"), allow(dead_code))]
-pub(crate) const COSPI_DERIVED: u64 = 1024;
+// The certified bands and derived bounds are the numbers in the registry
+// rows (`crate::registry`), in the same 2^-53 units: `BAND` is the full
+// tier's round-safety band (the table's last column) and `DERIVED` the
+// table's worst-case kernel error rounded *up* to a power of two. The
+// difference `BAND - DERIVED` is the certification **slack**: a
+// perturbation that moves a kernel result by at most that many f64 ulps
+// keeps the total error within BAND, so an accepted round-safe test still
+// implies a correct cast. The `fault` feature's in-band nudges are sized
+// by it (see `crate::fault`).
 
 // ---------------------------------------------------------------------
 // Progressive prefix tier (tier 0)
@@ -118,7 +88,7 @@ pub(crate) const COSPI_DERIVED: u64 = 1024;
 // table combine, but evaluating only a low-degree prefix of the
 // polynomial (the progressive sets `rlibm_core::polygen::gen_progressive`
 // emits). The truncation error is larger, so the prefix result is tested
-// against a wider `*_PREFIX_BAND`; the rare escalations (the band is
+// against a wider prefix band; the rare escalations (the band is
 // still a tiny fraction of the 2^28-scale rounding boundary, so well
 // under 1% of inputs) re-run the full-degree kernel, and only *its*
 // rejects reach dd. Output bits are unchanged at every tier: both safety
@@ -141,32 +111,12 @@ pub(crate) const COSPI_DERIVED: u64 = 1024;
 // | `sinh` | via prefix exp | ~351u x coth(1/16) ~ 16 | 16384 |
 // | `cosh` | via prefix exp | ~351u, no cancellation | 2048 |
 // | `sinpi`/`cospi` | C5, C7 of sp; C6 of cp | C5·r^5 ~ 7.3e-14 abs vs the 0.0061 result floor: ~110000u | 1 << 19 |
-pub(crate) const EXP_PREFIX_BAND: u64 = 2048;
-pub(crate) const EXP2_PREFIX_BAND: u64 = 2048;
-pub(crate) const EXP10_PREFIX_BAND: u64 = 4096;
-pub(crate) const LN_PREFIX_BAND: u64 = 16384;
-pub(crate) const LOG2_PREFIX_BAND: u64 = 16384;
-pub(crate) const LOG10_PREFIX_BAND: u64 = 16384;
-pub(crate) const SINH_PREFIX_BAND: u64 = 16384;
-pub(crate) const COSH_PREFIX_BAND: u64 = 2048;
-pub(crate) const SINPI_PREFIX_BAND: u64 = 1 << 19;
-pub(crate) const COSPI_PREFIX_BAND: u64 = 1 << 19;
-
-// Derived worst-case prefix errors, rounded up to a power of two. The
-// `fault` hook still nudges by the *full-band* slack (`BAND - DERIVED`)
-// but now at the prefix site, so soundness needs
-// `PREFIX_DERIVED + (BAND - DERIVED) <= PREFIX_BAND` — asserted for
-// every function in the tests below.
-pub(crate) const EXP_PREFIX_DERIVED: u64 = 512;
-pub(crate) const EXP2_PREFIX_DERIVED: u64 = 512;
-pub(crate) const EXP10_PREFIX_DERIVED: u64 = 1024;
-pub(crate) const LN_PREFIX_DERIVED: u64 = 4096;
-pub(crate) const LOG2_PREFIX_DERIVED: u64 = 4096;
-pub(crate) const LOG10_PREFIX_DERIVED: u64 = 4096;
-pub(crate) const SINH_PREFIX_DERIVED: u64 = 8192;
-pub(crate) const COSH_PREFIX_DERIVED: u64 = 512;
-pub(crate) const SINPI_PREFIX_DERIVED: u64 = 1 << 17;
-pub(crate) const COSPI_PREFIX_DERIVED: u64 = 1 << 17;
+//
+// The registry rows also carry the derived worst-case prefix errors,
+// rounded up to a power of two. The `fault` hook nudges by the
+// *full-band* slack (`BAND - DERIVED`) but at the prefix site, so
+// soundness needs `PREFIX_DERIVED + (BAND - DERIVED) <= PREFIX_BAND` —
+// asserted for every row by the registry tests.
 
 // ---------------------------------------------------------------------
 // exp family
@@ -220,7 +170,7 @@ pub(crate) fn exp2_fast(x: f64) -> f64 {
 ///
 /// The reduced argument cancels ~7 bits of `x·ln10`, and `x·LN10_HI`
 /// rounds *before* the cancellation — the dominant ~2^-46 relative error
-/// in the table above, absorbed by `EXP10_BAND`.
+/// in the table above, absorbed by the exp10 band.
 #[inline(always)]
 pub(crate) fn exp10_fast(x: f64) -> f64 {
     let k = round_even_i64(x * (64.0 * t::LOG2_10));
@@ -577,7 +527,7 @@ pub(crate) fn cospi_poly_prefix(r: f64) -> f64 {
 /// Prefix-tier [`sinpi_fast_reduced`]. On top of the truncated
 /// polynomials, the prefix tier drops the table `lo` words and the
 /// `corr` fold entirely: the lo words carry ~2^-53 relative, invisible
-/// against the certified `SINPI_PREFIX_BAND` of `2^19 * 2^-53 = 2^-34`,
+/// against the certified sinpi prefix band of `2^19 * 2^-53 = 2^-34`,
 /// and skipping them halves the tier's packed-table traffic (one u64
 /// load + hi decode per entry).
 #[inline(always)]
@@ -614,13 +564,60 @@ pub(crate) fn cospi_prefix_reduced(a: f64) -> (bool, f64) {
     (k ^ m, v)
 }
 
+/// Signs a `(negate, magnitude)` pair from the trig reductions.
+#[inline(always)]
+fn signed(neg: bool, v: f64) -> f64 {
+    if neg {
+        -v
+    } else {
+        v
+    }
+}
+
+/// `sinpi(x)` for in-domain `x` of either sign (the ladder's full rung).
+#[inline(always)]
+pub(crate) fn sinpi_fast(x: f64) -> f64 {
+    let (k, v) = sinpi_fast_reduced(x.abs());
+    signed((x < 0.0) ^ k, v)
+}
+
+/// Prefix-tier [`sinpi_fast`].
+#[inline(always)]
+pub(crate) fn sinpi_prefix(x: f64) -> f64 {
+    let (k, v) = sinpi_prefix_reduced(x.abs());
+    signed((x < 0.0) ^ k, v)
+}
+
+/// `cospi(x)` for in-domain `x` of either sign (the ladder's full rung).
+#[inline(always)]
+pub(crate) fn cospi_fast(x: f64) -> f64 {
+    let (neg, v) = cospi_fast_reduced(x.abs());
+    signed(neg, v)
+}
+
+/// Prefix-tier [`cospi_fast`].
+#[inline(always)]
+pub(crate) fn cospi_prefix(x: f64) -> f64 {
+    let (neg, v) = cospi_prefix_reduced(x.abs());
+    signed(neg, v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
     use crate::float::hyper::{cosh_kernel, sinh_kernel};
     use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
+    use crate::registry::{slot, TIERS};
     use rlibm_fp::rng::XorShift64;
+
+    fn band(s: usize) -> u64 {
+        TIERS[s].full_band
+    }
+
+    fn prefix_band(s: usize) -> u64 {
+        TIERS[s].prefix_band
+    }
 
     /// Checks the fast kernel against the dd kernel on random in-domain
     /// inputs: the observed relative error must stay within the certified
@@ -697,22 +694,22 @@ mod tests {
 
     #[test]
     fn exp_family_within_band() {
-        assert_within_band(exp_fast, exp_kernel, -87.0, 88.0, EXP_BAND, false);
-        assert_within_band(exp2_fast, exp2_kernel, -149.0, 127.9, EXP2_BAND, false);
-        assert_within_band(exp10_fast, exp10_kernel, -45.0, 38.5, EXP10_BAND, false);
+        assert_within_band(exp_fast, exp_kernel, -87.0, 88.0, band(slot::EXP), false);
+        assert_within_band(exp2_fast, exp2_kernel, -149.0, 127.9, band(slot::EXP2), false);
+        assert_within_band(exp10_fast, exp10_kernel, -45.0, 38.5, band(slot::EXP10), false);
     }
 
     #[test]
     fn log_family_within_band() {
-        assert_within_band(ln_fast, ln_kernel, 0.0, 0.0, LN_BAND, true);
-        assert_within_band(log2_fast, log2_kernel, 0.0, 0.0, LOG2_BAND, true);
-        assert_within_band(log10_fast, log10_kernel, 0.0, 0.0, LOG10_BAND, true);
+        assert_within_band(ln_fast, ln_kernel, 0.0, 0.0, band(slot::LN), true);
+        assert_within_band(log2_fast, log2_kernel, 0.0, 0.0, band(slot::LOG2), true);
+        assert_within_band(log10_fast, log10_kernel, 0.0, 0.0, band(slot::LOG10), true);
     }
 
     #[test]
     fn hyper_within_band() {
-        assert_within_band(sinh_fast, sinh_kernel, -88.0, 88.0, SINH_BAND, false);
-        assert_within_band(cosh_fast, cosh_kernel, -88.0, 88.0, COSH_BAND, false);
+        assert_within_band(sinh_fast, sinh_kernel, -88.0, 88.0, band(slot::SINH), false);
+        assert_within_band(cosh_fast, cosh_kernel, -88.0, 88.0, band(slot::COSH), false);
     }
 
     #[test]
@@ -728,7 +725,7 @@ mod tests {
                 let want = ln_kernel(x).to_f64();
                 let rel = ((got - want) / want).abs();
                 assert!(
-                    rel <= LN_BAND as f64 * 2f64.powi(-53),
+                    rel <= band(slot::LN) as f64 * 2f64.powi(-53),
                     "ln_fast({x:e}): rel {rel:e}"
                 );
             }
@@ -750,7 +747,7 @@ mod tests {
             if want != 0.0 {
                 let rel = ((vs - want) / want).abs();
                 assert!(
-                    rel <= SINPI_BAND as f64 * 2f64.powi(-53),
+                    rel <= band(slot::SINPI) as f64 * 2f64.powi(-53),
                     "sinpi_fast({a:e}): rel {rel:e}"
                 );
             }
@@ -759,14 +756,14 @@ mod tests {
 
     #[test]
     fn prefix_kernels_within_prefix_bands() {
-        assert_within_band(exp_prefix, exp_kernel, -87.0, 88.0, EXP_PREFIX_BAND, false);
-        assert_within_band(exp2_prefix, exp2_kernel, -149.0, 127.9, EXP2_PREFIX_BAND, false);
-        assert_within_band(exp10_prefix, exp10_kernel, -45.0, 38.5, EXP10_PREFIX_BAND, false);
-        assert_within_band(ln_prefix, ln_kernel, 0.0, 0.0, LN_PREFIX_BAND, true);
-        assert_within_band(log2_prefix, log2_kernel, 0.0, 0.0, LOG2_PREFIX_BAND, true);
-        assert_within_band(log10_prefix, log10_kernel, 0.0, 0.0, LOG10_PREFIX_BAND, true);
-        assert_within_band(sinh_prefix, sinh_kernel, -88.0, 88.0, SINH_PREFIX_BAND, false);
-        assert_within_band(cosh_prefix, cosh_kernel, -88.0, 88.0, COSH_PREFIX_BAND, false);
+        assert_within_band(exp_prefix, exp_kernel, -87.0, 88.0, prefix_band(slot::EXP), false);
+        assert_within_band(exp2_prefix, exp2_kernel, -149.0, 127.9, prefix_band(slot::EXP2), false);
+        assert_within_band(exp10_prefix, exp10_kernel, -45.0, 38.5, prefix_band(slot::EXP10), false);
+        assert_within_band(ln_prefix, ln_kernel, 0.0, 0.0, prefix_band(slot::LN), true);
+        assert_within_band(log2_prefix, log2_kernel, 0.0, 0.0, prefix_band(slot::LOG2), true);
+        assert_within_band(log10_prefix, log10_kernel, 0.0, 0.0, prefix_band(slot::LOG10), true);
+        assert_within_band(sinh_prefix, sinh_kernel, -88.0, 88.0, prefix_band(slot::SINH), false);
+        assert_within_band(cosh_prefix, cosh_kernel, -88.0, 88.0, prefix_band(slot::COSH), false);
     }
 
     #[test]
@@ -784,7 +781,7 @@ mod tests {
             if want != 0.0 {
                 let rel = ((vs - want) / want).abs();
                 assert!(
-                    rel <= SINPI_PREFIX_BAND as f64 * 2f64.powi(-53),
+                    rel <= prefix_band(slot::SINPI) as f64 * 2f64.powi(-53),
                     "sinpi_prefix({a:e}): rel {rel:e}"
                 );
             }
@@ -799,36 +796,10 @@ mod tests {
             if want2 != 0.0 {
                 let rel = ((vc - want2) / want2).abs();
                 assert!(
-                    rel <= COSPI_PREFIX_BAND as f64 * 2f64.powi(-53),
+                    rel <= prefix_band(slot::COSPI) as f64 * 2f64.powi(-53),
                     "cospi_prefix({a2:e}): rel {rel:e}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn prefix_bands_absorb_full_band_fault_slack() {
-        // The fault hook nudges prefix-tier results by the *full-band*
-        // slack, so prefix acceptance stays sound only if
-        // PREFIX_DERIVED + (BAND - DERIVED) <= PREFIX_BAND.
-        let rows: [(u64, u64, u64, u64); 10] = [
-            (EXP_PREFIX_DERIVED, EXP_BAND, EXP_DERIVED, EXP_PREFIX_BAND),
-            (EXP2_PREFIX_DERIVED, EXP2_BAND, EXP2_DERIVED, EXP2_PREFIX_BAND),
-            (EXP10_PREFIX_DERIVED, EXP10_BAND, EXP10_DERIVED, EXP10_PREFIX_BAND),
-            (LN_PREFIX_DERIVED, LN_BAND, LN_DERIVED, LN_PREFIX_BAND),
-            (LOG2_PREFIX_DERIVED, LOG2_BAND, LOG2_DERIVED, LOG2_PREFIX_BAND),
-            (LOG10_PREFIX_DERIVED, LOG10_BAND, LOG10_DERIVED, LOG10_PREFIX_BAND),
-            (SINH_PREFIX_DERIVED, SINH_BAND, SINH_DERIVED, SINH_PREFIX_BAND),
-            (COSH_PREFIX_DERIVED, COSH_BAND, COSH_DERIVED, COSH_PREFIX_BAND),
-            (SINPI_PREFIX_DERIVED, SINPI_BAND, SINPI_DERIVED, SINPI_PREFIX_BAND),
-            (COSPI_PREFIX_DERIVED, COSPI_BAND, COSPI_DERIVED, COSPI_PREFIX_BAND),
-        ];
-        for (i, (pd, band, derived, pband)) in rows.iter().enumerate() {
-            assert!(
-                pd + (band - derived) <= *pband,
-                "row {i}: prefix band cannot absorb the fault slack"
-            );
-            assert!(*pband < (1 << 26), "row {i}: band too wide for round_safe");
         }
     }
 

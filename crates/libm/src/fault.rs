@@ -14,11 +14,12 @@
 //! Three corruption kinds are drawn from the stream:
 //!
 //! 1. **In-band ULP nudge** — the bit pattern moves by `1..=slack` f64
-//!    ulps in the same binade, where `slack = BAND - DERIVED` (see
-//!    `crate::fast`). The perturbed value's true error stays `<= BAND`,
-//!    so *whether or not* the round-safe test accepts, the final cast is
-//!    correct: acceptance is proven sound for any error `<= BAND`, and
-//!    rejection falls back to dd. This exercises the band's headroom.
+//!    ulps in the same binade, where `slack = BAND - DERIVED` (the
+//!    site's [`crate::registry`] row). The perturbed value's true error
+//!    stays `<= BAND`, so *whether or not* the round-safe test accepts,
+//!    the final cast is correct: acceptance is proven sound for any
+//!    error `<= BAND`, and rejection falls back to dd. This exercises
+//!    the band's headroom.
 //! 2. **Low fraction-bit flip** — bit `j` with `2^j <= slack` flips
 //!    (never the exponent, so the same in-band argument applies).
 //! 3. **Catastrophic replacement** — NaN, ±inf, ±0, an f32-subnormal
@@ -36,7 +37,7 @@ pub const SITE_COUNT: usize = crate::stats::slot::COUNT;
 
 /// Registry mirror of the injection total. The per-site atomics below
 /// stay authoritative (the sweep asserts exact per-site deltas); this
-/// counter puts the grand total next to the fallback counters in a
+/// counter puts the grand total next to the tier counters in a
 /// telemetry snapshot.
 static FAULT_INJECTED: rlibm_obs::Counter = rlibm_obs::Counter::new("runtime.fault.injected");
 
@@ -45,35 +46,12 @@ pub(crate) fn register_metrics() {
     FAULT_INJECTED.register();
 }
 
-/// Certification slack per site, in f64 ulps: `BAND - DERIVED` for the
-/// kernel feeding that site (posit sites share the f32 kernels).
+/// Certification slack per site, in f64 ulps: `full_band - full_derived`
+/// of the site's registry row (posit rows share the f32 kernels).
 #[cfg(feature = "fault")]
 pub(crate) fn slack(site: usize) -> u64 {
-    use crate::fast as f;
-    use crate::stats::slot as s;
-    const SLACKS: [u64; SITE_COUNT] = {
-        let mut t = [0u64; SITE_COUNT];
-        t[s::LN] = f::LN_BAND - f::LN_DERIVED;
-        t[s::LOG2] = f::LOG2_BAND - f::LOG2_DERIVED;
-        t[s::LOG10] = f::LOG10_BAND - f::LOG10_DERIVED;
-        t[s::EXP] = f::EXP_BAND - f::EXP_DERIVED;
-        t[s::EXP2] = f::EXP2_BAND - f::EXP2_DERIVED;
-        t[s::EXP10] = f::EXP10_BAND - f::EXP10_DERIVED;
-        t[s::SINH] = f::SINH_BAND - f::SINH_DERIVED;
-        t[s::COSH] = f::COSH_BAND - f::COSH_DERIVED;
-        t[s::SINPI] = f::SINPI_BAND - f::SINPI_DERIVED;
-        t[s::COSPI] = f::COSPI_BAND - f::COSPI_DERIVED;
-        t[s::P32_LN] = f::LN_BAND - f::LN_DERIVED;
-        t[s::P32_LOG2] = f::LOG2_BAND - f::LOG2_DERIVED;
-        t[s::P32_LOG10] = f::LOG10_BAND - f::LOG10_DERIVED;
-        t[s::P32_EXP] = f::EXP_BAND - f::EXP_DERIVED;
-        t[s::P32_EXP2] = f::EXP2_BAND - f::EXP2_DERIVED;
-        t[s::P32_EXP10] = f::EXP10_BAND - f::EXP10_DERIVED;
-        t[s::P32_SINH] = f::SINH_BAND - f::SINH_DERIVED;
-        t[s::P32_COSH] = f::COSH_BAND - f::COSH_DERIVED;
-        t
-    };
-    SLACKS[site % SITE_COUNT]
+    let t = &crate::registry::TIERS[site % SITE_COUNT];
+    t.full_band - t.full_derived
 }
 
 #[cfg(feature = "fault")]

@@ -10,6 +10,7 @@
 
 use crate::dd::{two_prod, two_sum, Dd};
 use crate::fast::round_even_i64;
+use crate::registry::f32_ladder;
 use crate::tables as t;
 
 /// `2^i` as a double, total over every integer: exact for
@@ -122,19 +123,7 @@ pub fn exp(x: f32) -> f32 {
     if x < -106.0 {
         return 0.0; // exp(-106) < 2^-150: rounds to zero
     }
-    let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP, crate::fast::exp_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP);
-        return y as f32;
-    }
-    let y = crate::fast::exp_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP);
-    crate::round::round_dd_f32(exp_kernel(xd))
+    f32_ladder::exp(x as f64)
 }
 
 /// `exp` through the double-double kernel only (no fast path).
@@ -169,19 +158,7 @@ pub fn exp2(x: f32) -> f32 {
     if x < -151.0 {
         return 0.0;
     }
-    let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP2, crate::fast::exp2_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP2_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP2);
-        return y as f32;
-    }
-    let y = crate::fast::exp2_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP2_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP2);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP2);
-    crate::round::round_dd_f32(exp2_kernel(xd))
+    f32_ladder::exp2(x as f64)
 }
 
 /// `exp2` through the double-double kernel only (no fast path).
@@ -216,19 +193,7 @@ pub fn exp10(x: f32) -> f32 {
     if x < -45.5 {
         return 0.0; // 10^-45.5 < 2^-150
     }
-    let xd = x as f64;
-    let y = crate::fault::perturb(crate::stats::slot::EXP10, crate::fast::exp10_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::EXP10_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::EXP10);
-        return y as f32;
-    }
-    let y = crate::fast::exp10_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::EXP10_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::EXP10);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::EXP10);
-    crate::round::round_dd_f32(exp10_kernel(xd))
+    f32_ladder::exp10(x as f64)
 }
 
 /// `exp10` through the double-double kernel only (no fast path).

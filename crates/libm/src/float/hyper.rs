@@ -9,6 +9,7 @@
 
 use crate::dd::{two_prod, Dd};
 use crate::float::exp::exp_kernel;
+use crate::registry::f32_ladder;
 
 /// Kernel: `sinh(x)` for finite `|x| <= 91`.
 pub(crate) fn sinh_kernel(x: f64) -> Dd {
@@ -77,18 +78,7 @@ pub fn sinh(x: f32) -> f32 {
     if xd.abs() < 2f64.powi(-12) {
         return x;
     }
-    let y = crate::fault::perturb(crate::stats::slot::SINH, crate::fast::sinh_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::SINH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::SINH);
-        return y as f32;
-    }
-    let y = crate::fast::sinh_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::SINH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::SINH);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::SINH);
-    crate::round::round_dd_f32(sinh_kernel(xd))
+    f32_ladder::sinh(xd)
 }
 
 /// `sinh` through the double-double kernel only (no fast path).
@@ -129,18 +119,7 @@ pub fn cosh(x: f32) -> f32 {
     if xd.abs() < 2f64.powi(-13) {
         return 1.0;
     }
-    let y = crate::fault::perturb(crate::stats::slot::COSH, crate::fast::cosh_prefix(xd));
-    if crate::round::f32_round_safe(y, crate::fast::COSH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::COSH);
-        return y as f32;
-    }
-    let y = crate::fast::cosh_fast(xd);
-    if crate::round::f32_round_safe(y, crate::fast::COSH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::COSH);
-        return y as f32;
-    }
-    crate::stats::record_fallback(crate::stats::slot::COSH);
-    crate::round::round_dd_f32(cosh_kernel(xd))
+    f32_ladder::cosh(xd)
 }
 
 /// `cosh` through the double-double kernel only (no fast path).

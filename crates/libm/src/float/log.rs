@@ -10,6 +10,7 @@
 
 use crate::dd::{two_prod, two_sum, Dd};
 use crate::fast::round_even_i64;
+use crate::registry::f32_ladder;
 use crate::tables as t;
 
 /// Decomposes a positive finite double into `(e, z)` with `x = z * 2^e`,
@@ -93,20 +94,10 @@ pub(crate) fn log10_kernel(x: f64) -> Dd {
     Dd::new(s, se + el + fl + ef * t::LOG10_2_LO).add(scaled)
 }
 
-/// Common three-tier f32 front end: special cases, then the prefix
-/// polynomial, escalating to the full-degree plain-double kernel when
-/// the wide prefix band rejects, and to the dd kernel when the full
-/// band rejects too.
+/// The logarithms' special cases (NaN and negatives give NaN, zeros
+/// `-inf`, `+inf` itself); every other input runs the row's `ladder`.
 #[inline(always)]
-fn log_front(
-    x: f32,
-    prefix: impl Fn(f64) -> f64,
-    prefix_band: u64,
-    fast: impl Fn(f64) -> f64,
-    band: u64,
-    slot: usize,
-    kernel: impl Fn(f64) -> Dd,
-) -> f32 {
+fn log_entry(x: f32, ladder: impl FnOnce(f64) -> f32) -> f32 {
     if x.is_nan() {
         return f32::NAN;
     }
@@ -119,19 +110,7 @@ fn log_front(
     if x == f32::INFINITY {
         return f32::INFINITY;
     }
-    let xd = x as f64;
-    let y = crate::fault::perturb(slot, prefix(xd));
-    if crate::round::f32_round_safe(y, prefix_band) {
-        crate::stats::record_tier_prefix(slot);
-        return y as f32;
-    }
-    let y = fast(xd);
-    if crate::round::f32_round_safe(y, band) {
-        crate::stats::record_tier_full(slot);
-        return y as f32;
-    }
-    crate::stats::record_fallback(slot);
-    crate::round::round_dd_f32(kernel(xd))
+    ladder(x as f64)
 }
 
 /// dd-only front end (tier 2 alone), kept for the `*_dd` reference
@@ -164,15 +143,7 @@ fn log_front_dd(x: f32, kernel: impl Fn(f64) -> Dd) -> f32 {
 /// assert_eq!(rlibm_math::ln(0.1f32), -2.3025851f32);
 /// ```
 pub fn ln(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::ln_prefix,
-        crate::fast::LN_PREFIX_BAND,
-        crate::fast::ln_fast,
-        crate::fast::LN_BAND,
-        crate::stats::slot::LN,
-        ln_kernel,
-    )
+    log_entry(x, f32_ladder::ln)
 }
 
 /// `ln` through the double-double kernel only (no fast path).
@@ -190,15 +161,7 @@ pub fn ln_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log2(f32::from_bits(1)), -149.0);
 /// ```
 pub fn log2(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::log2_prefix,
-        crate::fast::LOG2_PREFIX_BAND,
-        crate::fast::log2_fast,
-        crate::fast::LOG2_BAND,
-        crate::stats::slot::LOG2,
-        log2_kernel,
-    )
+    log_entry(x, f32_ladder::log2)
 }
 
 /// `log2` through the double-double kernel only (no fast path).
@@ -215,15 +178,7 @@ pub fn log2_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log10(1e10f32), 10.0);
 /// ```
 pub fn log10(x: f32) -> f32 {
-    log_front(
-        x,
-        crate::fast::log10_prefix,
-        crate::fast::LOG10_PREFIX_BAND,
-        crate::fast::log10_fast,
-        crate::fast::LOG10_BAND,
-        crate::stats::slot::LOG10,
-        log10_kernel,
-    )
+    log_entry(x, f32_ladder::log10)
 }
 
 /// `log10` through the double-double kernel only (no fast path).

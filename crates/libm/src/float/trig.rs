@@ -13,6 +13,7 @@
 //! with its `-sinpi·sinpi` term.
 
 use crate::dd::{two_prod, Dd};
+use crate::registry::f32_ladder;
 use crate::tables as t;
 
 /// `sin(pi R)` for exact `R in [0, 1/512]`, as a double-double.
@@ -104,23 +105,7 @@ pub fn sinpi(x: f32) -> f32 {
     if is_int_pos(a) {
         return 0.0;
     }
-    let (k, v) = crate::fast::sinpi_prefix_reduced(a);
-    let v = crate::fault::perturb(crate::stats::slot::SINPI, v);
-    if crate::round::f32_round_safe(v, crate::fast::SINPI_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::SINPI);
-        let neg = (x < 0.0) ^ k;
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    let (k, v) = crate::fast::sinpi_fast_reduced(a);
-    if crate::round::f32_round_safe(v, crate::fast::SINPI_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::SINPI);
-        let neg = (x < 0.0) ^ k;
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    crate::stats::record_fallback(crate::stats::slot::SINPI);
-    let (k, v) = sinpi_kernel(a);
-    let neg = (x < 0.0) ^ k;
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    f32_ladder::sinpi(x as f64)
 }
 
 /// `sinpi` through the double-double kernel only (no fast path).
@@ -147,16 +132,6 @@ pub fn sinpi_dd(x: f32) -> f32 {
     crate::round::round_dd_f32(if neg { v.neg() } else { v })
 }
 
-/// Correctly rounded `cos(pi x)` for `f32`.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(rlibm_math::cospi(0.0f32), 1.0);
-/// assert_eq!(rlibm_math::cospi(1.0f32), -1.0);
-/// assert_eq!(rlibm_math::cospi(0.5f32), 0.0);
-/// assert_eq!(rlibm_math::cospi(0.75f32), -0.70710677f32);
-/// ```
 /// Kernel: `cospi(|x|)` with the half-period sign, for non-integer,
 /// non-half-integer `0 < a < 2^24`. Returns (negate, magnitude dd).
 pub(crate) fn cospi_kernel(a: f64) -> (bool, Dd) {
@@ -179,6 +154,37 @@ pub(crate) fn cospi_kernel(a: f64) -> (bool, Dd) {
     (k ^ m, v)
 }
 
+/// The sinpi ladder's dd rung: [`sinpi_kernel`] with the sign applied,
+/// for signed in-domain `x`.
+pub(crate) fn sinpi_kernel_signed(x: f64) -> Dd {
+    let (k, v) = sinpi_kernel(x.abs());
+    if (x < 0.0) ^ k {
+        v.neg()
+    } else {
+        v
+    }
+}
+
+/// The cospi ladder's dd rung: [`cospi_kernel`] with the sign applied.
+pub(crate) fn cospi_kernel_signed(x: f64) -> Dd {
+    let (neg, v) = cospi_kernel(x.abs());
+    if neg {
+        v.neg()
+    } else {
+        v
+    }
+}
+
+/// Correctly rounded `cos(pi x)` for `f32`.
+///
+/// # Example
+///
+/// ```
+/// assert_eq!(rlibm_math::cospi(0.0f32), 1.0);
+/// assert_eq!(rlibm_math::cospi(1.0f32), -1.0);
+/// assert_eq!(rlibm_math::cospi(0.5f32), 0.0);
+/// assert_eq!(rlibm_math::cospi(0.75f32), -0.70710677f32);
+/// ```
 pub fn cospi(x: f32) -> f32 {
     if x.is_nan() || x.is_infinite() {
         return f32::NAN;
@@ -204,20 +210,7 @@ pub fn cospi(x: f32) -> f32 {
         }
         return if h & 2 == 0 { 1.0 } else { -1.0 }; // even/odd integer
     }
-    let (neg, v) = crate::fast::cospi_prefix_reduced(a);
-    let v = crate::fault::perturb(crate::stats::slot::COSPI, v);
-    if crate::round::f32_round_safe(v, crate::fast::COSPI_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::COSPI);
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    let (neg, v) = crate::fast::cospi_fast_reduced(a);
-    if crate::round::f32_round_safe(v, crate::fast::COSPI_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::COSPI);
-        return if neg { -v as f32 } else { v as f32 };
-    }
-    crate::stats::record_fallback(crate::stats::slot::COSPI);
-    let (neg, v) = cospi_kernel(a);
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    f32_ladder::cospi(x as f64)
 }
 
 /// `cospi` through the double-double kernel only (no fast path).

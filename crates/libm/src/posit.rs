@@ -13,45 +13,25 @@ use rlibm_posit::Posit32;
 use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
 use crate::float::hyper::{cosh_kernel, sinh_kernel};
 use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
+use crate::registry::posit32_ladder;
 use crate::round::round_dd;
 
 /// `ln 2^120` — results beyond this saturate posit32's `maxpos = 2^120`.
-/// The batched entry ([`crate::eval_slice_posit32`]) filters on the same
-/// thresholds.
+/// The batched entries (the posit rows of [`crate::registry`]) filter on
+/// the same thresholds.
 pub(crate) const LN_MAXPOS: f64 = 83.17766166719343;
 /// `log10 2^120`.
 pub(crate) const LOG10_MAXPOS: f64 = 36.123599478912376;
 
-/// Common three-tier front end for the logarithm family: prefix
-/// polynomial, full-degree plain-double kernel on escalation, dd only
-/// when the posit safety test rejects both.
+/// The logarithms' special cases (NaR, zero and negatives give NaR);
+/// every other input runs the row's `ladder`.
 #[inline(always)]
-fn log_front(
-    x: Posit32,
-    prefix: impl Fn(f64) -> f64,
-    prefix_band: u64,
-    fast: impl Fn(f64) -> f64,
-    band: u64,
-    slot: usize,
-    kernel: impl Fn(f64) -> crate::dd::Dd,
-) -> Posit32 {
+fn log_entry(x: Posit32, ladder: impl FnOnce(f64) -> Posit32) -> Posit32 {
     if x.is_nar() || x.is_zero() || x.is_negative() {
         // ln(0) = -inf and ln(negative) = NaN both map to NaR in posits.
         return Posit32::NAR;
     }
-    let xd = x.to_f64();
-    let y = crate::fault::perturb(slot, prefix(xd));
-    if crate::round::posit32_round_safe(y, prefix_band) {
-        crate::stats::record_tier_prefix(slot);
-        return Posit32::from_f64(y);
-    }
-    let y = fast(xd);
-    if crate::round::posit32_round_safe(y, band) {
-        crate::stats::record_tier_full(slot);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(slot);
-    round_dd(kernel(xd))
+    ladder(x.to_f64())
 }
 
 /// dd-only front end for the logarithm family (tier 2 alone).
@@ -75,15 +55,7 @@ fn log_front_dd(x: Posit32, kernel: impl Fn(f64) -> crate::dd::Dd) -> Posit32 {
 /// assert!(rlibm_math::posit::ln_p32(Posit32::ZERO).is_nar());
 /// ```
 pub fn ln_p32(x: Posit32) -> Posit32 {
-    log_front(
-        x,
-        crate::fast::ln_prefix,
-        crate::fast::LN_PREFIX_BAND,
-        crate::fast::ln_fast,
-        crate::fast::LN_BAND,
-        crate::stats::slot::P32_LN,
-        ln_kernel,
-    )
+    log_entry(x, posit32_ladder::ln)
 }
 
 /// `ln_p32` through the double-double kernel only (no fast path).
@@ -101,15 +73,7 @@ pub fn ln_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 3.0);
 /// ```
 pub fn log2_p32(x: Posit32) -> Posit32 {
-    log_front(
-        x,
-        crate::fast::log2_prefix,
-        crate::fast::LOG2_PREFIX_BAND,
-        crate::fast::log2_fast,
-        crate::fast::LOG2_BAND,
-        crate::stats::slot::P32_LOG2,
-        log2_kernel,
-    )
+    log_entry(x, posit32_ladder::log2)
 }
 
 /// `log2_p32` through the double-double kernel only (no fast path).
@@ -127,15 +91,7 @@ pub fn log2_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 3.0);
 /// ```
 pub fn log10_p32(x: Posit32) -> Posit32 {
-    log_front(
-        x,
-        crate::fast::log10_prefix,
-        crate::fast::LOG10_PREFIX_BAND,
-        crate::fast::log10_fast,
-        crate::fast::LOG10_BAND,
-        crate::stats::slot::P32_LOG10,
-        log10_kernel,
-    )
+    log_entry(x, posit32_ladder::log10)
 }
 
 /// `log10_p32` through the double-double kernel only (no fast path).
@@ -166,18 +122,7 @@ pub fn exp_p32(x: Posit32) -> Posit32 {
     if xd < -(LN_MAXPOS + 0.5) {
         return Posit32::MINPOS;
     }
-    let y = crate::fault::perturb(crate::stats::slot::P32_EXP, crate::fast::exp_prefix(xd));
-    if crate::round::posit32_round_safe(y, crate::fast::EXP_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::P32_EXP);
-        return Posit32::from_f64(y);
-    }
-    let y = crate::fast::exp_fast(xd);
-    if crate::round::posit32_round_safe(y, crate::fast::EXP_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::P32_EXP);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(crate::stats::slot::P32_EXP);
-    round_dd(exp_kernel(xd))
+    posit32_ladder::exp(xd)
 }
 
 /// `exp_p32` through the double-double kernel only (no fast path).
@@ -215,18 +160,7 @@ pub fn exp2_p32(x: Posit32) -> Posit32 {
     if xd < -120.5 {
         return Posit32::MINPOS;
     }
-    let y = crate::fault::perturb(crate::stats::slot::P32_EXP2, crate::fast::exp2_prefix(xd));
-    if crate::round::posit32_round_safe(y, crate::fast::EXP2_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::P32_EXP2);
-        return Posit32::from_f64(y);
-    }
-    let y = crate::fast::exp2_fast(xd);
-    if crate::round::posit32_round_safe(y, crate::fast::EXP2_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::P32_EXP2);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(crate::stats::slot::P32_EXP2);
-    round_dd(exp2_kernel(xd))
+    posit32_ladder::exp2(xd)
 }
 
 /// `exp2_p32` through the double-double kernel only (no fast path).
@@ -264,18 +198,7 @@ pub fn exp10_p32(x: Posit32) -> Posit32 {
     if xd < -(LOG10_MAXPOS + 0.5) {
         return Posit32::MINPOS;
     }
-    let y = crate::fault::perturb(crate::stats::slot::P32_EXP10, crate::fast::exp10_prefix(xd));
-    if crate::round::posit32_round_safe(y, crate::fast::EXP10_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::P32_EXP10);
-        return Posit32::from_f64(y);
-    }
-    let y = crate::fast::exp10_fast(xd);
-    if crate::round::posit32_round_safe(y, crate::fast::EXP10_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::P32_EXP10);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(crate::stats::slot::P32_EXP10);
-    round_dd(exp10_kernel(xd))
+    posit32_ladder::exp10(xd)
 }
 
 /// `exp10_p32` through the double-double kernel only (no fast path).
@@ -322,18 +245,7 @@ pub fn sinh_p32(x: Posit32) -> Posit32 {
     if xd.abs() < 2f64.powi(-13) {
         return x;
     }
-    let y = crate::fault::perturb(crate::stats::slot::P32_SINH, crate::fast::sinh_prefix(xd));
-    if crate::round::posit32_round_safe(y, crate::fast::SINH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::P32_SINH);
-        return Posit32::from_f64(y);
-    }
-    let y = crate::fast::sinh_fast(xd);
-    if crate::round::posit32_round_safe(y, crate::fast::SINH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::P32_SINH);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(crate::stats::slot::P32_SINH);
-    round_dd(sinh_kernel(xd))
+    posit32_ladder::sinh(xd)
 }
 
 /// `sinh_p32` through the double-double kernel only (no fast path).
@@ -370,18 +282,7 @@ pub fn cosh_p32(x: Posit32) -> Posit32 {
     if xd.abs() > LN_MAXPOS + 1.5 {
         return Posit32::MAXPOS;
     }
-    let y = crate::fault::perturb(crate::stats::slot::P32_COSH, crate::fast::cosh_prefix(xd));
-    if crate::round::posit32_round_safe(y, crate::fast::COSH_PREFIX_BAND) {
-        crate::stats::record_tier_prefix(crate::stats::slot::P32_COSH);
-        return Posit32::from_f64(y);
-    }
-    let y = crate::fast::cosh_fast(xd);
-    if crate::round::posit32_round_safe(y, crate::fast::COSH_BAND) {
-        crate::stats::record_tier_full(crate::stats::slot::P32_COSH);
-        return Posit32::from_f64(y);
-    }
-    crate::stats::record_fallback(crate::stats::slot::P32_COSH);
-    round_dd(cosh_kernel(xd))
+    posit32_ladder::cosh(xd)
 }
 
 /// `cosh_p32` through the double-double kernel only (no fast path).

@@ -44,14 +44,15 @@
 //! the same f64 chunk kernels: a posit32 widens exactly to f64, so the
 //! format only changes the widen stage (the posit decode), the
 //! round-safety test (`posit32_round_safe`) and the final narrowing cast
-//! (the posit encode). Each function's posit domain filter mirrors its
-//! scalar entry in [`crate::posit`], and special and saturating lanes
-//! resolve through that entry. The AVX2 stages are f32-only.
+//! (the posit encode). Each posit row of [`crate::registry`] names its
+//! domain filter (mirroring its scalar entry in [`crate::posit`]) and
+//! its two chunk kernels; special and saturating lanes resolve through
+//! the scalar entry. The AVX2 stages are f32-only.
 
 use crate::fast;
 use crate::float::trig::is_int_pos;
+use crate::registry::{slot, F32Row, Lane, Posit32Row, TIERS};
 use crate::tables as t;
-use rlibm_fp::Representation;
 use rlibm_obs::Counter;
 use rlibm_posit::Posit32;
 
@@ -73,13 +74,14 @@ const LANES: usize = 64;
 // chunk / call, never per lane. The rescalar count is the number to
 // watch: every rescalar lane pays the scalar two-tier price, so a high
 // ratio against `64 * chunks` means the workload defeats the staging.
-static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
-static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
+pub(crate) static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
+pub(crate) static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
 
 // The posit32 counterparts, plus the total requests (lanes) served, so
 // serving-layer posit traffic shows up in TELEM snapshots.
-static SLICE_POSIT_CHUNKS: Counter = Counter::new("runtime.slice.posit32.chunks");
-static SLICE_POSIT_RESCALAR: Counter = Counter::new("runtime.slice.posit32.rescalar_lanes");
+pub(crate) static SLICE_POSIT_CHUNKS: Counter = Counter::new("runtime.slice.posit32.chunks");
+pub(crate) static SLICE_POSIT_RESCALAR: Counter =
+    Counter::new("runtime.slice.posit32.rescalar_lanes");
 static SLICE_POSIT_REQUESTS: Counter = Counter::new("runtime.slice.posit32.requests");
 
 /// Forces the slice counters into the snapshot registry at value zero.
@@ -89,41 +91,6 @@ pub(crate) fn register_metrics() {
     SLICE_POSIT_CHUNKS.register();
     SLICE_POSIT_RESCALAR.register();
     SLICE_POSIT_REQUESTS.register();
-}
-
-/// A lane format the chunk driver batches. The staged kernels evaluate
-/// in f64 whatever the format, so a format only supplies its exact
-/// widening and its correctly rounding narrowing ([`Representation`]),
-/// the round-safety test that certifies a staged double, and the
-/// counters its chunks land in.
-trait Lane: Representation {
-    /// True when narrowing `y` is the correct rounding of every value
-    /// within `band · 2^-53` relative of it (see [`crate::round`]).
-    fn round_safe(y: f64, band: u64) -> bool;
-    /// This format's `(chunks, rescalar lanes)` counters.
-    fn counters() -> (&'static Counter, &'static Counter);
-}
-
-impl Lane for f32 {
-    #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::f32_round_safe(y, band)
-    }
-
-    fn counters() -> (&'static Counter, &'static Counter) {
-        (&SLICE_CHUNKS, &SLICE_RESCALAR)
-    }
-}
-
-impl Lane for Posit32 {
-    #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::posit32_round_safe(y, band)
-    }
-
-    fn counters() -> (&'static Counter, &'static Counter) {
-        (&SLICE_POSIT_CHUNKS, &SLICE_POSIT_RESCALAR)
-    }
 }
 
 /// Resolves one rescalar lane through the scalar two-tier entry. With
@@ -152,24 +119,23 @@ fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
 /// Shared chunk driver, generic over the lane format: widen every lane
 /// and classify it against the function's fast-path domain `dom` (tested
 /// on the widened value), run the staged prefix-tier evaluation, then
-/// resolve every lane through the prefix round-safety band. Chunks with
-/// prefix-rejected in-domain lanes escalate those lanes through the
-/// full-degree staged kernel; lanes the full band rejects too (and
-/// special lanes) re-enter the scalar progressive front end.
+/// resolve every lane through the prefix round-safety band of the
+/// registry row `slot`. Chunks with prefix-rejected in-domain lanes
+/// escalate those lanes through the full-degree staged kernel; lanes the
+/// full band rejects too (and special lanes) re-enter the scalar
+/// progressive front end.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // tier plumbing: two staged kernels + their bands
-fn drive<L: Lane>(
+pub(crate) fn drive<L: Lane>(
     xs: &[L],
     out: &mut [L],
     dom: impl Fn(f64) -> bool,
     prefix_chunk: impl Fn(&[f64], &mut [f64]),
-    prefix_band: u64,
     fast_chunk: impl Fn(&[f64], &mut [f64]),
-    band: u64,
     slot: usize,
     scalar: fn(L) -> L,
 ) {
     assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
+    let (prefix_band, band) = (TIERS[slot].prefix_band, TIERS[slot].full_band);
     let mut xd = [0.0f64; LANES];
     let mut y = [0.0f64; LANES];
     let mut chunks = 0u64;
@@ -264,11 +230,11 @@ fn exp_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64)
     }
 }
 
-fn exp_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     exp_chunk_with(xd, y, fast::exp_combined_prefix)
 }
 
-fn exp_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp_chunk(xd: &[f64], y: &mut [f64]) {
     exp_chunk_with(xd, y, fast::exp_combined_fast)
 }
 
@@ -287,11 +253,11 @@ fn exp2_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64
     }
 }
 
-fn exp2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     exp2_chunk_with(xd, y, fast::exp_combined_prefix)
 }
 
-fn exp2_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp2_chunk(xd: &[f64], y: &mut [f64]) {
     exp2_chunk_with(xd, y, fast::exp_combined_fast)
 }
 
@@ -311,11 +277,11 @@ fn exp10_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f6
     }
 }
 
-fn exp10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     exp10_chunk_with(xd, y, fast::exp_combined_prefix)
 }
 
-fn exp10_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn exp10_chunk(xd: &[f64], y: &mut [f64]) {
     exp10_chunk_with(xd, y, fast::exp_combined_fast)
 }
 
@@ -361,11 +327,11 @@ fn ln_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     }
 }
 
-fn ln_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn ln_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     ln_chunk_with(xd, y, fast::log1p_poly_prefix)
 }
 
-fn ln_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn ln_chunk(xd: &[f64], y: &mut [f64]) {
     ln_chunk_with(xd, y, fast::log1p_poly_fast)
 }
 
@@ -382,11 +348,11 @@ fn log2_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     }
 }
 
-fn log2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn log2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     log2_chunk_with(xd, y, fast::log1p_poly_prefix)
 }
 
-fn log2_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn log2_chunk(xd: &[f64], y: &mut [f64]) {
     log2_chunk_with(xd, y, fast::log1p_poly_fast)
 }
 
@@ -406,11 +372,11 @@ fn log10_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
     }
 }
 
-fn log10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn log10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     log10_chunk_with(xd, y, fast::log1p_poly_prefix)
 }
 
-fn log10_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn log10_chunk(xd: &[f64], y: &mut [f64]) {
     log10_chunk_with(xd, y, fast::log1p_poly_fast)
 }
 
@@ -440,11 +406,11 @@ fn sinh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f6
     }
 }
 
-fn sinh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn sinh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     sinh_chunk_with(xd, y, exp_prefix_chunk)
 }
 
-fn sinh_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn sinh_chunk(xd: &[f64], y: &mut [f64]) {
     sinh_chunk_with(xd, y, exp_chunk)
 }
 
@@ -466,11 +432,11 @@ fn cosh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f6
     }
 }
 
-fn cosh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn cosh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
     cosh_chunk_with(xd, y, exp_prefix_chunk)
 }
 
-fn cosh_chunk(xd: &[f64], y: &mut [f64]) {
+pub(crate) fn cosh_chunk(xd: &[f64], y: &mut [f64]) {
     cosh_chunk_with(xd, y, exp_chunk)
 }
 
@@ -478,38 +444,28 @@ fn cosh_chunk(xd: &[f64], y: &mut [f64]) {
 // sinpi / cospi chunks (per-lane: reduction is branch-heavy)
 // ---------------------------------------------------------------------
 
+/// Per-lane chunk over a signed scalar tier kernel.
 #[inline(always)]
-fn sinpi_chunk_with(xd: &[f64], y: &mut [f64], reduced: impl Fn(f64) -> (bool, f64)) {
-    for i in 0..xd.len() {
-        let a = xd[i].abs();
-        let (k, v) = reduced(a);
-        let neg = (xd[i] < 0.0) ^ k;
-        y[i] = if neg { -v } else { v };
+fn lanewise(xd: &[f64], y: &mut [f64], kernel: impl Fn(f64) -> f64) {
+    for (yi, &x) in y.iter_mut().zip(xd) {
+        *yi = kernel(x);
     }
 }
 
 fn sinpi_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    sinpi_chunk_with(xd, y, fast::sinpi_prefix_reduced)
+    lanewise(xd, y, fast::sinpi_prefix)
 }
 
 fn sinpi_chunk(xd: &[f64], y: &mut [f64]) {
-    sinpi_chunk_with(xd, y, fast::sinpi_fast_reduced)
-}
-
-#[inline(always)]
-fn cospi_chunk_with(xd: &[f64], y: &mut [f64], reduced: impl Fn(f64) -> (bool, f64)) {
-    for i in 0..xd.len() {
-        let (neg, v) = reduced(xd[i].abs());
-        y[i] = if neg { -v } else { v };
-    }
+    lanewise(xd, y, fast::sinpi_fast)
 }
 
 fn cospi_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    cospi_chunk_with(xd, y, fast::cospi_prefix_reduced)
+    lanewise(xd, y, fast::cospi_prefix)
 }
 
 fn cospi_chunk(xd: &[f64], y: &mut [f64]) {
-    cospi_chunk_with(xd, y, fast::cospi_fast_reduced)
+    lanewise(xd, y, fast::cospi_fast)
 }
 
 // ---------------------------------------------------------------------
@@ -536,10 +492,8 @@ pub fn exp_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| (-106.0..=89.0).contains(&x),
         exp_prefix_chunk,
-        fast::EXP_PREFIX_BAND,
         exp_chunk,
-        fast::EXP_BAND,
-        crate::stats::slot::EXP,
+        slot::EXP,
         crate::exp,
     )
 }
@@ -552,10 +506,8 @@ pub fn exp2_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| (-151.0..128.0).contains(&x),
         exp2_prefix_chunk,
-        fast::EXP2_PREFIX_BAND,
         exp2_chunk,
-        fast::EXP2_BAND,
-        crate::stats::slot::EXP2,
+        slot::EXP2,
         crate::exp2,
     )
 }
@@ -568,10 +520,8 @@ pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| (-45.5..=f64::from(38.6f32)).contains(&x),
         exp10_prefix_chunk,
-        fast::EXP10_PREFIX_BAND,
         exp10_chunk,
-        fast::EXP10_BAND,
-        crate::stats::slot::EXP10,
+        slot::EXP10,
         crate::exp10,
     )
 }
@@ -584,10 +534,8 @@ pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| x > 0.0 && x < f64::INFINITY,
         ln_prefix_chunk,
-        fast::LN_PREFIX_BAND,
         ln_chunk,
-        fast::LN_BAND,
-        crate::stats::slot::LN,
+        slot::LN,
         crate::ln,
     )
 }
@@ -600,10 +548,8 @@ pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| x > 0.0 && x < f64::INFINITY,
         log2_prefix_chunk,
-        fast::LOG2_PREFIX_BAND,
         log2_chunk,
-        fast::LOG2_BAND,
-        crate::stats::slot::LOG2,
+        slot::LOG2,
         crate::log2,
     )
 }
@@ -616,10 +562,8 @@ pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
         out,
         |x| x > 0.0 && x < f64::INFINITY,
         log10_prefix_chunk,
-        fast::LOG10_PREFIX_BAND,
         log10_chunk,
-        fast::LOG10_BAND,
-        crate::stats::slot::LOG10,
+        slot::LOG10,
         crate::log10,
     )
 }
@@ -633,10 +577,8 @@ pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
         out,
         move |x| x.abs() <= 90.0 && x.abs() >= tiny,
         sinh_prefix_chunk,
-        fast::SINH_PREFIX_BAND,
         sinh_chunk,
-        fast::SINH_BAND,
-        crate::stats::slot::SINH,
+        slot::SINH,
         crate::sinh,
     )
 }
@@ -650,10 +592,8 @@ pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
         out,
         move |x| x.abs() <= 90.0 && x.abs() >= tiny,
         cosh_prefix_chunk,
-        fast::COSH_PREFIX_BAND,
         cosh_chunk,
-        fast::COSH_BAND,
-        crate::stats::slot::COSH,
+        slot::COSH,
         crate::cosh,
     )
 }
@@ -669,10 +609,8 @@ pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
             x.is_finite() && a < 8_388_608.0 && a >= 2f64.powi(-36) && !is_int_pos(a)
         },
         sinpi_prefix_chunk,
-        fast::SINPI_PREFIX_BAND,
         sinpi_chunk,
-        fast::SINPI_BAND,
-        crate::stats::slot::SINPI,
+        slot::SINPI,
         crate::sinpi,
     )
 }
@@ -690,10 +628,8 @@ pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
             x.is_finite() && (7.77e-5..16_777_216.0).contains(&a) && !is_int_pos(2.0 * a)
         },
         cospi_prefix_chunk,
-        fast::COSPI_PREFIX_BAND,
         cospi_chunk,
-        fast::COSPI_BAND,
-        crate::stats::slot::COSPI,
+        slot::COSPI,
         crate::cospi,
     )
 }
@@ -716,19 +652,8 @@ impl std::error::Error for UnknownFunction {}
 /// lanes — NaN, ±0, ±inf, out-of-domain — resolve per lane through the
 /// scalar entry). Unknown names are a typed error, not a panic.
 pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), UnknownFunction> {
-    match name {
-        "ln" => ln_slice(xs, out),
-        "log2" => log2_slice(xs, out),
-        "log10" => log10_slice(xs, out),
-        "exp" => exp_slice(xs, out),
-        "exp2" => exp2_slice(xs, out),
-        "exp10" => exp10_slice(xs, out),
-        "sinh" => sinh_slice(xs, out),
-        "cosh" => cosh_slice(xs, out),
-        "sinpi" => sinpi_slice(xs, out),
-        "cospi" => cospi_slice(xs, out),
-        _ => return Err(UnknownFunction(name.to_owned())),
-    }
+    let row = F32Row::by_name(name).ok_or_else(|| UnknownFunction(name.to_owned()))?;
+    (row.slice)(xs, out);
     Ok(())
 }
 
@@ -745,103 +670,8 @@ pub fn eval_slice_posit32(
     xs: &[Posit32],
     out: &mut [Posit32],
 ) -> Result<(), UnknownFunction> {
-    use crate::posit::{self as p, LN_MAXPOS, LOG10_MAXPOS};
-    use crate::stats::slot;
-    // NaR widens to NaN, which every filter below rejects.
-    let log_dom = |x: f64| x > 0.0;
-    let tiny = 2f64.powi(-13);
-    let sinh_dom = move |x: f64| (tiny..=LN_MAXPOS + 1.5).contains(&x.abs());
-    match name {
-        "ln" => drive(
-            xs,
-            out,
-            log_dom,
-            ln_prefix_chunk,
-            fast::LN_PREFIX_BAND,
-            ln_chunk,
-            fast::LN_BAND,
-            slot::P32_LN,
-            p::ln_p32,
-        ),
-        "log2" => drive(
-            xs,
-            out,
-            log_dom,
-            log2_prefix_chunk,
-            fast::LOG2_PREFIX_BAND,
-            log2_chunk,
-            fast::LOG2_BAND,
-            slot::P32_LOG2,
-            p::log2_p32,
-        ),
-        "log10" => drive(
-            xs,
-            out,
-            log_dom,
-            log10_prefix_chunk,
-            fast::LOG10_PREFIX_BAND,
-            log10_chunk,
-            fast::LOG10_BAND,
-            slot::P32_LOG10,
-            p::log10_p32,
-        ),
-        "exp" => drive(
-            xs,
-            out,
-            |x| x.abs() <= LN_MAXPOS + 0.5,
-            exp_prefix_chunk,
-            fast::EXP_PREFIX_BAND,
-            exp_chunk,
-            fast::EXP_BAND,
-            slot::P32_EXP,
-            p::exp_p32,
-        ),
-        "exp2" => drive(
-            xs,
-            out,
-            |x| x.abs() <= 120.5,
-            exp2_prefix_chunk,
-            fast::EXP2_PREFIX_BAND,
-            exp2_chunk,
-            fast::EXP2_BAND,
-            slot::P32_EXP2,
-            p::exp2_p32,
-        ),
-        "exp10" => drive(
-            xs,
-            out,
-            |x| x.abs() <= LOG10_MAXPOS + 0.5,
-            exp10_prefix_chunk,
-            fast::EXP10_PREFIX_BAND,
-            exp10_chunk,
-            fast::EXP10_BAND,
-            slot::P32_EXP10,
-            p::exp10_p32,
-        ),
-        "sinh" => drive(
-            xs,
-            out,
-            sinh_dom,
-            sinh_prefix_chunk,
-            fast::SINH_PREFIX_BAND,
-            sinh_chunk,
-            fast::SINH_BAND,
-            slot::P32_SINH,
-            p::sinh_p32,
-        ),
-        "cosh" => drive(
-            xs,
-            out,
-            |x| x.abs() <= LN_MAXPOS + 1.5,
-            cosh_prefix_chunk,
-            fast::COSH_PREFIX_BAND,
-            cosh_chunk,
-            fast::COSH_BAND,
-            slot::P32_COSH,
-            p::cosh_p32,
-        ),
-        _ => return Err(UnknownFunction(name.to_owned())),
-    }
+    let row = Posit32Row::by_name(name).ok_or_else(|| UnknownFunction(name.to_owned()))?;
+    (row.slice)(xs, out);
     SLICE_POSIT_REQUESTS.add(xs.len() as u64);
     Ok(())
 }
@@ -850,10 +680,6 @@ pub fn eval_slice_posit32(
 mod tests {
     use super::*;
     use rlibm_fp::rng::XorShift64;
-
-    const NAMES: [&str; 10] = [
-        "ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi",
-    ];
 
     fn adversarial_inputs() -> Vec<f32> {
         let mut xs = vec![
@@ -898,7 +724,7 @@ mod tests {
     fn slices_are_bit_identical_to_scalar() {
         let xs = adversarial_inputs();
         let mut out = vec![0.0f32; xs.len()];
-        for name in NAMES {
+        for name in crate::F32_NAMES {
             eval_slice_f32(name, &xs, &mut out).expect("known name");
             for (i, (&x, &got)) in xs.iter().zip(out.iter()).enumerate() {
                 let want = crate::eval_f32_by_name(name, x).expect("known name");
@@ -948,7 +774,7 @@ mod tests {
             xs[(k * 67 + 11) % 3000] = s;
         }
         let mut out = vec![Posit32::ZERO; xs.len()];
-        for name in ["ln", "exp", "sinh", "cosh", "log10", "exp2", "exp10", "log2"] {
+        for name in crate::POSIT32_NAMES {
             eval_slice_posit32(name, &xs, &mut out).expect("known name");
             for (&x, &got) in xs.iter().zip(out.iter()) {
                 let want = crate::eval_posit32_by_name(name, x).expect("known name");
@@ -989,7 +815,7 @@ mod tests {
             xs[(k * 9 + 3) % 64] = s;
         }
         let mut out = [0.0f32; 64];
-        for name in NAMES {
+        for name in crate::F32_NAMES {
             eval_slice_f32(name, &xs, &mut out).expect("known name");
             for (i, (&x, &got)) in xs.iter().zip(out.iter()).enumerate() {
                 let want = crate::eval_f32_by_name(name, x).expect("known name");
@@ -1011,7 +837,7 @@ mod tests {
             pxs[(k * 17 + 5) % 64] = s;
         }
         let mut pout = [Posit32::ZERO; 64];
-        for name in ["ln", "exp", "sinh", "cosh", "log10", "exp2", "exp10", "log2"] {
+        for name in crate::POSIT32_NAMES {
             eval_slice_posit32(name, &pxs, &mut pout).expect("known name");
             for (i, (&x, &got)) in pxs.iter().zip(pout.iter()).enumerate() {
                 let want = crate::eval_posit32_by_name(name, x).expect("known name");

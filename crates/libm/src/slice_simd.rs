@@ -53,7 +53,7 @@
 //! rescalar lanes re-enter the hooked scalar path.
 
 use super::LANES;
-use crate::fast;
+use crate::registry::{slot, TIERS};
 use crate::tables as t;
 use crate::tables_codec as codec;
 use core::arch::x86_64::*;
@@ -89,18 +89,16 @@ const SIGN: u64 = 1u64 << 63;
 /// against the narrow full band; lanes that fail both (and special
 /// lanes) re-enter the scalar progressive entry. Mirrors `super::drive`
 /// exactly, including the per-tier counter accounting.
-#[allow(clippy::too_many_arguments)] // tier plumbing: two staged kernels + their bands
 fn drive_simd(
     xs: &[f32],
     out: &mut [f32],
     prefix_stage: StageFn,
-    prefix_band: u64,
     full_stage: StageFn,
-    band: u64,
     slot: usize,
     scalar: fn(f32) -> f32,
 ) {
     assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
+    let (prefix_band, band) = (TIERS[slot].prefix_band, TIERS[slot].full_band);
     debug_assert!(avx2_available());
     let mut y = [0.0f64; LANES];
     let mut xpad = [1.0f32; LANES];
@@ -1035,10 +1033,8 @@ pub(super) fn exp_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         exp_stage::<true>,
-        fast::EXP_PREFIX_BAND,
         exp_stage::<false>,
-        fast::EXP_BAND,
-        crate::stats::slot::EXP,
+        slot::EXP,
         crate::exp,
     )
 }
@@ -1048,10 +1044,8 @@ pub(super) fn exp2_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         exp2_stage::<true>,
-        fast::EXP2_PREFIX_BAND,
         exp2_stage::<false>,
-        fast::EXP2_BAND,
-        crate::stats::slot::EXP2,
+        slot::EXP2,
         crate::exp2,
     )
 }
@@ -1061,10 +1055,8 @@ pub(super) fn exp10_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         exp10_stage::<true>,
-        fast::EXP10_PREFIX_BAND,
         exp10_stage::<false>,
-        fast::EXP10_BAND,
-        crate::stats::slot::EXP10,
+        slot::EXP10,
         crate::exp10,
     )
 }
@@ -1074,10 +1066,8 @@ pub(super) fn ln_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         ln_stage::<true>,
-        fast::LN_PREFIX_BAND,
         ln_stage::<false>,
-        fast::LN_BAND,
-        crate::stats::slot::LN,
+        slot::LN,
         crate::ln,
     )
 }
@@ -1087,10 +1077,8 @@ pub(super) fn log2_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         log2_stage::<true>,
-        fast::LOG2_PREFIX_BAND,
         log2_stage::<false>,
-        fast::LOG2_BAND,
-        crate::stats::slot::LOG2,
+        slot::LOG2,
         crate::log2,
     )
 }
@@ -1100,10 +1088,8 @@ pub(super) fn log10_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         log10_stage::<true>,
-        fast::LOG10_PREFIX_BAND,
         log10_stage::<false>,
-        fast::LOG10_BAND,
-        crate::stats::slot::LOG10,
+        slot::LOG10,
         crate::log10,
     )
 }
@@ -1113,10 +1099,8 @@ pub(super) fn sinh_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         sinh_stage::<true>,
-        fast::SINH_PREFIX_BAND,
         sinh_stage::<false>,
-        fast::SINH_BAND,
-        crate::stats::slot::SINH,
+        slot::SINH,
         crate::sinh,
     )
 }
@@ -1126,10 +1110,8 @@ pub(super) fn cosh_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         cosh_stage::<true>,
-        fast::COSH_PREFIX_BAND,
         cosh_stage::<false>,
-        fast::COSH_BAND,
-        crate::stats::slot::COSH,
+        slot::COSH,
         crate::cosh,
     )
 }
@@ -1139,10 +1121,8 @@ pub(super) fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         sinpi_stage::<true>,
-        fast::SINPI_PREFIX_BAND,
         sinpi_stage::<false>,
-        fast::SINPI_BAND,
-        crate::stats::slot::SINPI,
+        slot::SINPI,
         crate::sinpi,
     )
 }
@@ -1152,10 +1132,8 @@ pub(super) fn cospi_slice(xs: &[f32], out: &mut [f32]) {
         xs,
         out,
         cospi_stage::<true>,
-        fast::COSPI_PREFIX_BAND,
         cospi_stage::<false>,
-        fast::COSPI_BAND,
-        crate::stats::slot::COSPI,
+        slot::COSPI,
         crate::cospi,
     )
 }
@@ -1164,9 +1142,6 @@ pub(super) fn cospi_slice(xs: &[f32], out: &mut [f32]) {
 mod tests {
     use super::super::LANES;
     use rlibm_fp::rng::XorShift64;
-
-    const NAMES: [&str; 10] =
-        ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
 
     /// The SIMD driver must be lane-for-lane bit-identical to the scalar
     /// map on adversarial inputs (specials, domain edges, random bit
@@ -1213,7 +1188,7 @@ mod tests {
             xs.push(f32::from_bits(0x3F00_0000 + i * 37));
         }
         let mut out = vec![0.0f32; xs.len()];
-        for name in NAMES {
+        for name in crate::F32_NAMES {
             crate::eval_slice_f32(name, &xs, &mut out).expect("known name");
             for (i, (&x, &got)) in xs.iter().zip(out.iter()).enumerate() {
                 let want = crate::eval_f32_by_name(name, x).expect("known name");
@@ -1237,7 +1212,7 @@ mod tests {
         for len in [1usize, 3, 4, 5, 63, 64, 65, 67, 127, 130] {
             let xs: Vec<f32> = (0..len).map(|i| 0.3 + i as f32 * 0.41).collect();
             let mut out = vec![0.0f32; len];
-            for name in NAMES {
+            for name in crate::F32_NAMES {
                 crate::eval_slice_f32(name, &xs, &mut out).expect("known name");
                 for (&x, &got) in xs.iter().zip(out.iter()) {
                     let want = crate::eval_f32_by_name(name, x).expect("known name");

@@ -35,7 +35,7 @@
 //!
 //! `<layer>.<component>.<metric>[.<function>]`, all lowercase:
 //! `oracle.ziv.final_prec.ln`, `polygen.lp_calls`, `lp.exact.pivots`,
-//! `validate.mismatches`, `runtime.fallback.f32.exp`. Span timers use the
+//! `validate.mismatches`, `runtime.tier.dd.f32.exp`. Span timers use the
 //! plain component name (`pipeline.generate`); their snapshot section
 //! reports nanosecond histograms.
 //!

@@ -548,6 +548,21 @@ pub fn register_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serve runs record into the process-global metrics registry, and
+    /// `metrics_observe_the_run_when_enabled` asserts an exact delta of
+    /// it, so the tests that drive a run take turns.
+    static SERVE_RUNS: Mutex<()> = Mutex::new(());
+
+    fn serve_turn() -> MutexGuard<'static, ()> {
+        SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
+        let _turn = serve_turn();
+        serve_closed_loop(cfg)
+    }
 
     fn small_cfg() -> ServeConfig {
         ServeConfig {
@@ -567,7 +582,7 @@ mod tests {
     #[test]
     fn closed_loop_serves_everything_bit_identically() {
         let cfg = small_cfg();
-        let report = serve_closed_loop(&cfg).expect("healthy run");
+        let report = run(&cfg).expect("healthy run");
         assert_eq!(report.completions.len() as u64, cfg.requests);
         assert!(report.sheds.is_empty(), "no sheds without deadlines or chaos");
         assert!(report.balanced());
@@ -593,7 +608,7 @@ mod tests {
     #[test]
     fn serve_results_independent_of_sharding() {
         fn result_set(shards: usize, queue_capacity: usize) -> Vec<(u64, u32, u32)> {
-            let report = serve_closed_loop(&ServeConfig {
+            let report = run(&ServeConfig {
                 shards,
                 queue_capacity,
                 requests: 4_000,
@@ -613,6 +628,7 @@ mod tests {
     #[test]
     fn metrics_observe_the_run_when_enabled() {
         register_metrics();
+        let _turn = serve_turn();
         let before = metrics::total_requests();
         let cfg = small_cfg();
         let report = serve_closed_loop(&cfg).expect("healthy run");
@@ -627,7 +643,7 @@ mod tests {
 
     #[test]
     fn config_clamps_are_safe() {
-        let report = serve_closed_loop(&ServeConfig {
+        let report = run(&ServeConfig {
             shards: 0,
             producers: 0,
             requests: 100,
@@ -654,7 +670,7 @@ mod tests {
             Err(ConfigError::TagSpaceOverflow { per_producer: u64::MAX / 2 + 1 })
         );
         assert!(matches!(
-            serve_closed_loop(&cfg),
+            run(&cfg),
             Err(ServeError::Config(ConfigError::TagSpaceOverflow { .. }))
         ));
         // The committed bench config (and anything remotely plausible)
@@ -675,7 +691,7 @@ mod tests {
     /// still balances: every request is a completion or a shed record.
     #[test]
     fn deadline_sheds_are_explicit_and_balanced() {
-        let report = serve_closed_loop(&ServeConfig {
+        let report = run(&ServeConfig {
             deadline_ns: 1, // everything is past-deadline by dequeue time
             requests: 20_000,
             ..small_cfg()
@@ -703,7 +719,7 @@ mod tests {
     /// explicitly, and still quiesces with balanced accounting.
     #[test]
     fn mid_run_drain_is_graceful_and_accounted() {
-        let report = serve_closed_loop(&ServeConfig {
+        let report = run(&ServeConfig {
             requests: 2_000_000,
             drain_after_ns: 2_000_000, // 2ms into a much longer run
             ..small_cfg()
@@ -760,7 +776,7 @@ mod tests {
             }),
             ..small_cfg()
         };
-        let report = serve_closed_loop(&cfg).expect("supervised run");
+        let report = run(&cfg).expect("supervised run");
         assert!(report.panics > 0, "the chaos plan must actually inject panics");
         assert_eq!(report.panics, report.chaos.panics);
         assert_eq!(report.restarts, report.panics, "every panic restarts within budget");
@@ -785,7 +801,7 @@ mod tests {
     #[test]
     fn restart_budget_exhaustion_degrades_without_losing_requests() {
         suppress_chaos_panic_output();
-        let report = serve_closed_loop(&ServeConfig {
+        let report = run(&ServeConfig {
             requests: 20_000,
             restart_backoff_ns: 1_000,
             max_restarts: 1,
@@ -810,7 +826,7 @@ mod tests {
     #[test]
     fn corruption_is_always_detected_and_shed() {
         suppress_chaos_panic_output();
-        let report = serve_closed_loop(&ServeConfig {
+        let report = run(&ServeConfig {
             requests: 30_000,
             chaos: Some(ChaosConfig {
                 seed: 0xBAD5_107,

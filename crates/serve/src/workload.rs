@@ -1,10 +1,11 @@
 //! The serveable function table and synthetic traffic generation.
 //!
-//! Requests address functions by a dense `u8` id: `0..10` are the f32
-//! tier-1 functions (batched through the staged slice kernels), `10..18`
-//! are the posit32 functions (batched through the same staged chunk
-//! kernels behind the posit codec). Ids are stable — they appear in `BENCH_serve.json` rows via
-//! [`func_name`].
+//! Requests address functions by a dense `u8` id, the function's slot in
+//! the `rlibm_math::registry` table: `0..10` are the f32 tier-1 functions
+//! (batched through the staged slice kernels), `10..18` are the posit32
+//! functions (batched through the same staged chunk kernels behind the
+//! posit codec). Ids are stable — they appear in `BENCH_serve.json` rows
+//! via [`func_name`].
 //!
 //! Traffic synthesis reuses the workspace PRNG ([`XorShift64`]) and the
 //! domain-biased f32 sampler shared with the fault and telemetry sweeps
@@ -14,36 +15,14 @@
 //! (every u32 is a valid posit32; NaR lanes resolve like the scalar API).
 
 use rlibm_fp::rng::XorShift64;
-use rlibm_math::slice;
+use rlibm_math::registry::F32_ROWS;
+use rlibm_math::{slice, F32_NAMES, POSIT32_NAMES};
 use rlibm_posit::Posit32;
 
 /// Number of f32 function ids (`0..F32_FUNCS`).
-pub const F32_FUNCS: usize = 10;
+pub const F32_FUNCS: usize = F32_NAMES.len();
 /// Total function ids; `F32_FUNCS..NUM_FUNCS` are posit32.
-pub const NUM_FUNCS: usize = 18;
-
-const F32_NAMES: [&str; F32_FUNCS] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
-
-/// A batched slice entry point (`out[i] = f(xs[i])`, bit-identical to
-/// the scalar function).
-pub type SliceFn = fn(&[f32], &mut [f32]);
-
-const F32_SLICE: [SliceFn; F32_FUNCS] = [
-    slice::ln_slice,
-    slice::log2_slice,
-    slice::log10_slice,
-    slice::exp_slice,
-    slice::exp2_slice,
-    slice::exp10_slice,
-    slice::sinh_slice,
-    slice::cosh_slice,
-    slice::sinpi_slice,
-    slice::cospi_slice,
-];
-
-const POSIT_NAMES: [&str; NUM_FUNCS - F32_FUNCS] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"];
+pub const NUM_FUNCS: usize = rlibm_math::stats::slot::COUNT;
 
 /// True when the id addresses a posit32 function.
 #[inline]
@@ -65,7 +44,7 @@ pub fn func_name(func: u8) -> &'static str {
     if f < F32_FUNCS {
         F32_NAMES[f]
     } else {
-        POSIT_NAMES[f - F32_FUNCS]
+        POSIT32_NAMES[f - F32_FUNCS]
     }
 }
 
@@ -81,7 +60,7 @@ pub fn func_label(func: u8) -> String {
 /// Batched evaluation of an f32 id over a staged slice.
 #[inline]
 pub(crate) fn f32_slice_eval(func: u8, xs: &[f32], out: &mut [f32]) {
-    F32_SLICE[fold(func).min(F32_FUNCS - 1)](xs, out)
+    (F32_ROWS[fold(func).min(F32_FUNCS - 1)].slice)(xs, out)
 }
 
 /// Batched evaluation of a posit id over a chunk (routes through

@@ -13,20 +13,9 @@ fn main() {
     let xs = stratified_f32(25, 0xC0FFEE);
     let mut found = 0;
     for f in Func::ALL {
+        let baseline = rlibm::math::baseline_f32_fn_by_name(f.name()).expect("known name");
         for &x in &xs {
-            let base = match f.name() {
-                "ln" => rlibm::math::baselines::float32::ln(x),
-                "log2" => rlibm::math::baselines::float32::log2(x),
-                "log10" => rlibm::math::baselines::float32::log10(x),
-                "exp" => rlibm::math::baselines::float32::exp(x),
-                "exp2" => rlibm::math::baselines::float32::exp2(x),
-                "exp10" => rlibm::math::baselines::float32::exp10(x),
-                "sinh" => rlibm::math::baselines::float32::sinh(x),
-                "cosh" => rlibm::math::baselines::float32::cosh(x),
-                "sinpi" => rlibm::math::baselines::float32::sinpi(x),
-                "cospi" => rlibm::math::baselines::float32::cospi(x),
-                _ => unreachable!(),
-            };
+            let base = baseline(x);
             let ours = rlibm::math::eval_f32_by_name(f.name(), x).expect("known name");
             if base.to_bits() != ours.to_bits() && !base.is_nan() && base.is_finite() {
                 let oracle: f32 = correctly_rounded(f, x);

@@ -16,19 +16,7 @@ fn float32_baseline_misrounds() {
     for f in Func::ALL {
         let report = validate(
             f,
-            |x: f32| match f.name() {
-                "ln" => rlibm::math::baselines::float32::ln(x),
-                "log2" => rlibm::math::baselines::float32::log2(x),
-                "log10" => rlibm::math::baselines::float32::log10(x),
-                "exp" => rlibm::math::baselines::float32::exp(x),
-                "exp2" => rlibm::math::baselines::float32::exp2(x),
-                "exp10" => rlibm::math::baselines::float32::exp10(x),
-                "sinh" => rlibm::math::baselines::float32::sinh(x),
-                "cosh" => rlibm::math::baselines::float32::cosh(x),
-                "sinpi" => rlibm::math::baselines::float32::sinpi(x),
-                "cospi" => rlibm::math::baselines::float32::cospi(x),
-                _ => unreachable!(),
-            },
+            rlibm::math::baseline_f32_fn_by_name(f.name()).expect("known name"),
             xs.iter().copied(),
         );
         total_wrong += report.wrong;

@@ -7,11 +7,8 @@
 //! follow IEEE/posit conventions: NaN propagates (any payload), signed
 //! zeros and infinities map per function family, posit NaR is absorbing.
 
+use rlibm::math::{F32_NAMES, POSIT32_NAMES};
 use rlibm::posit::Posit32;
-
-const F32_FUNCS: [&str; 10] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
-const P32_FUNCS: [&str; 8] = ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"];
 
 /// NaN payload variants, ±0, ±inf, subnormal boundaries, normal
 /// boundaries, and near-domain-edge magnitudes.
@@ -57,7 +54,7 @@ fn f32_special_matrix() -> Vec<f32> {
 fn f32_specials_agree_across_all_entry_points() {
     let xs = f32_special_matrix();
     let mut slice_out = vec![0.0f32; xs.len()];
-    for name in F32_FUNCS {
+    for name in F32_NAMES {
         let fast = rlibm::math::f32_fn_by_name(name).expect("known name");
         let dd = rlibm::math::f32_dd_fn_by_name(name).expect("known name");
         rlibm::math::eval_slice_f32(name, &xs, &mut slice_out).expect("known name");
@@ -88,7 +85,7 @@ fn f32_nan_propagates_for_every_payload() {
         f32::from_bits(0x7F80_0001),
         f32::from_bits(0xFF80_0001),
     ];
-    for name in F32_FUNCS {
+    for name in F32_NAMES {
         let fast = rlibm::math::f32_fn_by_name(name).expect("known name");
         for &x in &nans {
             assert!(fast(x).is_nan(), "{name}(NaN {:#010x}) must be NaN", x.to_bits());
@@ -194,7 +191,7 @@ fn posit_special_matrix() -> Vec<Posit32> {
 fn posit32_specials_agree_across_all_entry_points() {
     let xs = posit_special_matrix();
     let mut slice_out = vec![Posit32::ZERO; xs.len()];
-    for name in P32_FUNCS {
+    for name in POSIT32_NAMES {
         let fast = rlibm::math::posit32_fn_by_name(name).expect("known name");
         let dd = rlibm::math::posit32_dd_fn_by_name(name).expect("known name");
         rlibm::math::eval_slice_posit32(name, &xs, &mut slice_out).expect("known name");
@@ -209,7 +206,7 @@ fn posit32_specials_agree_across_all_entry_points() {
 
 #[test]
 fn posit32_nar_is_absorbing_and_saturation_is_correct() {
-    for name in P32_FUNCS {
+    for name in POSIT32_NAMES {
         let f = rlibm::math::posit32_fn_by_name(name).expect("known name");
         assert!(f(Posit32::NAR).is_nar(), "{name}(NaR) must be NaR");
     }

@@ -18,12 +18,9 @@
 //! private metric statics.
 
 use rlibm::gen::par::run_chunked;
+use rlibm::math::{F32_NAMES, POSIT32_NAMES};
 use rlibm::obs::{span_depth, Counter, Histogram, SpanTimer};
 use rlibm_fp::rng::{draw_biased_f32, XorShift64};
-
-const F32_FUNCS: [&str; 10] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
-const POSIT32_FUNCS: [&str; 8] = ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"];
 
 #[test]
 fn concurrent_counter_adds_are_not_lost() {
@@ -166,14 +163,14 @@ fn runtime_output_checksum() -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    for (i, name) in F32_FUNCS.iter().enumerate() {
+    for (i, name) in F32_NAMES.iter().enumerate() {
         let f = rlibm::math::f32_fn_by_name(name).expect("known name");
         let mut rng = XorShift64::new(0xC0FFEE ^ (i as u64));
         for _ in 0..10_000 {
             mix(f(draw_biased_f32(&mut rng, name)).to_bits());
         }
     }
-    for (i, name) in POSIT32_FUNCS.iter().enumerate() {
+    for (i, name) in POSIT32_NAMES.iter().enumerate() {
         let f = rlibm::math::posit32_fn_by_name(name).expect("known name");
         let mut rng = XorShift64::new(0xBADCAB ^ (i as u64));
         for _ in 0..10_000 {
@@ -226,20 +223,21 @@ fn posit_slice_counters_track_chunks_and_requests() {
 fn snapshot_carries_all_runtime_fallback_counters() {
     rlibm::math::stats::register_all();
     let snap = rlibm::obs::snapshot();
+    // The dd-tier counters are the dd-fallback counts.
     let fallback_names: Vec<&str> = snap
         .counters
         .iter()
         .map(|c| c.name)
-        .filter(|n| n.starts_with("runtime.fallback."))
+        .filter(|n| n.starts_with("runtime.tier.dd."))
         .collect();
     if rlibm::obs::enabled() {
         assert_eq!(fallback_names.len(), 18, "10 f32 + 8 posit32 slots: {fallback_names:?}");
-        for name in F32_FUNCS {
-            assert!(fallback_names.contains(&format!("runtime.fallback.f32.{name}").as_str()));
+        for name in F32_NAMES {
+            assert!(fallback_names.contains(&format!("runtime.tier.dd.f32.{name}").as_str()));
         }
-        for name in POSIT32_FUNCS {
+        for name in POSIT32_NAMES {
             assert!(fallback_names
-                .contains(&format!("runtime.fallback.posit32.{name}").as_str()));
+                .contains(&format!("runtime.tier.dd.posit32.{name}").as_str()));
         }
     } else {
         assert!(snap.counters.is_empty(), "telemetry off: empty snapshot");

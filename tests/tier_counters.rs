@@ -7,15 +7,10 @@
 //! The invariant under test: every call that enters a front end
 //! in-domain ships from **exactly one** tier, so the three counter
 //! deltas sum to the number of in-domain calls — scalar and batched
-//! alike — and the dd tier stays equal to the fallback counter it
-//! predates. With telemetry off, every counter must stay zero.
+//! alike. With telemetry off, every counter must stay zero.
 
-use rlibm_math::stats;
+use rlibm_math::{stats, F32_NAMES, POSIT32_NAMES};
 use rlibm_posit::Posit32;
-
-const F32_FUNCS: [&str; 10] =
-    ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi"];
-const POSIT32_FUNCS: [&str; 8] = ["ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh"];
 
 /// Deterministic in-domain workload: values in `(0.5, 2.0)`, never an
 /// exact integer (sinpi/cospi short-circuit those before the tiers).
@@ -33,25 +28,20 @@ fn workload(seed: u64, n: usize) -> Vec<f32> {
     xs
 }
 
-fn snapshot(slot: usize) -> (u64, u64, u64, u64) {
-    (
-        stats::tier_prefix(slot),
-        stats::tier_full(slot),
-        stats::tier_dd(slot),
-        stats::fallbacks(slot),
-    )
+fn snapshot(slot: usize) -> (u64, u64, u64) {
+    (stats::tier_prefix(slot), stats::tier_full(slot), stats::tier_dd(slot))
 }
 
 #[test]
 fn scalar_calls_land_in_exactly_one_tier() {
     let xs = workload(0x5eed, 4_000);
-    for name in F32_FUNCS {
+    for name in F32_NAMES {
         let slot = stats::f32_slot_by_name(name).expect("slot");
-        let (p0, f0, d0, fb0) = snapshot(slot);
+        let (p0, f0, d0) = snapshot(slot);
         for &x in &xs {
             let _ = rlibm_math::eval_f32_by_name(name, x).expect("known fn");
         }
-        let (p1, f1, d1, fb1) = snapshot(slot);
+        let (p1, f1, d1) = snapshot(slot);
         let (dp, df, dd) = (p1 - p0, f1 - f0, d1 - d0);
         if stats::enabled() {
             assert_eq!(
@@ -59,7 +49,6 @@ fn scalar_calls_land_in_exactly_one_tier() {
                 xs.len() as u64,
                 "{name}: every in-domain call ships from exactly one tier"
             );
-            assert_eq!(dd, fb1 - fb0, "{name}: dd tier must equal the fallback counter");
             assert!(
                 dp * 10 >= (xs.len() as u64) * 8,
                 "{name}: prefix tier should carry >= 80% of a central workload, got {dp}/{}",
@@ -67,7 +56,6 @@ fn scalar_calls_land_in_exactly_one_tier() {
             );
         } else {
             assert_eq!((dp, df, dd), (0, 0, 0), "{name}: telemetry off -> counters stay zero");
-            assert_eq!(fb1, fb0);
         }
     }
 }
@@ -76,16 +64,15 @@ fn scalar_calls_land_in_exactly_one_tier() {
 fn posit_calls_land_in_exactly_one_tier() {
     let xs: Vec<Posit32> =
         workload(0x9057, 2_000).iter().map(|&x| Posit32::from_f64(x as f64)).collect();
-    for name in POSIT32_FUNCS {
+    for name in POSIT32_NAMES {
         let slot = stats::posit32_slot_by_name(name).expect("slot");
         let f = rlibm_math::posit32_fn_by_name(name).expect("known fn");
-        let (p0, f0, d0, fb0) = snapshot(slot);
+        let (p0, f0, d0) = snapshot(slot);
         let scalar: Vec<Posit32> = xs.iter().map(|&x| f(x)).collect();
-        let (p1, f1, d1, fb1) = snapshot(slot);
+        let (p1, f1, d1) = snapshot(slot);
         let (dp, df, dd) = (p1 - p0, f1 - f0, d1 - d0);
         if stats::enabled() {
             assert_eq!(dp + df + dd, xs.len() as u64, "{name}: one tier per posit call");
-            assert_eq!(dd, fb1 - fb0, "{name}: dd tier == fallback counter");
         } else {
             assert_eq!((dp, df, dd), (0, 0, 0));
         }
@@ -96,7 +83,7 @@ fn posit_calls_land_in_exactly_one_tier() {
         // from a different tier than its scalar call did.
         let mut out = vec![Posit32::ZERO; xs.len()];
         rlibm_math::eval_slice_posit32(name, &xs, &mut out).expect("known fn");
-        let (p2, f2, d2, _) = snapshot(slot);
+        let (p2, f2, d2) = snapshot(slot);
         let (dp, df, dd) = (p2 - p1, f2 - f1, d2 - d1);
         if stats::enabled() {
             assert_eq!(
@@ -117,11 +104,11 @@ fn batched_lanes_land_in_exactly_one_tier() {
     // driver, and a partial SIMD chunk when the feature is on.
     let xs = workload(0xba7c4, 130);
     let mut out = vec![0.0f32; xs.len()];
-    for name in F32_FUNCS {
+    for name in F32_NAMES {
         let slot = stats::f32_slot_by_name(name).expect("slot");
-        let (p0, f0, d0, _) = snapshot(slot);
+        let (p0, f0, d0) = snapshot(slot);
         rlibm_math::eval_slice_f32(name, &xs, &mut out).expect("known fn");
-        let (p1, f1, d1, _) = snapshot(slot);
+        let (p1, f1, d1) = snapshot(slot);
         let (dp, df, dd) = (p1 - p0, f1 - f0, d1 - d0);
         if stats::enabled() {
             assert_eq!(
