@@ -13,11 +13,16 @@
 //! a shared machine, tight enough to catch an accidental fast-path
 //! pessimisation (the two-tier split is worth ~2x).
 //!
+//! `--fields PREFIX` compares the numeric fields starting with `PREFIX`
+//! instead of `ns_`: `--fields ratio_` gates a vector document on its
+//! same-host `ratio_batched` fields, which a uniformly loaded host leaves
+//! alone where it inflates every absolute time.
+//!
 //! Diffing a file against itself always passes with all-1.0 ratios —
 //! ci.sh uses that as a smoke test of the comparator itself.
 //!
 //! Usage: `cargo run -p rlibm-bench --release --bin bench_compare -- \
-//!             OLD.json NEW.json [--threshold PCT]`
+//!             OLD.json NEW.json [--threshold PCT] [--fields PREFIX]`
 
 use rlibm_bench::json::{parse, Json};
 use rlibm_bench::timing::geomean;
@@ -35,6 +40,8 @@ const KNOWN_SCHEMAS: &[&str] = &[
     "rlibm-bench/fig4/v1",
     "rlibm-bench/vector/v1",
     "rlibm-bench/vector/v2",
+    // v3 adds the posit32 rows and the same-host `ratio_batched` field.
+    "rlibm-bench/vector/v3",
     "rlibm-bench/gen/v1",
     "rlibm-bench/serve/v1",
     // chaos_bench rows are scenarios, not functions, but carry ns_p50 /
@@ -49,11 +56,14 @@ struct Cli {
     new: String,
     /// Regression threshold as a fraction (0.25 = +25%).
     threshold: f64,
+    /// Prefix of the compared per-function fields.
+    fields: String,
 }
 
 fn parse_cli() -> Cli {
     let mut paths = Vec::new();
     let mut threshold = 0.25;
+    let mut fields = "ns_".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -64,6 +74,9 @@ fn parse_cli() -> Cli {
                     .unwrap_or_else(|| usage("--threshold requires a percentage"));
                 threshold = pct / 100.0;
             }
+            "--fields" => {
+                fields = args.next().unwrap_or_else(|| usage("--fields requires a prefix"));
+            }
             other => paths.push(other.to_string()),
         }
     }
@@ -72,12 +85,12 @@ fn parse_cli() -> Cli {
     }
     let new = paths.pop().expect("len checked");
     let old = paths.pop().expect("len checked");
-    Cli { old, new, threshold }
+    Cli { old, new, threshold, fields }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: bench_compare OLD.json NEW.json [--threshold PCT]");
+    eprintln!("usage: bench_compare OLD.json NEW.json [--threshold PCT] [--fields PREFIX]");
     std::process::exit(2);
 }
 
@@ -115,12 +128,13 @@ fn schema_family(tag: &str) -> &str {
     }
 }
 
-/// The `ns_*` fields of a function entry, insertion order.
-fn ns_fields(entry: &Json) -> Vec<String> {
+/// The numeric fields of a function entry whose names start with
+/// `prefix`, insertion order.
+fn prefixed_fields(entry: &Json, prefix: &str) -> Vec<String> {
     match entry {
         Json::Obj(fields) => fields
             .iter()
-            .filter(|(k, v)| k.starts_with("ns_") && v.as_num().is_some())
+            .filter(|(k, v)| k.starts_with(prefix) && v.as_num().is_some())
             .map(|(k, _)| k.clone())
             .collect(),
         _ => Vec::new(),
@@ -161,13 +175,13 @@ fn main() {
     // new measurement still diffs cleanly against an older emission.
     let fields: Vec<String> = old_fns
         .first()
-        .map(|(_, e)| ns_fields(e))
+        .map(|(_, e)| prefixed_fields(e, &cli.fields))
         .unwrap_or_default()
         .into_iter()
         .filter(|f| new_fns.first().is_some_and(|(_, e)| e.get(f).is_some()))
         .collect();
     if fields.is_empty() {
-        usage("no shared ns_* fields to compare");
+        usage(&format!("no shared {}* fields to compare", cli.fields));
     }
 
     println!(
@@ -198,7 +212,7 @@ fn main() {
             ratios.push(ratio);
             if ratio > 1.0 + cli.threshold {
                 regressions.push(format!(
-                    "{name}.{field}: {old_v:.2} -> {new_v:.2} ns ({:+.1}%)",
+                    "{name}.{field}: {old_v:.2} -> {new_v:.2} ({:+.1}%)",
                     (ratio - 1.0) * 100.0
                 ));
             }

@@ -4,8 +4,9 @@
 //! plain-double kernel result is wrong by more than its certified band,
 //! the round-safe bit test rejects it and the dd kernel re-runs. This
 //! module provides the adversarial evidence. With the `fault` cargo
-//! feature, every f32/posit32 front end routes its fast-path result
-//! through [`perturb`] (a named site, one per [`crate::stats::slot`])
+//! feature, every f32/posit32 front end routes its fast-path result,
+//! and both batched slice drivers their prefix-stage results, through
+//! `perturb` (a named site, one per [`crate::stats::slot`])
 //! which — when a thread-local plan is [`arm`]ed — corrupts the value
 //! with a seeded [`rlibm_fp::rng::XorShift64`] stream. Without the
 //! feature the hook is an `#[inline(always)]` identity and the library

@@ -12,8 +12,10 @@
 //!   error bound (both in `2^-53` relative units, derived in
 //!   `crate::fast`), and the dd kernel of the last rung;
 //! * for f32 the batched slice entry and the float baseline; for posit32
-//!   the batched domain filter and the two staged chunk kernels, and the
-//!   posit16 / binary16 / bfloat16 functions of the same name.
+//!   the batched domain (a `PositDomain` value, read by both batched
+//!   drivers), the two staged chunk kernels, the AVX2 kernel of the
+//!   `simd` build, and the posit16 / binary16 / bfloat16 functions of the
+//!   same name.
 //!
 //! From the rows the `registry!` macro generates the [`slot`] constants,
 //! [`F32_NAMES`] / [`POSIT32_NAMES`], the tier specs ([`TIERS`]), the
@@ -43,6 +45,7 @@ use rlibm_posit::{Posit16, Posit32};
 use crate::dd::Dd;
 use crate::float::{exp as fexp, hyper, log, trig};
 use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
+use crate::slice::PositDomain;
 use crate::stats::TierCounters;
 use crate::{baselines::float32 as base, bf16, fast, half16, p16, posit, slice};
 
@@ -223,6 +226,7 @@ macro_rules! registry {
                 dd_kernel: $pddk:path,
                 domain: $pdom:expr,
                 chunks: [$ppc:path, $pfc:path],
+                simd: $pk:ident,
                 sixteen: [$p16:path, $half:path, $bf16:path] $(,)?
             }
         )*}
@@ -325,14 +329,22 @@ macro_rules! registry {
             )*
         }
 
-        /// The posit32 rows' batched entries: the shared chunk driver
-        /// over the row's domain filter and staged kernels, with the
-        /// scalar entry resolving special and twice-rejected lanes.
+        /// The posit32 rows' batched entries: the AVX2 driver with the
+        /// row's vector kernel when the `simd` feature is on and the CPU
+        /// has AVX2, else the scalar chunk driver over the row's staged
+        /// kernels; both filter on the row's domain, and the scalar entry
+        /// resolves special and twice-rejected lanes.
         mod posit32_slice {
             use super::*;
             $(
                 pub(super) fn $p(xs: &[Posit32], out: &mut [Posit32]) {
-                    slice::drive(xs, out, $pdom, $ppc, $pfc, slot::$ps, $pentry)
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    if slice::simd::avx2_available() {
+                        return slice::simd::drive_simd::<Posit32, slice::simd::$pk>(
+                            xs, out, $pdom, slot::$ps, $pentry,
+                        );
+                    }
+                    slice::drive(xs, out, |x| $pdom.contains(x), $ppc, $pfc, slot::$ps, $pentry)
                 }
             )*
         }
@@ -434,8 +446,9 @@ registry! {
             prefix: fast::ln_prefix [5, 16384, 4096],
             full: fast::ln_fast [8, 256, 32],
             dd_kernel: log::ln_kernel,
-            domain: |x| x > 0.0,
+            domain: PositDomain::Positive,
             chunks: [slice::ln_prefix_chunk, slice::ln_chunk],
+            simd: Ln,
             sixteen: [p16::ln_p16, half16::ln_f16, bf16::ln_bf16],
         }
         log2 => P32_LOG2 {
@@ -443,8 +456,9 @@ registry! {
             prefix: fast::log2_prefix [5, 16384, 4096],
             full: fast::log2_fast [8, 256, 32],
             dd_kernel: log::log2_kernel,
-            domain: |x| x > 0.0,
+            domain: PositDomain::Positive,
             chunks: [slice::log2_prefix_chunk, slice::log2_chunk],
+            simd: Log2,
             sixteen: [p16::log2_p16, half16::log2_f16, bf16::log2_bf16],
         }
         log10 => P32_LOG10 {
@@ -452,8 +466,9 @@ registry! {
             prefix: fast::log10_prefix [5, 16384, 4096],
             full: fast::log10_fast [8, 384, 64],
             dd_kernel: log::log10_kernel,
-            domain: |x| x > 0.0,
+            domain: PositDomain::Positive,
             chunks: [slice::log10_prefix_chunk, slice::log10_chunk],
+            simd: Log10,
             sixteen: [p16::log10_p16, half16::log10_f16, bf16::log10_bf16],
         }
         exp => P32_EXP {
@@ -461,8 +476,9 @@ registry! {
             prefix: fast::exp_prefix [5, 2048, 512],
             full: fast::exp_fast [8, 256, 16],
             dd_kernel: fexp::exp_kernel,
-            domain: |x| x.abs() <= LN_MAXPOS + 0.5,
+            domain: PositDomain::AbsAtMost(LN_MAXPOS + 0.5),
             chunks: [slice::exp_prefix_chunk, slice::exp_chunk],
+            simd: Exp,
             sixteen: [p16::exp_p16, half16::exp_f16, bf16::exp_bf16],
         }
         exp2 => P32_EXP2 {
@@ -470,8 +486,9 @@ registry! {
             prefix: fast::exp2_prefix [5, 2048, 512],
             full: fast::exp2_fast [8, 256, 16],
             dd_kernel: fexp::exp2_kernel,
-            domain: |x| x.abs() <= 120.5,
+            domain: PositDomain::AbsAtMost(120.5),
             chunks: [slice::exp2_prefix_chunk, slice::exp2_chunk],
+            simd: Exp2,
             sixteen: [p16::exp2_p16, half16::exp2_f16, bf16::exp2_bf16],
         }
         exp10 => P32_EXP10 {
@@ -479,8 +496,9 @@ registry! {
             prefix: fast::exp10_prefix [5, 4096, 1024],
             full: fast::exp10_fast [8, 1024, 256],
             dd_kernel: fexp::exp10_kernel,
-            domain: |x| x.abs() <= LOG10_MAXPOS + 0.5,
+            domain: PositDomain::AbsAtMost(LOG10_MAXPOS + 0.5),
             chunks: [slice::exp10_prefix_chunk, slice::exp10_chunk],
+            simd: Exp10,
             sixteen: [p16::exp10_p16, half16::exp10_f16, bf16::exp10_bf16],
         }
         sinh => P32_SINH {
@@ -489,8 +507,9 @@ registry! {
             full: fast::sinh_fast [8, 2048, 128],
             dd_kernel: hyper::sinh_kernel,
             // `sinh_p32` returns x itself below 2^-13.
-            domain: |x| (1.0 / 8192.0..=LN_MAXPOS + 1.5).contains(&x.abs()),
+            domain: PositDomain::AbsWithin(1.0 / 8192.0, LN_MAXPOS + 1.5),
             chunks: [slice::sinh_prefix_chunk, slice::sinh_chunk],
+            simd: Sinh,
             sixteen: [p16::sinh_p16, half16::sinh_f16, bf16::sinh_bf16],
         }
         cosh => P32_COSH {
@@ -498,8 +517,9 @@ registry! {
             prefix: fast::cosh_prefix [5, 2048, 512],
             full: fast::cosh_fast [8, 512, 16],
             dd_kernel: hyper::cosh_kernel,
-            domain: |x| x.abs() <= LN_MAXPOS + 1.5,
+            domain: PositDomain::AbsAtMost(LN_MAXPOS + 1.5),
             chunks: [slice::cosh_prefix_chunk, slice::cosh_chunk],
+            simd: Cosh,
             sixteen: [p16::cosh_p16, half16::cosh_f16, bf16::cosh_bf16],
         }
     }

@@ -92,33 +92,43 @@ pub fn f32_round_safe(y: f64, band: u64) -> bool {
 /// Posit32 (`es = 2`) has a *regime-dependent* fraction width: for
 /// unbiased exponent `e`, the regime `k = floor(e/4)` occupies
 /// `k + 2` bits (`k >= 0`) or `-k + 1` bits (`k < 0`), leaving
-/// `29 - regime_len` fraction bits. The rounding midpoints are therefore
-/// at a different bit position per regime; everything else mirrors the
-/// f32 test, with the band again in units of `2^-53` relative.
+/// `avail = 31 - regime_len` bits for the exponent field and the
+/// fraction. The encoder fills them from the 54-bit window
+/// `(e mod 4) << 52 | frac` and rounds on the window's low
+/// `54 - avail` bits, so the rounding boundaries are exactly the windows
+/// whose low `54 - avail` bits equal their half. The test measures that
+/// distance, with the band again in units of `2^-53` relative (one unit
+/// of the window's last place).
 ///
-/// The accepted exponent range `-112 <= e <= 111` is exactly where the
-/// posit grid inside `y`'s binade is uniform with both binade endpoints
-/// representable, so a single frac-space midpoint test is sound. That
-/// holds down to `frac_bits = 0` (`|k| <= 27` positive side, `k >= -28`
-/// negative side), where the binade's grid is just its endpoints `2^e`
-/// and `2^(e+1)` and the lone midpoint sits at mantissa 1.5. Beyond
-/// that (`|k| >= 28`) the es field itself is truncated, the grid skips
-/// exponents, and midpoints stop aligning with frac space — those
-/// extremes (and the saturation zone near `maxpos = 2^120`) fall back
-/// to the dd kernel.
+/// Within `-120 <= e <= 119` every binade's boundaries sit on that grid.
+/// For `avail >= 2` the window's low bits are fraction bits alone; in
+/// the es-truncated regimes (`avail < 2`, `|k| >= 28` on the positive
+/// side, `k <= -29` on the negative) they take in the exponent bits
+/// too, and the boundaries are the powers of two `2^±113`, `2^±115`
+/// and `2^±118`. Binade endpoints never straddle a boundary: the nearest
+/// boundary across a binade edge is at least half a binade away.
+///
+/// Beyond that range the result saturates: every value at or above
+/// `2^120` rounds to `maxpos` and every value below `2^-120` to `minpos`.
+/// The test accepts both saturation zones one regime deep,
+/// `2^-124 <= |y| < 2^124`, which holds every result the posit fast
+/// kernels can produce on their domains (at most `2^±122`, from `exp10`).
+/// Results beyond that are no kernel's output; like zero, subnormal and
+/// non-finite results, they are rejected and the dd fallback owns them,
+/// so a corrupted fast-path value out there still escalates.
 #[inline(always)]
 pub fn posit32_round_safe(y: f64, band: u64) -> bool {
     let bits = y.to_bits() & !(1u64 << 63);
     let e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    if !(-112..=111).contains(&e) {
-        return false; // covers zero (e = -1023) and non-finite too
+    if !(-120..=119).contains(&e) {
+        return (120..124).contains(&e) || (-124..-120).contains(&e);
     }
-    let k = e.div_euclid(4);
-    let regime_len = if k >= 0 { k as u64 + 2 } else { (-k) as u64 + 1 };
-    let frac_bits = 29 - regime_len; // 0..=27 within the accepted range
-    let shift = 52 - frac_bits;
-    let frac = bits & ((1u64 << shift) - 1);
-    frac.abs_diff(1u64 << (shift - 1)) > band
+    let k = e >> 2;
+    let regime_len = if k >= 0 { k + 2 } else { 1 - k };
+    let shift = 54 - (31 - regime_len) as u64; // 25..=54
+    let window = ((e as u64 & 3) << 52) | (bits & ((1u64 << 52) - 1));
+    let low = window & ((1u64 << shift) - 1);
+    low.abs_diff(1u64 << (shift - 1)) > band
 }
 
 #[cfg(test)]
@@ -232,8 +242,10 @@ mod tests {
         let mut rng = XorShift64::new(0xCAFE);
         let band = 2048u64;
         let mut accepted = 0u32;
+        // Exponents across the whole posit range, the es-truncated
+        // regimes and both saturation zones included.
         for _ in 0..50_000 {
-            let e = rng.uniform_f64(-100.0, 100.0);
+            let e = rng.uniform_f64(-125.0, 125.0);
             let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
             let y = sign * rng.uniform_f64(1.0, 2.0) * e.exp2();
             if !posit32_round_safe(y, band) {
@@ -246,24 +258,88 @@ mod tests {
             assert_eq!(Posit32::from_f64(y - delta), p, "y = {y:e}");
         }
         assert!(accepted > 40_000, "safety test too conservative: {accepted}");
+        // Values placed around every power of two, where the boundaries
+        // of the es-truncated regimes sit.
+        for e in -125..=125 {
+            let p2 = 2f64.powi(e).to_bits();
+            for d in (-4100i64..=4100).step_by(41) {
+                let y = f64::from_bits(p2.wrapping_add_signed(d));
+                if !posit32_round_safe(y, band) {
+                    continue;
+                }
+                let delta = band as f64 * 2f64.powi(-53) * y;
+                let p = Posit32::from_f64(y);
+                assert_eq!(Posit32::from_f64(y + delta), p, "y = {y:e}");
+                assert_eq!(Posit32::from_f64(y - delta), p, "y = {y:e}");
+            }
+        }
     }
 
     #[test]
     fn posit_safe_rejects_extremes() {
         assert!(!posit32_round_safe(0.0, 256));
         assert!(!posit32_round_safe(f64::NAN, 256));
-        // Exact powers of two deep in the regime tail are still safe...
+        assert!(!posit32_round_safe(f64::INFINITY, 256));
+        assert!(!posit32_round_safe(f64::MIN_POSITIVE / 2.0, 256)); // subnormal
+        // Exact powers of two deep in the regime tail are still safe.
         assert!(posit32_round_safe(2f64.powi(100), 256));
         assert!(posit32_round_safe(2f64.powi(-100), 256));
-        // ...but the es-truncation zone (|k| >= 28) is rejected wholesale.
-        assert!(!posit32_round_safe(1.5 * 2f64.powi(112), 256));
-        assert!(!posit32_round_safe(1.5 * 2f64.powi(-113), 256));
-        assert!(!posit32_round_safe(2f64.powi(119), 256)); // near saturation
+        // The es-truncated regimes round at 2^±113, 2^±115 and 2^±118:
+        // those boundaries are rejected, for any band and either sign.
+        for e in [113, 115, 118, -113, -115, -118] {
+            let b = 2f64.powi(e);
+            assert!(!posit32_round_safe(b, 0), "2^{e}");
+            assert!(!posit32_round_safe(-b, 256), "-2^{e}");
+            // Just inside the band on either side: still rejected.
+            assert!(!posit32_round_safe(f64::from_bits(b.to_bits() + 256), 256), "2^{e}+");
+            assert!(!posit32_round_safe(f64::from_bits(b.to_bits() - 1), 256), "2^{e}-");
+        }
+        // Interior points of the truncated regimes are accepted...
+        for y in [1.5 * 2f64.powi(112), 2f64.powi(114), 1.5 * 2f64.powi(116), 2f64.powi(119)] {
+            assert!(posit32_round_safe(y, 256), "{y:e}");
+            assert!(posit32_round_safe(1.0 / y, 256), "{:e}", 1.0 / y);
+        }
+        // ...and so are both saturation zones, one regime deep (maxpos =
+        // 2^120 up to 2^124, minpos = 2^-120 down to 2^-124)...
+        for y in [2f64.powi(120), 1.5 * 2f64.powi(120), 2f64.powi(124) * (1.0 - f64::EPSILON)] {
+            assert!(posit32_round_safe(y, 256), "{y:e}");
+            assert!(posit32_round_safe(-y, 256), "{:e}", -y);
+            assert!(posit32_round_safe(1.0 / y, 256), "{:e}", 1.0 / y);
+        }
+        assert!(posit32_round_safe(2f64.powi(-124), 256));
+        // ...while results no fast kernel produces are left to dd.
+        for y in [2f64.powi(124), 2f64.powi(200), f64::MAX, 2f64.powi(-125), 1e-300] {
+            assert!(!posit32_round_safe(y, 256), "{y:e}");
+            assert!(!posit32_round_safe(-y, 256), "{:e}", -y);
+        }
         // The exact posit 1.5 is far from every midpoint.
         assert!(posit32_round_safe(1.5, 4096));
         assert!(posit32_round_safe(-1.5, 4096));
         // A posit32 midpoint near 1.0: quantum 2^-27, midpoint 1 + 2^-28.
         assert!(!posit32_round_safe(1.0 + 2f64.powi(-28), 0));
+    }
+
+    /// Every result the posit fast kernels produce at the edges of their
+    /// batched and scalar domains lies in the accepted saturation zones,
+    /// so saturating exp-family results ship from the fast tiers.
+    #[test]
+    fn posit_saturation_zones_cover_the_kernels_reach() {
+        use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
+        let (exp_c, hyp_c) = (LN_MAXPOS + 0.5, LN_MAXPOS + 1.5);
+        let reach = [
+            exp_c.exp(),
+            (-exp_c).exp(),
+            120.5f64.exp2(),
+            (-120.5f64).exp2(),
+            10f64.powf(LOG10_MAXPOS + 0.5),
+            10f64.powf(-(LOG10_MAXPOS + 0.5)),
+            hyp_c.sinh(),
+            hyp_c.cosh(),
+        ];
+        for y in reach {
+            assert!(y.abs() < 2f64.powi(123) && y.abs() >= 2f64.powi(-123), "{y:e}");
+            assert!(posit32_round_safe(y, 16384), "{y:e}");
+        }
     }
 
     #[test]

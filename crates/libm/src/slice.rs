@@ -45,9 +45,17 @@
 //! format only changes the widen stage (the posit decode), the
 //! round-safety test (`posit32_round_safe`) and the final narrowing cast
 //! (the posit encode). Each posit row of [`crate::registry`] names its
-//! domain filter (mirroring its scalar entry in [`crate::posit`]) and
-//! its two chunk kernels; special and saturating lanes resolve through
-//! the scalar entry. The AVX2 stages are f32-only.
+//! domain as data (`PositDomain`, mirroring its scalar entry's filter in
+//! [`crate::posit`]) and its two chunk kernels; special lanes resolve
+//! through the scalar entry.
+//!
+//! With the `simd` feature on an AVX2 CPU, both formats run the AVX2
+//! stages of the `slice_simd` module instead, through one generic driver:
+//! each function's vector math is one shared eval helper, and the format
+//! supplies its widen + domain stage (f32 widen, or the vector posit
+//! decode and the row's `PositDomain` mask) and its fused round-safety
+//! mask + narrowing cast (f32 cast, or the vector posit encode). The
+//! `sinpi`/`cospi` stages are f32-only, as those functions are.
 
 use crate::fast;
 use crate::float::trig::is_int_pos;
@@ -62,7 +70,7 @@ use rlibm_posit::Posit32;
 /// certified reference and the fallback.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[path = "slice_simd.rs"]
-mod simd;
+pub(crate) mod simd;
 
 /// Chunk width of the staged pipeline. 64 lanes of f64 is 4 cache lines
 /// per stage array — small enough to stay resident, wide enough that the
@@ -116,6 +124,51 @@ fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     scalar(x)
 }
 
+/// A posit32 row's batched fast-path domain, as data: the scalar
+/// [`drive`] filter ([`PositDomain::contains`]) and the AVX2 stage's lane
+/// mask both read it. Each row's domain is its scalar entry's filter in
+/// [`crate::posit`]; NaR widens to NaN, which every variant rejects.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PositDomain {
+    /// `x > 0` (the logarithms).
+    Positive,
+    /// `|x| <= c`.
+    AbsAtMost(f64),
+    /// `lo <= |x| <= hi`.
+    AbsWithin(f64, f64),
+}
+
+impl PositDomain {
+    /// True when `x` takes the staged fast path.
+    #[inline(always)]
+    pub(crate) fn contains(self, x: f64) -> bool {
+        match self {
+            PositDomain::Positive => x > 0.0,
+            PositDomain::AbsAtMost(c) => x.abs() <= c,
+            PositDomain::AbsWithin(lo, hi) => (lo..=hi).contains(&x.abs()),
+        }
+    }
+}
+
+/// Routes the prefix results of the lanes set in `lanes` through the
+/// fault hook of the registry row `slot`, as the scalar ladder routes
+/// its prefix result, so `fault` builds also test the batched drivers'
+/// round-safety certification. Compiles to nothing without `fault`.
+#[inline(always)]
+pub(crate) fn perturb_prefix(slot: usize, y: &mut [f64], lanes: u64) {
+    #[cfg(feature = "fault")]
+    {
+        let mut lanes = lanes;
+        while lanes != 0 {
+            let i = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            y[i] = crate::fault::perturb(slot, y[i]);
+        }
+    }
+    #[cfg(not(feature = "fault"))]
+    let _ = (slot, y, lanes);
+}
+
 /// Shared chunk driver, generic over the lane format: widen every lane
 /// and classify it against the function's fast-path domain `dom` (tested
 /// on the widened value), run the staged prefix-tier evaluation, then
@@ -160,6 +213,8 @@ pub(crate) fn drive<L: Lane>(
             }
         }
         prefix_chunk(&xd[..n], &mut y[..n]);
+        let live = if n == LANES { u64::MAX } else { (1u64 << n) - 1 };
+        perturb_prefix(slot, &mut y, !special & live);
         // Lane bitmask of in-domain lanes the prefix band rejected.
         let mut pending = 0u64;
         for i in 0..n {
@@ -472,21 +527,22 @@ fn cospi_chunk(xd: &[f64], y: &mut [f64]) {
 // public entry points
 // ---------------------------------------------------------------------
 
-/// Routes an entry point through the AVX2 staged pipeline when the
-/// `simd` feature is on and the CPU has AVX2; otherwise falls through to
-/// the scalar chunk driver below. Expands to nothing without the feature.
+/// Routes an entry point through the AVX2 driver with the named vector
+/// kernel when the `simd` feature is on and the CPU has AVX2; otherwise
+/// falls through to the scalar chunk driver below. Expands to nothing
+/// without the feature.
 macro_rules! simd_dispatch {
-    ($fn_name:ident, $xs:expr, $out:expr) => {
+    ($kernel:ident, $slot:expr, $scalar:expr, $xs:expr, $out:expr) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::avx2_available() {
-            return simd::$fn_name($xs, $out);
+            return simd::drive_simd::<f32, simd::$kernel>($xs, $out, (), $slot, $scalar);
         }
     };
 }
 
 /// Batched [`crate::exp`]: bit-identical to the scalar map.
 pub fn exp_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(exp_slice, xs, out);
+    simd_dispatch!(Exp, slot::EXP, crate::exp, xs, out);
     drive(
         xs,
         out,
@@ -500,7 +556,7 @@ pub fn exp_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::exp2`].
 pub fn exp2_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(exp2_slice, xs, out);
+    simd_dispatch!(Exp2, slot::EXP2, crate::exp2, xs, out);
     drive(
         xs,
         out,
@@ -514,7 +570,7 @@ pub fn exp2_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::exp10`].
 pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(exp10_slice, xs, out);
+    simd_dispatch!(Exp10, slot::EXP10, crate::exp10, xs, out);
     drive(
         xs,
         out,
@@ -528,7 +584,7 @@ pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::ln`].
 pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(ln_slice, xs, out);
+    simd_dispatch!(Ln, slot::LN, crate::ln, xs, out);
     drive(
         xs,
         out,
@@ -542,7 +598,7 @@ pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::log2`].
 pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(log2_slice, xs, out);
+    simd_dispatch!(Log2, slot::LOG2, crate::log2, xs, out);
     drive(
         xs,
         out,
@@ -556,7 +612,7 @@ pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::log10`].
 pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(log10_slice, xs, out);
+    simd_dispatch!(Log10, slot::LOG10, crate::log10, xs, out);
     drive(
         xs,
         out,
@@ -570,7 +626,7 @@ pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::sinh`].
 pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(sinh_slice, xs, out);
+    simd_dispatch!(Sinh, slot::SINH, crate::sinh, xs, out);
     let tiny = 2f64.powi(-12);
     drive(
         xs,
@@ -585,7 +641,7 @@ pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::cosh`].
 pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(cosh_slice, xs, out);
+    simd_dispatch!(Cosh, slot::COSH, crate::cosh, xs, out);
     let tiny = 2f64.powi(-13);
     drive(
         xs,
@@ -600,7 +656,7 @@ pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::sinpi`].
 pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(sinpi_slice, xs, out);
+    simd_dispatch!(Sinpi, slot::SINPI, crate::sinpi, xs, out);
     drive(
         xs,
         out,
@@ -617,7 +673,7 @@ pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
 
 /// Batched [`crate::cospi`].
 pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(cospi_slice, xs, out);
+    simd_dispatch!(Cospi, slot::COSPI, crate::cospi, xs, out);
     drive(
         xs,
         out,

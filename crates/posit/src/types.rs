@@ -17,7 +17,11 @@ macro_rules! posit_type {
         // Posit equality is plain pattern equality: NaR == NaR and there
         // is only one zero, so the derived bitwise PartialEq is exact.
         // (This differs from IEEE floats.)
+        //
+        // Transparent over the pattern, so a slice of values is a slice
+        // of patterns (vector codecs load and store them directly).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+        #[repr(transparent)]
         pub struct $name($storage);
 
         impl $name {

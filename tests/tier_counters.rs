@@ -28,12 +28,22 @@ fn workload(seed: u64, n: usize) -> Vec<f32> {
     xs
 }
 
+/// The counters are process-global and the test harness runs tests on
+/// parallel threads: two tests touching the same slots would see each
+/// other's increments inside their deltas. Every test holds this lock.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn snapshot(slot: usize) -> (u64, u64, u64) {
     (stats::tier_prefix(slot), stats::tier_full(slot), stats::tier_dd(slot))
 }
 
 #[test]
 fn scalar_calls_land_in_exactly_one_tier() {
+    let _serial = serial();
     let xs = workload(0x5eed, 4_000);
     for name in F32_NAMES {
         let slot = stats::f32_slot_by_name(name).expect("slot");
@@ -62,6 +72,7 @@ fn scalar_calls_land_in_exactly_one_tier() {
 
 #[test]
 fn posit_calls_land_in_exactly_one_tier() {
+    let _serial = serial();
     let xs: Vec<Posit32> =
         workload(0x9057, 2_000).iter().map(|&x| Posit32::from_f64(x as f64)).collect();
     for name in POSIT32_NAMES {
@@ -100,6 +111,7 @@ fn posit_calls_land_in_exactly_one_tier() {
 
 #[test]
 fn batched_lanes_land_in_exactly_one_tier() {
+    let _serial = serial();
     // 130 lanes = two full chunks + a partial one in the scalar slice
     // driver, and a partial SIMD chunk when the feature is on.
     let xs = workload(0xba7c4, 130);
