@@ -96,6 +96,75 @@ cargo test -q --offline --release -p rlibm --features simd,telemetry --test tier
 cargo clippy --workspace --all-targets --offline \
     --features rlibm/simd,rlibm-bench/simd -- -D warnings
 
+echo "== simd inlining gate: AVX2 stages and scalar ladders stay call-free =="
+# Every kernel is one generic source instantiated for the f64 lane and the
+# AVX2 lane (crates/libm/src/lane.rs). The AVX2 stages only run at AVX2
+# speed if everything in them inlines: a closure LLVM keeps out of line
+# has no AVX2 feature, so each intrinsic in it becomes a call. Disassemble
+# the simd release build of a binary that links the stages (the
+# two_tier_identity test binary of the facade crate alone, so telemetry is
+# off as it ships: the instrumented build calls its counters) and fail if
+#  - any AVX2 stage (`lane::avx2::avx2_stage`, which holds both the
+#    kernel stages and the round-safe + narrow stages) contains a call or
+#    jumps into another function, or
+#  - any of the 18 scalar entry points (the inlined f32/posit32 ladders)
+#    calls anything but its dd rung: the dd kernels and round-to-odd, their
+#    `fma` and next_up/down helpers, and the table index bounds-fail panic.
+stage_gate() {
+    local bin=$1 dis
+    dis=$(mktemp)
+    { nm -C "$bin" | awk '{a = $1; sub(/^0+/, "", a); $1 = ""; $2 = ""; sub(/^  /, ""); print "SYM", a, $0}'
+      objdump -R "$bin" | awk '
+          $2 == "R_X86_64_RELATIVE" { s = $1; sub(/^0+/, "", s); a = $3; sub(/^\*ABS\*\+0x0*/, "", a); print "GOT", s, a }
+          $2 == "R_X86_64_GLOB_DAT" || $2 == "R_X86_64_JUMP_SLOT" { s = $1; sub(/^0+/, "", s); print "GOTNAME", s, $3 }'
+      objdump -d -C --no-show-raw-insn "$bin"; } > "$dis"
+    awk '
+      $1 == "SYM" { a = $2; $1 = ""; $2 = ""; sub(/^  /, ""); name[a] = $0; next }
+      $1 == "GOT" { got[$2] = $3; next }
+      $1 == "GOTNAME" { gotname[$2] = $3; next }
+      function callee(line,   s) {
+          if (match(line, /# [0-9a-f]+ </)) {
+              s = substr(line, RSTART + 2); sub(/ .*/, "", s)
+              if (s in gotname) return gotname[s]
+              if ((s in got) && (got[s] in name)) return name[got[s]]
+              return "?" s
+          }
+          if (match(line, /<.*>/)) { s = substr(line, RSTART + 1, RLENGTH - 2); sub(/\+0x[0-9a-f]+$/, "", s); return s }
+          return "?"
+      }
+      /^[0-9a-f]+ <.*>:$/ {
+          fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn)
+          stage = index(fn, "rlibm_math::lane::avx2::avx2_stage") == 1
+          entry = fn ~ /^rlibm_math::(float::(log::(ln|log2|log10)|exp::(exp|exp2|exp10)|hyper::(sinh|cosh)|trig::(sinpi|cospi))|posit::(ln|log2|log10|exp|exp2|exp10|sinh|cosh)_p32)$/
+          stages += stage; entries += entry
+          next
+      }
+      stage && /\t(call|jmp) / {
+          c = callee($0)
+          if ($0 ~ /\tcall/ || c != fn) { print "FAIL: AVX2 stage calls " c ": " $0; bad = 1 }
+      }
+      entry && /\tcall / {
+          c = callee($0)
+          if (c !~ /(_kernel|_dd|::dd|exp_combined|to_f64_round_odd|next_(up|down)_f64|^fma(@.*)?$|panic|_fail$)/) {
+              print "FAIL: " fn " calls " c; bad = 1
+          }
+      }
+      END {
+          if (stages == 0) { print "FAIL: no AVX2 stage symbols"; bad = 1 }
+          if (entries != 18) { print "FAIL: " entries " of 18 scalar entry points found"; bad = 1 }
+          if (!bad) print stages " AVX2 stages call-free; 18 scalar entry points call only their dd rung"
+          exit bad
+      }' "$dis"
+    local status=$?
+    rm -f "$dis"
+    return $status
+}
+GATE_BIN=$(cargo test --offline --release -p rlibm --features simd --test two_tier_identity \
+    --no-run --message-format=json 2>/dev/null \
+    | grep -o '"executable":"[^"]*two_tier_identity[^"]*"' | tail -1 \
+    | sed 's/"executable":"//; s/"$//')
+stage_gate "$GATE_BIN"
+
 echo "== fault-injection smoke: corrupted fast paths never mis-round =="
 # Seeded corruption at all 18 tier-1 kernel sites, checked bit-for-bit
 # against the dd reference (which has no injection site). The full

@@ -27,7 +27,7 @@ use rlibm_posit::Posit32;
 
 /// The model of a mainstream single-precision libm.
 pub mod float32 {
-    use crate::fast::round_even_i64;
+    use crate::lane::round_even_i64;
 
     /// `e^x`: cheap reduction + degree-5 polynomial, no lookup table.
     pub fn exp(x: f32) -> f32 {

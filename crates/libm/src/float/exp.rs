@@ -9,7 +9,7 @@
 //! reduced inputs handled uniformly.
 
 use crate::dd::{two_prod, two_sum, Dd};
-use crate::fast::round_even_i64;
+use crate::lane::round_even_i64;
 use crate::registry::f32_ladder;
 use crate::tables as t;
 

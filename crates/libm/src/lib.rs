@@ -16,16 +16,17 @@
 //! Every function follows the paper's published structure: special-case
 //! filter, range reduction in double, table lookup, short polynomial,
 //! output compensation — evaluated in **two tiers**. Tier 1 (the
-//! private `fast` module) runs that structure in plain double with a statically
-//! derived worst-case error band; a few integer ops on the result's
+//! private `kernel` module, one generic kernel per function) runs that
+//! structure in plain double with a statically derived worst-case error
+//! band; a few integer ops on the result's
 //! bit pattern ([`round::f32_round_safe`] / [`round::posit32_round_safe`])
 //! certify the final cast is the correct rounding. The rare inputs
 //! landing inside an unsafe band re-run the double-double kernels
 //! ([`dd`]) with round-to-odd composition ([`round`]) — bit-identical
 //! results, constructive accuracy argument, no double rounding. The
 //! dd-only paths stay exported (`*_dd`) for certification sweeps, the
-//! [`slice`] module batches tier 1 as structure-of-arrays chunks
-//! ([`eval_slice_f32`] / [`eval_slice_posit32`]), and the `telemetry`
+//! [`slice`] module batches tier 1 over 64-lane chunks, four lanes at a
+//! time on AVX2 ([`eval_slice_f32`] / [`eval_slice_posit32`]), and the `telemetry`
 //! feature ([`stats`]) counts which tier shipped each call for the bench
 //! harnesses. Every per-function list — names, slots, tier parameters,
 //! dispatch — comes from one table, [`registry`].
@@ -49,7 +50,8 @@
 pub mod baselines;
 pub mod bf16;
 pub mod dd;
-pub(crate) mod fast;
+pub(crate) mod kernel;
+pub(crate) mod lane;
 pub mod fault;
 pub mod float;
 pub mod half16;

@@ -7,34 +7,31 @@
 //! site. Each row names:
 //!
 //! * the scalar entry point and its dd-only reference (`*_dd`);
-//! * the prefix and full-degree plain-double kernels (`crate::fast`),
-//!   each with its Horner term count, round-safety band and derived
-//!   error bound (both in `2^-53` relative units, derived in
-//!   `crate::fast`), and the dd kernel of the last rung;
-//! * for f32 the batched slice entry and the float baseline; for posit32
-//!   the batched domain (a `PositDomain` value, read by both batched
-//!   drivers), the two staged chunk kernels, the AVX2 kernel of the
-//!   `simd` build, and the posit16 / binary16 / bfloat16 functions of the
-//!   same name.
+//! * its fast kernel ([`crate::kernel`]): one type carrying the kernel's
+//!   math for every lane and tier, its tiers' Horner terms, bands and
+//!   derived bounds, its f32 batched domain and its dd kernel;
+//! * for f32 the float baseline; for posit32 the batched domain (a
+//!   `PositDomain` value, the posit entry's filter) and the posit16 /
+//!   binary16 / bfloat16 functions of the same name.
 //!
 //! From the rows the `registry!` macro generates the [`slot`] constants,
 //! [`F32_NAMES`] / [`POSIT32_NAMES`], the tier specs ([`TIERS`]), the
 //! `runtime.tier.*` counters behind [`crate::stats`], the dispatch rows
 //! behind the crate's `*_by_name` functions and `eval_slice_*` entries,
-//! the posit batched entries, and one inlined `ladder` call per row. Adding
-//! a function means adding a row here and writing its entry point's
-//! special-case filter; nothing else keeps a per-function list.
+//! the batched entries, and one inlined `ladder` call per row. Adding a
+//! function means adding a kernel and a row here and writing its entry
+//! point's special-case filter; nothing else keeps a per-function list.
 //!
 //! # The ladder
 //!
 //! After its filter, every scalar entry point climbs the same three
-//! rungs: the truncated **prefix** polynomial tested against a wide
-//! round-safety band, the **full**-degree polynomial tested against the
-//! regular band, and the dd kernel with round-to-odd. Soundness, pinned
-//! by the tests below: a value that passes the prefix band while the
-//! prefix polynomial is within `prefix_derived` of the dd kernel rounds
-//! identically to the dd result, and likewise for the full tier. The
-//! fault hook nudges prefix results by the full tier's slack, so the
+//! rungs: the kernel's truncated **prefix** polynomial tested against a
+//! wide round-safety band, the **full**-degree polynomial tested against
+//! the regular band, and the dd kernel with round-to-odd. Soundness,
+//! pinned by the tests below: a value that passes the prefix band while
+//! the prefix polynomial is within `prefix_derived` of the dd kernel
+//! rounds identically to the dd result, and likewise for the full tier.
+//! The fault hook nudges prefix results by the full tier's slack, so the
 //! ladder also needs `prefix_derived + (full_band - full_derived) <=
 //! prefix_band`.
 
@@ -42,12 +39,13 @@ use rlibm_fp::{BFloat16, Half, Representation};
 use rlibm_obs::Counter;
 use rlibm_posit::{Posit16, Posit32};
 
-use crate::dd::Dd;
 use crate::float::{exp as fexp, hyper, log, trig};
+use crate::kernel::{self, Kernel};
+use crate::lane::F64Lane;
 use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
-use crate::slice::PositDomain;
+use crate::slice::{PositDomain, Tally};
 use crate::stats::TierCounters;
-use crate::{baselines::float32 as base, bf16, fast, half16, p16, posit, slice};
+use crate::{baselines::float32 as base, bf16, half16, p16, posit, slice};
 
 /// One row's escalation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +68,19 @@ pub struct TierSpec {
 }
 
 impl TierSpec {
+    /// A row's spec, read off its kernel.
+    const fn of<K: Kernel>(name: &'static str) -> TierSpec {
+        TierSpec {
+            name,
+            prefix_band: K::PREFIX.band,
+            full_band: K::FULL.band,
+            prefix_derived: K::PREFIX.derived,
+            full_derived: K::FULL.derived,
+            prefix_terms: K::PREFIX.terms,
+            full_terms: K::FULL.terms,
+        }
+    }
+
     /// The soundness inequality for this ladder: any value the prefix
     /// tier accepts must also be a value the full tier would accept,
     /// given the two certified error bounds.
@@ -114,7 +125,7 @@ pub struct Posit32Row {
     pub scalar: fn(Posit32) -> Posit32,
     /// The dd-only reference entry point.
     pub dd: fn(Posit32) -> Posit32,
-    /// The staged batched entry (reached through
+    /// The batched entry (reached through
     /// [`crate::eval_slice_posit32`], which also counts the requests).
     pub(crate) slice: fn(&[Posit32], &mut [Posit32]),
     /// The posit16 function of the same name.
@@ -132,23 +143,38 @@ impl Posit32Row {
     }
 }
 
-/// A 32-bit format the ladder and the slice drivers round into. Every
+/// A 32-bit format the ladder and the batched driver round into. Every
 /// tier evaluates in f64 whatever the format, so a format only supplies
 /// its exact widening and correctly rounding narrowing
 /// ([`Representation`]), the round-safety test that certifies a double,
-/// and the counters its slice chunks land in.
+/// its batched fast-path domain, and the counters its slices land in.
 pub(crate) trait Lane: Representation {
+    /// Filler for a partial chunk's unused lanes (never read back).
+    const PAD: Self;
+    /// A row's batched domain as data (f32 rows read theirs off the
+    /// kernel).
+    type Domain: Copy;
     /// True when narrowing `y` is the correct rounding of every value
     /// within `band · 2^-53` relative of it (see [`crate::round`]).
     fn round_safe(y: f64, band: u64) -> bool;
+    /// The lanes of the widened `x` in kernel `K`'s batched domain.
+    fn in_domain<K: Kernel, V: F64Lane>(dom: Self::Domain, x: V) -> V::Mask;
     /// This format's `(chunks, rescalar lanes)` slice counters.
     fn counters() -> (&'static Counter, &'static Counter);
 }
 
 impl Lane for f32 {
+    const PAD: f32 = 1.0;
+    type Domain = ();
+
     #[inline(always)]
     fn round_safe(y: f64, band: u64) -> bool {
         crate::round::f32_round_safe(y, band)
+    }
+
+    #[inline(always)]
+    fn in_domain<K: Kernel, V: F64Lane>((): (), x: V) -> V::Mask {
+        K::dom(x)
     }
 
     fn counters() -> (&'static Counter, &'static Counter) {
@@ -157,9 +183,17 @@ impl Lane for f32 {
 }
 
 impl Lane for Posit32 {
+    const PAD: Posit32 = Posit32::ONE;
+    type Domain = PositDomain;
+
     #[inline(always)]
     fn round_safe(y: f64, band: u64) -> bool {
         crate::round::posit32_round_safe(y, band)
+    }
+
+    #[inline(always)]
+    fn in_domain<K: Kernel, V: F64Lane>(dom: PositDomain, x: V) -> V::Mask {
+        dom.mask(x)
     }
 
     fn counters() -> (&'static Counter, &'static Counter) {
@@ -167,33 +201,25 @@ impl Lane for Posit32 {
     }
 }
 
-/// The progressive-tier ladder: the prefix kernel's result (through the
-/// fault hook of `slot`) ships if it is round-safe under `prefix_band`,
-/// else the full kernel's if round-safe under `full_band`, else the dd
-/// kernel's round-to-odd composition. Each outcome bumps its tier
-/// counter. `xd` is the filtered input widened to f64.
+/// The progressive-tier ladder of kernel `K`: the prefix result
+/// (through the fault hook of `slot`) ships if it is round-safe under the
+/// prefix band, else the full result if round-safe under the full band,
+/// else the dd kernel's round-to-odd composition. Each outcome bumps its
+/// tier counter. `xd` is the filtered input widened to f64.
 #[inline(always)]
-pub(crate) fn ladder<L: Lane>(
-    slot: usize,
-    xd: f64,
-    prefix: impl FnOnce(f64) -> f64,
-    prefix_band: u64,
-    full: impl FnOnce(f64) -> f64,
-    full_band: u64,
-    dd: impl FnOnce(f64) -> Dd,
-) -> L {
-    let y = crate::fault::perturb(slot, prefix(xd));
-    if L::round_safe(y, prefix_band) {
+pub(crate) fn ladder<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
+    let y = crate::fault::perturb(slot, K::eval::<f64, true>(xd));
+    if L::round_safe(y, K::PREFIX.band) {
         crate::stats::record_tier_prefix(slot);
         return L::round_from_f64(y);
     }
-    let y = full(xd);
-    if L::round_safe(y, full_band) {
+    let y = K::eval::<f64, false>(xd);
+    if L::round_safe(y, K::FULL.band) {
         crate::stats::record_tier_full(slot);
         return L::round_from_f64(y);
     }
     crate::stats::record_tier_dd(slot);
-    crate::round::round_dd(dd(xd))
+    crate::round::round_dd(K::dd(xd))
 }
 
 macro_rules! tier_counters {
@@ -211,22 +237,15 @@ macro_rules! registry {
         f32 {$(
             $f:ident => $fs:ident {
                 entry: $fentry:path, dd: $fdd:path,
-                prefix: $fpk:path [$fpt:literal, $fpb:expr, $fpd:expr],
-                full: $ffk:path [$fft:literal, $ffb:expr, $ffd:expr],
-                dd_kernel: $fddk:path,
-                slice: $fslice:path,
+                kernel: $fk:ty,
                 baseline: $fbase:path $(,)?
             }
         )*}
         posit32 {$(
             $p:ident => $ps:ident {
                 entry: $pentry:path, dd: $pdd:path,
-                prefix: $ppk:path [$ppt:literal, $ppb:expr, $ppd:expr],
-                full: $pfk:path [$pft:literal, $pfb:expr, $pfd:expr],
-                dd_kernel: $pddk:path,
+                kernel: $pk:ty,
                 domain: $pdom:expr,
-                chunks: [$ppc:path, $pfc:path],
-                simd: $pk:ident,
                 sixteen: [$p16:path, $half:path, $bf16:path] $(,)?
             }
         )*}
@@ -259,24 +278,8 @@ macro_rules! registry {
 
         /// Every row's ladder, indexed by [`slot`].
         pub static TIERS: [TierSpec; slot::COUNT] = [
-            $(TierSpec {
-                name: concat!("f32.", stringify!($f)),
-                prefix_band: $fpb,
-                full_band: $ffb,
-                prefix_derived: $fpd,
-                full_derived: $ffd,
-                prefix_terms: $fpt,
-                full_terms: $fft,
-            },)*
-            $(TierSpec {
-                name: concat!("posit32.", stringify!($p)),
-                prefix_band: $ppb,
-                full_band: $pfb,
-                prefix_derived: $ppd,
-                full_derived: $pfd,
-                prefix_terms: $ppt,
-                full_terms: $pft,
-            },)*
+            $(TierSpec::of::<$fk>(concat!("f32.", stringify!($f))),)*
+            $(TierSpec::of::<$pk>(concat!("posit32.", stringify!($p))),)*
         ];
 
         /// The `runtime.tier.{prefix,full,dd}.<kind>.<fn>` counters,
@@ -291,7 +294,9 @@ macro_rules! registry {
             name: stringify!($f),
             scalar: $fentry,
             dd: $fdd,
-            slice: $fslice,
+            slice: |xs, out| {
+                f32_batched::$f(xs, out, true);
+            },
             baseline: $fbase,
         },)*];
 
@@ -300,7 +305,9 @@ macro_rules! registry {
             name: stringify!($p),
             scalar: $pentry,
             dd: $pdd,
-            slice: posit32_slice::$p,
+            slice: |xs, out| {
+                posit32_batched::$p(xs, out, true);
+            },
             p16: $p16,
             half: $half,
             bf16: $bf16,
@@ -313,7 +320,7 @@ macro_rules! registry {
             $(
                 #[inline(always)]
                 pub(crate) fn $f(xd: f64) -> f32 {
-                    ladder(slot::$fs, xd, $fpk, $fpb, $ffk, $ffb, $fddk)
+                    ladder::<f32, $fk>(slot::$fs, xd)
                 }
             )*
         }
@@ -324,202 +331,122 @@ macro_rules! registry {
             $(
                 #[inline(always)]
                 pub(crate) fn $p(xd: f64) -> Posit32 {
-                    ladder(slot::$ps, xd, $ppk, $ppb, $pfk, $pfb, $pddk)
+                    ladder::<Posit32, $pk>(slot::$ps, xd)
                 }
             )*
         }
 
-        /// The posit32 rows' batched entries: the AVX2 driver with the
-        /// row's vector kernel when the `simd` feature is on and the CPU
-        /// has AVX2, else the scalar chunk driver over the row's staged
-        /// kernels; both filter on the row's domain, and the scalar entry
+        /// The f32 rows' batched entries: the batched driver over the
+        /// row's kernel and domain, on the widest lane the CPU runs when
+        /// `widest` is set and on `f64` otherwise; the scalar entry
         /// resolves special and twice-rejected lanes.
-        mod posit32_slice {
+        mod f32_batched {
             use super::*;
             $(
-                pub(super) fn $p(xs: &[Posit32], out: &mut [Posit32]) {
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                    if slice::simd::avx2_available() {
-                        return slice::simd::drive_simd::<Posit32, slice::simd::$pk>(
-                            xs, out, $pdom, slot::$ps, $pentry,
-                        );
-                    }
-                    slice::drive(xs, out, |x| $pdom.contains(x), $ppc, $pfc, slot::$ps, $pentry)
+                pub(super) fn $f(xs: &[f32], out: &mut [f32], widest: bool) -> Tally {
+                    slice::dispatch::<f32, $fk>(xs, out, (), slot::$fs, $fentry, widest)
                 }
             )*
         }
+
+        /// The posit32 rows' batched entries (see `f32_batched`).
+        mod posit32_batched {
+            use super::*;
+            $(
+                pub(super) fn $p(xs: &[Posit32], out: &mut [Posit32], widest: bool) -> Tally {
+                    slice::dispatch::<Posit32, $pk>(xs, out, $pdom, slot::$ps, $pentry, widest)
+                }
+            )*
+        }
+
+        /// Every f32 row's batched entry with its lane choice, in slot
+        /// order, for the lane-agreement tests.
+        #[cfg(all(test, feature = "simd", target_arch = "x86_64"))]
+        pub(crate) static F32_BATCHED: [fn(&[f32], &mut [f32], bool) -> Tally; F32_COUNT] =
+            [$(f32_batched::$f,)*];
+
+        /// Every posit32 row's batched entry with its lane choice.
+        #[cfg(all(test, feature = "simd", target_arch = "x86_64"))]
+        pub(crate) static POSIT32_BATCHED:
+            [fn(&[Posit32], &mut [Posit32], bool) -> Tally; slot::COUNT - F32_COUNT] =
+            [$(posit32_batched::$p,)*];
     };
 }
 
-// Bands and derived bounds are in 2^-53 relative units; their
-// derivations are the tables in `crate::fast`. The posit rows run the f32
-// rows' kernels (the bands bound the kernel's error, not the target's
-// rounding), so their numbers repeat their f32 twins'. Each posit domain
-// filter is its scalar entry's filter; NaR widens to NaN, which every
-// filter rejects.
+// Each row names its kernel, whose consts carry the bands, derived
+// bounds and term counts (derived in `crate::kernel`). The posit rows
+// run their f32 twins' kernels: the bands bound the kernel's error, not
+// the target's rounding. Each posit domain filter is its scalar entry's
+// filter; NaR widens to NaN, which every filter rejects.
 registry! {
     f32 {
-        ln => LN {
-            entry: log::ln, dd: log::ln_dd,
-            prefix: fast::ln_prefix [5, 16384, 4096],
-            full: fast::ln_fast [8, 256, 32],
-            dd_kernel: log::ln_kernel,
-            slice: slice::ln_slice,
-            baseline: base::ln,
-        }
+        ln => LN { entry: log::ln, dd: log::ln_dd, kernel: kernel::Ln, baseline: base::ln }
         log2 => LOG2 {
-            entry: log::log2, dd: log::log2_dd,
-            prefix: fast::log2_prefix [5, 16384, 4096],
-            full: fast::log2_fast [8, 256, 32],
-            dd_kernel: log::log2_kernel,
-            slice: slice::log2_slice,
-            baseline: base::log2,
+            entry: log::log2, dd: log::log2_dd, kernel: kernel::Log2, baseline: base::log2,
         }
         log10 => LOG10 {
-            entry: log::log10, dd: log::log10_dd,
-            prefix: fast::log10_prefix [5, 16384, 4096],
-            full: fast::log10_fast [8, 384, 64],
-            dd_kernel: log::log10_kernel,
-            slice: slice::log10_slice,
-            baseline: base::log10,
+            entry: log::log10, dd: log::log10_dd, kernel: kernel::Log10, baseline: base::log10,
         }
-        exp => EXP {
-            entry: fexp::exp, dd: fexp::exp_dd,
-            prefix: fast::exp_prefix [5, 2048, 512],
-            full: fast::exp_fast [8, 256, 16],
-            dd_kernel: fexp::exp_kernel,
-            slice: slice::exp_slice,
-            baseline: base::exp,
-        }
+        exp => EXP { entry: fexp::exp, dd: fexp::exp_dd, kernel: kernel::Exp, baseline: base::exp }
         exp2 => EXP2 {
-            entry: fexp::exp2, dd: fexp::exp2_dd,
-            prefix: fast::exp2_prefix [5, 2048, 512],
-            full: fast::exp2_fast [8, 256, 16],
-            dd_kernel: fexp::exp2_kernel,
-            slice: slice::exp2_slice,
-            baseline: base::exp2,
+            entry: fexp::exp2, dd: fexp::exp2_dd, kernel: kernel::Exp2, baseline: base::exp2,
         }
         exp10 => EXP10 {
-            entry: fexp::exp10, dd: fexp::exp10_dd,
-            prefix: fast::exp10_prefix [5, 4096, 1024],
-            full: fast::exp10_fast [8, 1024, 256],
-            dd_kernel: fexp::exp10_kernel,
-            slice: slice::exp10_slice,
-            baseline: base::exp10,
+            entry: fexp::exp10, dd: fexp::exp10_dd, kernel: kernel::Exp10, baseline: base::exp10,
         }
         sinh => SINH {
-            entry: hyper::sinh, dd: hyper::sinh_dd,
-            prefix: fast::sinh_prefix [5, 16384, 8192],
-            full: fast::sinh_fast [8, 2048, 128],
-            dd_kernel: hyper::sinh_kernel,
-            slice: slice::sinh_slice,
-            baseline: base::sinh,
+            entry: hyper::sinh, dd: hyper::sinh_dd, kernel: kernel::Sinh, baseline: base::sinh,
         }
         cosh => COSH {
-            entry: hyper::cosh, dd: hyper::cosh_dd,
-            prefix: fast::cosh_prefix [5, 2048, 512],
-            full: fast::cosh_fast [8, 512, 16],
-            dd_kernel: hyper::cosh_kernel,
-            slice: slice::cosh_slice,
-            baseline: base::cosh,
+            entry: hyper::cosh, dd: hyper::cosh_dd, kernel: kernel::Cosh, baseline: base::cosh,
         }
         sinpi => SINPI {
-            entry: trig::sinpi, dd: trig::sinpi_dd,
-            prefix: fast::sinpi_prefix [2, 1 << 19, 1 << 17],
-            full: fast::sinpi_fast [4, 2048, 1024],
-            dd_kernel: trig::sinpi_kernel_signed,
-            slice: slice::sinpi_slice,
-            baseline: base::sinpi,
+            entry: trig::sinpi, dd: trig::sinpi_dd, kernel: kernel::Sinpi, baseline: base::sinpi,
         }
         cospi => COSPI {
-            entry: trig::cospi, dd: trig::cospi_dd,
-            prefix: fast::cospi_prefix [3, 1 << 19, 1 << 17],
-            full: fast::cospi_fast [4, 2048, 1024],
-            dd_kernel: trig::cospi_kernel_signed,
-            slice: slice::cospi_slice,
-            baseline: base::cospi,
+            entry: trig::cospi, dd: trig::cospi_dd, kernel: kernel::Cospi, baseline: base::cospi,
         }
     }
     posit32 {
         ln => P32_LN {
-            entry: posit::ln_p32, dd: posit::ln_p32_dd,
-            prefix: fast::ln_prefix [5, 16384, 4096],
-            full: fast::ln_fast [8, 256, 32],
-            dd_kernel: log::ln_kernel,
+            entry: posit::ln_p32, dd: posit::ln_p32_dd, kernel: kernel::Ln,
             domain: PositDomain::Positive,
-            chunks: [slice::ln_prefix_chunk, slice::ln_chunk],
-            simd: Ln,
             sixteen: [p16::ln_p16, half16::ln_f16, bf16::ln_bf16],
         }
         log2 => P32_LOG2 {
-            entry: posit::log2_p32, dd: posit::log2_p32_dd,
-            prefix: fast::log2_prefix [5, 16384, 4096],
-            full: fast::log2_fast [8, 256, 32],
-            dd_kernel: log::log2_kernel,
+            entry: posit::log2_p32, dd: posit::log2_p32_dd, kernel: kernel::Log2,
             domain: PositDomain::Positive,
-            chunks: [slice::log2_prefix_chunk, slice::log2_chunk],
-            simd: Log2,
             sixteen: [p16::log2_p16, half16::log2_f16, bf16::log2_bf16],
         }
         log10 => P32_LOG10 {
-            entry: posit::log10_p32, dd: posit::log10_p32_dd,
-            prefix: fast::log10_prefix [5, 16384, 4096],
-            full: fast::log10_fast [8, 384, 64],
-            dd_kernel: log::log10_kernel,
+            entry: posit::log10_p32, dd: posit::log10_p32_dd, kernel: kernel::Log10,
             domain: PositDomain::Positive,
-            chunks: [slice::log10_prefix_chunk, slice::log10_chunk],
-            simd: Log10,
             sixteen: [p16::log10_p16, half16::log10_f16, bf16::log10_bf16],
         }
         exp => P32_EXP {
-            entry: posit::exp_p32, dd: posit::exp_p32_dd,
-            prefix: fast::exp_prefix [5, 2048, 512],
-            full: fast::exp_fast [8, 256, 16],
-            dd_kernel: fexp::exp_kernel,
+            entry: posit::exp_p32, dd: posit::exp_p32_dd, kernel: kernel::Exp,
             domain: PositDomain::AbsAtMost(LN_MAXPOS + 0.5),
-            chunks: [slice::exp_prefix_chunk, slice::exp_chunk],
-            simd: Exp,
             sixteen: [p16::exp_p16, half16::exp_f16, bf16::exp_bf16],
         }
         exp2 => P32_EXP2 {
-            entry: posit::exp2_p32, dd: posit::exp2_p32_dd,
-            prefix: fast::exp2_prefix [5, 2048, 512],
-            full: fast::exp2_fast [8, 256, 16],
-            dd_kernel: fexp::exp2_kernel,
+            entry: posit::exp2_p32, dd: posit::exp2_p32_dd, kernel: kernel::Exp2,
             domain: PositDomain::AbsAtMost(120.5),
-            chunks: [slice::exp2_prefix_chunk, slice::exp2_chunk],
-            simd: Exp2,
             sixteen: [p16::exp2_p16, half16::exp2_f16, bf16::exp2_bf16],
         }
         exp10 => P32_EXP10 {
-            entry: posit::exp10_p32, dd: posit::exp10_p32_dd,
-            prefix: fast::exp10_prefix [5, 4096, 1024],
-            full: fast::exp10_fast [8, 1024, 256],
-            dd_kernel: fexp::exp10_kernel,
+            entry: posit::exp10_p32, dd: posit::exp10_p32_dd, kernel: kernel::Exp10,
             domain: PositDomain::AbsAtMost(LOG10_MAXPOS + 0.5),
-            chunks: [slice::exp10_prefix_chunk, slice::exp10_chunk],
-            simd: Exp10,
             sixteen: [p16::exp10_p16, half16::exp10_f16, bf16::exp10_bf16],
         }
         sinh => P32_SINH {
-            entry: posit::sinh_p32, dd: posit::sinh_p32_dd,
-            prefix: fast::sinh_prefix [5, 16384, 8192],
-            full: fast::sinh_fast [8, 2048, 128],
-            dd_kernel: hyper::sinh_kernel,
+            entry: posit::sinh_p32, dd: posit::sinh_p32_dd, kernel: kernel::Sinh,
             // `sinh_p32` returns x itself below 2^-13.
             domain: PositDomain::AbsWithin(1.0 / 8192.0, LN_MAXPOS + 1.5),
-            chunks: [slice::sinh_prefix_chunk, slice::sinh_chunk],
-            simd: Sinh,
             sixteen: [p16::sinh_p16, half16::sinh_f16, bf16::sinh_bf16],
         }
         cosh => P32_COSH {
-            entry: posit::cosh_p32, dd: posit::cosh_p32_dd,
-            prefix: fast::cosh_prefix [5, 2048, 512],
-            full: fast::cosh_fast [8, 512, 16],
-            dd_kernel: hyper::cosh_kernel,
+            entry: posit::cosh_p32, dd: posit::cosh_p32_dd, kernel: kernel::Cosh,
             domain: PositDomain::AbsAtMost(LN_MAXPOS + 1.5),
-            chunks: [slice::cosh_prefix_chunk, slice::cosh_chunk],
-            simd: Cosh,
             sixteen: [p16::cosh_p16, half16::cosh_f16, bf16::cosh_bf16],
         }
     }
@@ -651,24 +578,6 @@ mod tests {
             assert!(t.prefix_band > t.full_band, "{}: prefix band must be wider", t.name);
             assert!(t.prefix_band < (1 << 26), "{}: band too wide for round_safe", t.name);
             assert!(t.prefix_terms < t.full_terms, "{}: prefix must be shorter", t.name);
-        }
-    }
-
-    #[test]
-    fn posit_rows_mirror_their_f32_kernels() {
-        // The posit ladders run the f32 rows' kernels, so their
-        // parameters must match the f32 twins one-to-one.
-        for p in &TIERS[F32_NAMES.len()..] {
-            let twin = p.name.replace("posit32.", "f32.");
-            let f = TierSpec::by_name(&twin).expect("f32 twin exists");
-            assert_eq!((p.prefix_band, p.full_band), (f.prefix_band, f.full_band), "{}", p.name);
-            assert_eq!(
-                (p.prefix_derived, p.full_derived),
-                (f.prefix_derived, f.full_derived),
-                "{}",
-                p.name
-            );
-            assert_eq!((p.prefix_terms, p.full_terms), (f.prefix_terms, f.full_terms));
         }
     }
 }

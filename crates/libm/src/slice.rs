@@ -1,87 +1,63 @@
 //! Batched evaluation — the §4.3 vectorization regime as a real API.
 //!
-//! [`eval_slice_f32`] (and the per-function `*_slice` entry points)
-//! evaluate a whole input slice with the same progressive-tier guarantee
-//! as the scalar functions: the output is **bit-identical** to mapping
-//! the scalar function over the slice. The speed comes from
-//! restructuring the *prefix* tier — the truncated polynomial that ships
-//! the overwhelming majority of lanes — as structure-of-arrays stages
-//! over fixed-size chunks:
+//! [`eval_slice_f32`] and [`eval_slice_posit32`] evaluate a whole input
+//! slice with the same progressive-tier guarantee as the scalar
+//! functions: the output is **bit-identical** to mapping the scalar
+//! function over the slice.
 //!
-//! 1. **widen**: classify each lane against the function's fast-path
-//!    domain and widen to f64 (special lanes get a benign placeholder so
-//!    the staged arithmetic stays total);
-//! 2. **reduce**: the range reduction for every lane (k/r for the exp
-//!    family, e/j/u for the logs) into parallel arrays;
-//! 3. **lookup + Horner**: table access and *prefix-degree* polynomial
-//!    evaluation over the arrays. The tier's polynomial is a generic
-//!    parameter of each chunk kernel, inlined into it, and the reductions
-//!    round with `fast::round_even_i64` instead of a `rint` libcall, so
-//!    every (function, tier) pair compiles to its own call-free loop of
-//!    plain-double code the compiler can unroll, schedule across lanes
-//!    and vectorize where the target allows;
-//! 4. **resolve**: per lane, the round-safety test against the wide
-//!    prefix band decides whether the prefix double ships. Lanes the
-//!    prefix band rejects escalate **as a chunk** to the full-degree
-//!    staged kernel against the narrow full band; lanes that band
-//!    rejects too (and every special-case lane) re-enter the scalar
-//!    progressive entry, which owns the dd tier.
+//! # One driver
 //!
-//! Escalation is per chunk, not per slice: the full-degree stage only
-//! runs when at least one in-domain lane of the chunk failed the prefix
-//! band, so a clean chunk pays for exactly one (shorter) polynomial.
+//! [`drive`] runs every (format, function) pair over 64-lane chunks, and
+//! it is generic over the f64 lane ([`crate::lane`]): `f64`, a group of
+//! one lane, is the portable path; the AVX2 lane (`simd` feature on an
+//! AVX2 CPU, chosen at run time by [`dispatch`]) evaluates groups of four.
+//! Per chunk:
+//!
+//! 1. **prefix stage**: each group of lanes is widened (f32 cast or posit
+//!    decode), classified against the row's fast-path domain (out-of-domain
+//!    lanes get the placeholder `1.0`, so the arithmetic stays total), and
+//!    run through the kernel's prefix tier — the same `Kernel::eval` the
+//!    scalar ladder runs;
+//! 2. **safety mask**: the round-safety test against the wide prefix band,
+//!    fused with the narrowing cast (f32 cast or posit encode);
+//! 3. **full stage**: the groups holding in-domain lanes the prefix band
+//!    rejected re-run at the full tier and are re-tested against the
+//!    narrow full band (rare: well under 1% of in-domain lanes);
+//! 4. **resolve**: special lanes and lanes both bands reject re-enter the
+//!    scalar progressive entry, which owns the dd tier.
+//!
+//! A format supplies only its two ends ([`Ends`]): widen + decode, and
+//! round-safe + narrow. For `f64` those are the scalar predicates and
+//! codecs; for AVX2 their vector twins in the `slice_simd` module.
 //! Per-tier accounting lands in the same `runtime.tier.*` counters the
-//! scalar front ends use — prefix acceptances batched per call, full
-//! acceptances batched per call, dd events recorded by the scalar entry
-//! the rescalar lanes fall into.
+//! scalar front ends use — prefix and full acceptances batched per call,
+//! dd events recorded by the scalar entry the rescalar lanes fall into.
 //!
-//! `sinh`/`cosh` route their dominant cost (the `e^|x|` evaluation)
-//! through the same staged exp pipeline; `sinpi`/`cospi` are evaluated
-//! per lane inside the chunk driver — their reduction is short but
-//! branch-heavy (mirror folds), so staging buys nothing there.
-//!
-//! Posit32 batching ([`eval_slice_posit32`]) runs the same driver and
-//! the same f64 chunk kernels: a posit32 widens exactly to f64, so the
-//! format only changes the widen stage (the posit decode), the
-//! round-safety test (`posit32_round_safe`) and the final narrowing cast
-//! (the posit encode). Each posit row of [`crate::registry`] names its
-//! domain as data (`PositDomain`, mirroring its scalar entry's filter in
-//! [`crate::posit`]) and its two chunk kernels; special lanes resolve
-//! through the scalar entry.
-//!
-//! With the `simd` feature on an AVX2 CPU, both formats run the AVX2
-//! stages of the `slice_simd` module instead, through one generic driver:
-//! each function's vector math is one shared eval helper, and the format
-//! supplies its widen + domain stage (f32 widen, or the vector posit
-//! decode and the row's `PositDomain` mask) and its fused round-safety
-//! mask + narrowing cast (f32 cast, or the vector posit encode). The
-//! `sinpi`/`cospi` stages are f32-only, as those functions are.
+//! The f32 domains are each kernel's `dom`; each posit row names its
+//! domain as data ([`PositDomain`], its scalar entry's filter in
+//! [`crate::posit`]). Special lanes resolve through the scalar entry.
 
-use crate::fast;
-use crate::float::trig::is_int_pos;
-use crate::registry::{slot, F32Row, Lane, Posit32Row, TIERS};
-use crate::tables as t;
+use crate::kernel::Kernel;
+use crate::lane::F64Lane;
+use crate::registry::{F32Row, Lane, Posit32Row};
 use rlibm_obs::Counter;
 use rlibm_posit::Posit32;
 
-/// AVX2 implementations of the staged pipeline (`simd` feature, x86_64
-/// only). The entry points below dispatch into it at runtime when AVX2
-/// is present; the scalar chunk functions in this module stay the
-/// certified reference and the fallback.
+/// The AVX2 ends of both formats (`simd` feature, x86_64 only).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[path = "slice_simd.rs"]
 pub(crate) mod simd;
 
-/// Chunk width of the staged pipeline. 64 lanes of f64 is 4 cache lines
-/// per stage array — small enough to stay resident, wide enough that the
-/// per-chunk loop overhead vanishes.
-const LANES: usize = 64;
+/// Chunk width of the driver. 64 lanes of f64 is 4 cache lines per stage
+/// array — small enough to stay resident, wide enough that the per-chunk
+/// overhead vanishes — and one lane bitmask is one `u64`.
+pub(crate) const LANES: usize = 64;
 
 // Batched-evaluation telemetry (no-ops unless built with the `telemetry`
 // feature). Both counters accumulate locally and hit the atomics once per
-// chunk / call, never per lane. The rescalar count is the number to
-// watch: every rescalar lane pays the scalar two-tier price, so a high
-// ratio against `64 * chunks` means the workload defeats the staging.
+// call, never per lane. The rescalar count is the number to watch: every
+// rescalar lane pays the scalar two-tier price, so a high ratio against
+// `64 * chunks` means the workload defeats the staging.
 pub(crate) static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
 pub(crate) static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
 
@@ -124,10 +100,9 @@ fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     scalar(x)
 }
 
-/// A posit32 row's batched fast-path domain, as data: the scalar
-/// [`drive`] filter ([`PositDomain::contains`]) and the AVX2 stage's lane
-/// mask both read it. Each row's domain is its scalar entry's filter in
-/// [`crate::posit`]; NaR widens to NaN, which every variant rejects.
+/// A posit32 row's batched fast-path domain, as data: each row's domain
+/// is its scalar entry's filter in [`crate::posit`]; NaR widens to NaN,
+/// which every variant rejects.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PositDomain {
     /// `x > 0` (the logarithms).
@@ -139,23 +114,26 @@ pub(crate) enum PositDomain {
 }
 
 impl PositDomain {
-    /// True when `x` takes the staged fast path.
+    /// The lanes of `x` that take the staged fast path.
     #[inline(always)]
-    pub(crate) fn contains(self, x: f64) -> bool {
+    pub(crate) fn mask<V: F64Lane>(self, x: V) -> V::Mask {
         match self {
-            PositDomain::Positive => x > 0.0,
-            PositDomain::AbsAtMost(c) => x.abs() <= c,
-            PositDomain::AbsWithin(lo, hi) => (lo..=hi).contains(&x.abs()),
+            PositDomain::Positive => x.gt(0.0),
+            PositDomain::AbsAtMost(c) => x.abs().le(c),
+            PositDomain::AbsWithin(lo, hi) => {
+                let a = x.abs();
+                a.ge(lo) & a.le(hi)
+            }
         }
     }
 }
 
 /// Routes the prefix results of the lanes set in `lanes` through the
 /// fault hook of the registry row `slot`, as the scalar ladder routes
-/// its prefix result, so `fault` builds also test the batched drivers'
+/// its prefix result, so `fault` builds also test the batched driver's
 /// round-safety certification. Compiles to nothing without `fault`.
 #[inline(always)]
-pub(crate) fn perturb_prefix(slot: usize, y: &mut [f64], lanes: u64) {
+fn perturb_prefix(slot: usize, y: &mut [f64; LANES], lanes: u64) {
     #[cfg(feature = "fault")]
     {
         let mut lanes = lanes;
@@ -169,525 +147,230 @@ pub(crate) fn perturb_prefix(slot: usize, y: &mut [f64], lanes: u64) {
     let _ = (slot, y, lanes);
 }
 
-/// Shared chunk driver, generic over the lane format: widen every lane
-/// and classify it against the function's fast-path domain `dom` (tested
-/// on the widened value), run the staged prefix-tier evaluation, then
-/// resolve every lane through the prefix round-safety band of the
-/// registry row `slot`. Chunks with prefix-rejected in-domain lanes
-/// escalate those lanes through the full-degree staged kernel; lanes the
-/// full band rejects too (and special lanes) re-enter the scalar
-/// progressive front end.
+/// A lane format's two ends around the shared kernel math, for the f64
+/// lane `V`. Group `g` is lanes `WIDTH·g ..` of a chunk (`g` is taken
+/// modulo the group count).
+pub(crate) trait Ends<V: F64Lane>: Lane {
+    /// Widens (or decodes) group `g` of `xs` exactly to f64 lanes.
+    fn widen(isa: V::Isa, xs: &[Self; LANES], g: usize) -> V;
+    /// The round-safety test of `y` against `band` as bits `0..WIDTH`,
+    /// with the narrowing of every accepted lane written to group `g` of
+    /// `out` (other lanes' values are unspecified).
+    fn safe_narrow(y: V, band: u64, out: &mut [Self; LANES], g: usize) -> u64;
+}
+
+/// The portable ends: the scalar codec and round-safety predicate.
+impl<L: Lane> Ends<f64> for L {
+    #[inline(always)]
+    fn widen((): (), xs: &[L; LANES], g: usize) -> f64 {
+        xs[g % LANES].to_f64()
+    }
+
+    #[inline(always)]
+    fn safe_narrow(y: f64, band: u64, out: &mut [L; LANES], g: usize) -> u64 {
+        let ok = L::round_safe(y, band);
+        if ok {
+            out[g % LANES] = L::round_from_f64(y);
+        }
+        u64::from(ok)
+    }
+}
+
+/// A format the batched entries serve: its ends for every f64 lane the
+/// build has.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) trait Format: Ends<f64> + Ends<crate::lane::avx2::Avx2> {}
+/// A format the batched entries serve: its ends for every f64 lane the
+/// build has.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+pub(crate) trait Format: Ends<f64> {}
+
+impl Format for f32 {}
+impl Format for Posit32 {}
+
+/// The groups holding at least one of `lanes`.
 #[inline(always)]
-pub(crate) fn drive<L: Lane>(
+fn groups_of<V: F64Lane>(mut lanes: u64) -> u64 {
+    if V::WIDTH == 1 {
+        return lanes;
+    }
+    let mut groups = 0u64;
+    while lanes != 0 {
+        let g = lanes.trailing_zeros() as usize / V::WIDTH;
+        groups |= 1 << g;
+        lanes &= !(((1u64 << V::WIDTH) - 1) << (V::WIDTH * g));
+    }
+    groups
+}
+
+/// Runs kernel `K` at the selected tier on the groups set in `groups`:
+/// widen, domain mask (placeholder `1.0` outside the domain), eval,
+/// store to `y`. Returns the in-domain lanes of the staged groups.
+#[inline(always)]
+fn stage<L: Ends<V>, V: F64Lane, K: Kernel, const PREFIX: bool>(
+    isa: V::Isa,
+    xs: &[L; LANES],
+    y: &mut [f64; LANES],
+    groups: u64,
+    dom: L::Domain,
+) -> u64 {
+    let mut in_dom = 0u64;
+    for g in 0..LANES / V::WIDTH {
+        if (groups >> g) & 1 == 0 {
+            continue;
+        }
+        let x = L::widen(isa, xs, g);
+        let m = L::in_domain::<K, V>(dom, x);
+        K::eval::<V, PREFIX>(V::blend(m, x, x.splat(1.0))).store(y, g);
+        in_dom |= V::mask_bits(m) << (V::WIDTH * g);
+    }
+    in_dom
+}
+
+/// The round-safety mask against `band` of the groups set in `groups`,
+/// with the accepted lanes narrowed into `out`.
+#[inline(always)]
+pub(crate) fn safe_narrow<L: Ends<V>, V: F64Lane>(
+    isa: V::Isa,
+    y: &[f64; LANES],
+    band: u64,
+    groups: u64,
+    out: &mut [L; LANES],
+) -> u64 {
+    let mut safe = 0u64;
+    for g in 0..LANES / V::WIDTH {
+        if (groups >> g) & 1 == 0 {
+            continue;
+        }
+        safe |= L::safe_narrow(V::load(isa, y, g), band, out, g) << (V::WIDTH * g);
+    }
+    safe
+}
+
+/// The batched driver, generic over the lane format `L`, the f64 lane
+/// `V` and the kernel `K`: the prefix stage, the safety mask against the
+/// wide prefix band, the full-tier re-run of the groups holding rejected
+/// lanes, and the rescalar resolve through `scalar` (the row's entry
+/// point), with the tier and slice counters of the registry row `slot`.
+pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel>(
+    isa: V::Isa,
     xs: &[L],
     out: &mut [L],
-    dom: impl Fn(f64) -> bool,
-    prefix_chunk: impl Fn(&[f64], &mut [f64]),
-    fast_chunk: impl Fn(&[f64], &mut [f64]),
+    dom: L::Domain,
     slot: usize,
     scalar: fn(L) -> L,
-) {
+) -> Tally {
     assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
-    let (prefix_band, band) = (TIERS[slot].prefix_band, TIERS[slot].full_band);
-    let mut xd = [0.0f64; LANES];
     let mut y = [0.0f64; LANES];
-    let mut chunks = 0u64;
-    let mut rescalar = 0u64;
-    let mut prefix_hits = 0u64;
-    let mut full_hits = 0u64;
+    let mut narrowed = [L::PAD; LANES];
+    let mut xpad = [L::PAD; LANES];
+    let mut tally = Tally::default();
     for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-        chunks += 1;
+        tally.chunks += 1;
         let n = xc.len();
-        // Lane bitmask of special (out-of-domain) lanes; LANES = 64 keeps
-        // this and `pending` below single words. Placeholder 1.0 keeps
-        // every stage total for special lanes; their staged result is
-        // discarded in the resolve stage.
-        let mut special = 0u64;
-        for i in 0..n {
-            let x = xc[i].to_f64();
-            if dom(x) {
-                xd[i] = x;
-            } else {
-                xd[i] = 1.0;
-                special |= 1 << i;
-            }
-        }
-        prefix_chunk(&xd[..n], &mut y[..n]);
         let live = if n == LANES { u64::MAX } else { (1u64 << n) - 1 };
-        perturb_prefix(slot, &mut y, !special & live);
-        // Lane bitmask of in-domain lanes the prefix band rejected.
-        let mut pending = 0u64;
-        for i in 0..n {
-            if (special >> i) & 1 == 1 {
-                rescalar += 1;
-                oc[i] = rescalar_resolve(scalar, xc[i]);
-            } else if L::round_safe(y[i], prefix_band) {
-                prefix_hits += 1;
-                oc[i] = L::round_from_f64(y[i]);
-            } else {
-                pending |= 1 << i;
+        let xfull: &[L; LANES] = match xc.try_into() {
+            Ok(full) => full,
+            Err(_) => {
+                // Final partial chunk: pad lanes are never read back.
+                xpad[..n].copy_from_slice(xc);
+                &xpad
             }
+        };
+        // The groups holding live lanes. Each `enter` is one AVX2 stage
+        // on that lane (see `crate::lane`).
+        let ngroups = n.div_ceil(V::WIDTH);
+        let groups = if ngroups == 64 { u64::MAX } else { (1u64 << ngroups) - 1 };
+        let in_dom = V::enter(
+            isa,
+            #[inline(always)]
+            || stage::<L, V, K, true>(isa, xfull, &mut y, groups, dom),
+        ) & live;
+        perturb_prefix(slot, &mut y, in_dom);
+        let safe = V::enter(
+            isa,
+            #[inline(always)]
+            || safe_narrow(isa, &y, K::PREFIX.band, groups, &mut narrowed),
+        );
+        tally.prefix += u64::from((in_dom & safe).count_ones());
+        // Ship every lane's narrowed prefix result, then overwrite the
+        // ones the prefix tier did not accept.
+        match <&mut [L; LANES]>::try_from(&mut *oc) {
+            Ok(full) => *full = narrowed,
+            Err(_) => oc.copy_from_slice(&narrowed[..n]),
         }
+        let mut special = !in_dom & live;
+        while special != 0 {
+            let i = special.trailing_zeros() as usize;
+            special &= special - 1;
+            tally.rescalar += 1;
+            oc[i] = rescalar_resolve(scalar, xc[i]);
+        }
+        let mut pending = in_dom & !safe;
         if pending != 0 {
-            // Compact the rejected lanes and escalate only those: every
-            // chunk kernel is lane-independent, so running the full tier
-            // on a dense sub-chunk produces the same bits as re-running
-            // the whole chunk, without paying for the (typically 63)
-            // lanes the prefix tier already shipped.
-            let mut xp = [0.0f64; LANES];
-            let mut lanes = [0usize; LANES];
-            let mut np = 0;
-            for (i, &x) in xd.iter().enumerate().take(n) {
-                if (pending >> i) & 1 == 1 {
-                    xp[np] = x;
-                    lanes[np] = i;
-                    np += 1;
-                }
-            }
-            fast_chunk(&xp[..np], &mut y[..np]);
-            for (j, &i) in lanes[..np].iter().enumerate() {
-                if L::round_safe(y[j], band) {
-                    full_hits += 1;
-                    oc[i] = L::round_from_f64(y[j]);
+            let groups = groups_of::<V>(pending);
+            V::enter(
+                isa,
+                #[inline(always)]
+                || stage::<L, V, K, false>(isa, xfull, &mut y, groups, dom),
+            );
+            let safe_full = V::enter(
+                isa,
+                #[inline(always)]
+                || safe_narrow(isa, &y, K::FULL.band, groups, &mut narrowed),
+            );
+            while pending != 0 {
+                let i = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                if (safe_full >> i) & 1 == 1 {
+                    tally.full += 1;
+                    oc[i] = narrowed[i];
                 } else {
-                    rescalar += 1;
+                    tally.rescalar += 1;
                     oc[i] = rescalar_resolve(scalar, xc[i]);
                 }
             }
         }
     }
     let (chunk_counter, rescalar_counter) = L::counters();
-    chunk_counter.add(chunks);
-    rescalar_counter.add(rescalar);
-    crate::stats::record_tier_prefix_n(slot, prefix_hits);
-    crate::stats::record_tier_full_n(slot, full_hits);
+    chunk_counter.add(tally.chunks);
+    rescalar_counter.add(tally.rescalar);
+    crate::stats::record_tier_prefix_n(slot, tally.prefix);
+    crate::stats::record_tier_full_n(slot, tally.full);
+    tally
 }
 
-// ---------------------------------------------------------------------
-// exp family chunks
-// ---------------------------------------------------------------------
+/// One [`drive`] call's accounting, as added to the slice and tier
+/// counters (returned so the tests can compare lanes without telemetry).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Chunks evaluated.
+    pub(crate) chunks: u64,
+    /// Lanes resolved through the scalar entry.
+    pub(crate) rescalar: u64,
+    /// Lanes shipped from the prefix tier.
+    pub(crate) prefix: u64,
+    /// Lanes shipped from the full tier.
+    pub(crate) full: u64,
+}
 
-/// Staged `e^x` over a chunk: reduction array pass, then lookup+Horner.
-/// `combined` selects the polynomial tier (prefix or full degree) — the
-/// reduction stages are tier-invariant.
+/// [`drive`] on the widest lane the CPU runs when `widest` is set (AVX2
+/// when the `simd` feature is on and the CPU has it), else on `f64`.
 #[inline(always)]
-fn exp_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
-    let mut k = [0i64; LANES];
-    let mut r = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        let kk = fast::round_even_i64(xd[i] * (64.0 * t::LOG2_E));
-        let kf = kk as f64;
-        k[i] = kk;
-        r[i] = (xd[i] - kf * t::LN2_64_HI) - kf * t::LN2_64_MID;
+pub(crate) fn dispatch<L: Format, K: Kernel>(
+    xs: &[L],
+    out: &mut [L],
+    dom: L::Domain,
+    slot: usize,
+    scalar: fn(L) -> L,
+    widest: bool,
+) -> Tally {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if let Some(isa) = crate::lane::avx2::Avx2Isa::detect().filter(|_| widest) {
+        return drive::<L, crate::lane::avx2::Avx2, K>(isa, xs, out, dom, slot, scalar);
     }
-    for i in 0..xd.len() {
-        y[i] = combined(k[i], r[i]);
-    }
-}
-
-pub(crate) fn exp_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    exp_chunk_with(xd, y, fast::exp_combined_prefix)
-}
-
-pub(crate) fn exp_chunk(xd: &[f64], y: &mut [f64]) {
-    exp_chunk_with(xd, y, fast::exp_combined_fast)
-}
-
-#[inline(always)]
-fn exp2_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
-    let mut k = [0i64; LANES];
-    let mut r = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        let kk = fast::round_even_i64(xd[i] * 64.0);
-        let tt = xd[i] - (kk as f64) / 64.0;
-        k[i] = kk;
-        r[i] = tt * t::LN2_HI + tt * t::LN2_LO;
-    }
-    for i in 0..xd.len() {
-        y[i] = combined(k[i], r[i]);
-    }
-}
-
-pub(crate) fn exp2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    exp2_chunk_with(xd, y, fast::exp_combined_prefix)
-}
-
-pub(crate) fn exp2_chunk(xd: &[f64], y: &mut [f64]) {
-    exp2_chunk_with(xd, y, fast::exp_combined_fast)
-}
-
-#[inline(always)]
-fn exp10_chunk_with(xd: &[f64], y: &mut [f64], combined: impl Fn(i64, f64) -> f64) {
-    let mut k = [0i64; LANES];
-    let mut r = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        let kk = fast::round_even_i64(xd[i] * (64.0 * t::LOG2_10));
-        let kf = kk as f64;
-        let b = kf * t::LN2_64_HI;
-        k[i] = kk;
-        r[i] = (xd[i] * t::LN10_HI - b) + (xd[i] * t::LN10_LO - kf * t::LN2_64_MID);
-    }
-    for i in 0..xd.len() {
-        y[i] = combined(k[i], r[i]);
-    }
-}
-
-pub(crate) fn exp10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    exp10_chunk_with(xd, y, fast::exp_combined_prefix)
-}
-
-pub(crate) fn exp10_chunk(xd: &[f64], y: &mut [f64]) {
-    exp10_chunk_with(xd, y, fast::exp_combined_fast)
-}
-
-// ---------------------------------------------------------------------
-// log family chunks
-// ---------------------------------------------------------------------
-
-/// Staged log reduction shared by the three logs: `(e, j, u)` arrays,
-/// then the `log1p` Horner pass at the tier's degree (`poly` is
-/// [`fast::log1p_poly_prefix`] or [`fast::log1p_poly_fast`]).
-#[inline(always)]
-fn log_stages(
-    xd: &[f64],
-    e: &mut [i64],
-    j: &mut [usize],
-    p: &mut [f64],
-    poly: impl Fn(f64) -> f64,
-) {
-    let mut u = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        let (ei, ji, ui) = fast::reduce_fast(xd[i]);
-        e[i] = ei;
-        j[i] = ji;
-        u[i] = ui;
-    }
-    for i in 0..xd.len() {
-        p[i] = poly(u[i]);
-    }
-}
-
-#[inline(always)]
-fn ln_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
-    let mut e = [0i64; LANES];
-    let mut j = [0usize; LANES];
-    let mut p = [0.0f64; LANES];
-    log_stages(xd, &mut e, &mut j, &mut p, poly);
-    for i in 0..xd.len() {
-        let ef = e[i] as f64;
-        let (fh, fl) = t::ln_f(j[i]);
-        let c = ef * t::LN2_HI42 + fh;
-        let lo = fl + ef * t::LN2_MID;
-        y[i] = c + (p[i] + lo);
-    }
-}
-
-pub(crate) fn ln_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    ln_chunk_with(xd, y, fast::log1p_poly_prefix)
-}
-
-pub(crate) fn ln_chunk(xd: &[f64], y: &mut [f64]) {
-    ln_chunk_with(xd, y, fast::log1p_poly_fast)
-}
-
-#[inline(always)]
-fn log2_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
-    let mut e = [0i64; LANES];
-    let mut j = [0usize; LANES];
-    let mut p = [0.0f64; LANES];
-    log_stages(xd, &mut e, &mut j, &mut p, poly);
-    for i in 0..xd.len() {
-        let (fh, fl) = t::log2_f(j[i]);
-        let c = e[i] as f64 + fh;
-        y[i] = c + (p[i] * t::INV_LN2_HI + (fl + p[i] * t::INV_LN2_LO));
-    }
-}
-
-pub(crate) fn log2_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    log2_chunk_with(xd, y, fast::log1p_poly_prefix)
-}
-
-pub(crate) fn log2_chunk(xd: &[f64], y: &mut [f64]) {
-    log2_chunk_with(xd, y, fast::log1p_poly_fast)
-}
-
-#[inline(always)]
-fn log10_chunk_with(xd: &[f64], y: &mut [f64], poly: impl Fn(f64) -> f64) {
-    let mut e = [0i64; LANES];
-    let mut j = [0usize; LANES];
-    let mut p = [0.0f64; LANES];
-    log_stages(xd, &mut e, &mut j, &mut p, poly);
-    for i in 0..xd.len() {
-        let ef = e[i] as f64;
-        let (fh, fl) = t::log10_f(j[i]);
-        let c = ef * t::LOG10_2_HI + fh;
-        y[i] = c
-            + (p[i] * t::INV_LN10_HI
-                + (fl + ef * t::LOG10_2_LO + p[i] * t::INV_LN10_LO));
-    }
-}
-
-pub(crate) fn log10_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    log10_chunk_with(xd, y, fast::log1p_poly_prefix)
-}
-
-pub(crate) fn log10_chunk(xd: &[f64], y: &mut [f64]) {
-    log10_chunk_with(xd, y, fast::log1p_poly_fast)
-}
-
-// ---------------------------------------------------------------------
-// hyperbolic chunks (big factor through the staged exp pipeline)
-// ---------------------------------------------------------------------
-
-#[inline(always)]
-fn sinh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f64])) {
-    let mut a = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        a[i] = xd[i].abs();
-    }
-    let mut big = [0.0f64; LANES];
-    exp_tier(&a[..xd.len()], &mut big[..xd.len()]);
-    for i in 0..xd.len() {
-        let v = if a[i] < 0.0625 {
-            let x2 = a[i] * a[i];
-            a[i] + a[i]
-                * x2
-                * (1.0 / 6.0
-                    + x2 * (1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (1.0 / 362_880.0))))
-        } else {
-            0.5 * (big[i] - 1.0 / big[i])
-        };
-        y[i] = if xd[i] < 0.0 { -v } else { v };
-    }
-}
-
-pub(crate) fn sinh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    sinh_chunk_with(xd, y, exp_prefix_chunk)
-}
-
-pub(crate) fn sinh_chunk(xd: &[f64], y: &mut [f64]) {
-    sinh_chunk_with(xd, y, exp_chunk)
-}
-
-#[inline(always)]
-fn cosh_chunk_with(xd: &[f64], y: &mut [f64], exp_tier: impl Fn(&[f64], &mut [f64])) {
-    let mut a = [0.0f64; LANES];
-    for i in 0..xd.len() {
-        a[i] = xd[i].abs();
-    }
-    let mut big = [0.0f64; LANES];
-    exp_tier(&a[..xd.len()], &mut big[..xd.len()]);
-    for i in 0..xd.len() {
-        y[i] = if a[i] < 0.0625 {
-            let x2 = a[i] * a[i];
-            1.0 + x2 * (0.5 + x2 * (1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (1.0 / 40_320.0))))
-        } else {
-            0.5 * (big[i] + 1.0 / big[i])
-        };
-    }
-}
-
-pub(crate) fn cosh_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    cosh_chunk_with(xd, y, exp_prefix_chunk)
-}
-
-pub(crate) fn cosh_chunk(xd: &[f64], y: &mut [f64]) {
-    cosh_chunk_with(xd, y, exp_chunk)
-}
-
-// ---------------------------------------------------------------------
-// sinpi / cospi chunks (per-lane: reduction is branch-heavy)
-// ---------------------------------------------------------------------
-
-/// Per-lane chunk over a signed scalar tier kernel.
-#[inline(always)]
-fn lanewise(xd: &[f64], y: &mut [f64], kernel: impl Fn(f64) -> f64) {
-    for (yi, &x) in y.iter_mut().zip(xd) {
-        *yi = kernel(x);
-    }
-}
-
-fn sinpi_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    lanewise(xd, y, fast::sinpi_prefix)
-}
-
-fn sinpi_chunk(xd: &[f64], y: &mut [f64]) {
-    lanewise(xd, y, fast::sinpi_fast)
-}
-
-fn cospi_prefix_chunk(xd: &[f64], y: &mut [f64]) {
-    lanewise(xd, y, fast::cospi_prefix)
-}
-
-fn cospi_chunk(xd: &[f64], y: &mut [f64]) {
-    lanewise(xd, y, fast::cospi_fast)
-}
-
-// ---------------------------------------------------------------------
-// public entry points
-// ---------------------------------------------------------------------
-
-/// Routes an entry point through the AVX2 driver with the named vector
-/// kernel when the `simd` feature is on and the CPU has AVX2; otherwise
-/// falls through to the scalar chunk driver below. Expands to nothing
-/// without the feature.
-macro_rules! simd_dispatch {
-    ($kernel:ident, $slot:expr, $scalar:expr, $xs:expr, $out:expr) => {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::avx2_available() {
-            return simd::drive_simd::<f32, simd::$kernel>($xs, $out, (), $slot, $scalar);
-        }
-    };
-}
-
-/// Batched [`crate::exp`]: bit-identical to the scalar map.
-pub fn exp_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Exp, slot::EXP, crate::exp, xs, out);
-    drive(
-        xs,
-        out,
-        |x| (-106.0..=89.0).contains(&x),
-        exp_prefix_chunk,
-        exp_chunk,
-        slot::EXP,
-        crate::exp,
-    )
-}
-
-/// Batched [`crate::exp2`].
-pub fn exp2_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Exp2, slot::EXP2, crate::exp2, xs, out);
-    drive(
-        xs,
-        out,
-        |x| (-151.0..128.0).contains(&x),
-        exp2_prefix_chunk,
-        exp2_chunk,
-        slot::EXP2,
-        crate::exp2,
-    )
-}
-
-/// Batched [`crate::exp10`].
-pub fn exp10_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Exp10, slot::EXP10, crate::exp10, xs, out);
-    drive(
-        xs,
-        out,
-        |x| (-45.5..=f64::from(38.6f32)).contains(&x),
-        exp10_prefix_chunk,
-        exp10_chunk,
-        slot::EXP10,
-        crate::exp10,
-    )
-}
-
-/// Batched [`crate::ln`].
-pub fn ln_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Ln, slot::LN, crate::ln, xs, out);
-    drive(
-        xs,
-        out,
-        |x| x > 0.0 && x < f64::INFINITY,
-        ln_prefix_chunk,
-        ln_chunk,
-        slot::LN,
-        crate::ln,
-    )
-}
-
-/// Batched [`crate::log2`].
-pub fn log2_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Log2, slot::LOG2, crate::log2, xs, out);
-    drive(
-        xs,
-        out,
-        |x| x > 0.0 && x < f64::INFINITY,
-        log2_prefix_chunk,
-        log2_chunk,
-        slot::LOG2,
-        crate::log2,
-    )
-}
-
-/// Batched [`crate::log10`].
-pub fn log10_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Log10, slot::LOG10, crate::log10, xs, out);
-    drive(
-        xs,
-        out,
-        |x| x > 0.0 && x < f64::INFINITY,
-        log10_prefix_chunk,
-        log10_chunk,
-        slot::LOG10,
-        crate::log10,
-    )
-}
-
-/// Batched [`crate::sinh`].
-pub fn sinh_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Sinh, slot::SINH, crate::sinh, xs, out);
-    let tiny = 2f64.powi(-12);
-    drive(
-        xs,
-        out,
-        move |x| x.abs() <= 90.0 && x.abs() >= tiny,
-        sinh_prefix_chunk,
-        sinh_chunk,
-        slot::SINH,
-        crate::sinh,
-    )
-}
-
-/// Batched [`crate::cosh`].
-pub fn cosh_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Cosh, slot::COSH, crate::cosh, xs, out);
-    let tiny = 2f64.powi(-13);
-    drive(
-        xs,
-        out,
-        move |x| x.abs() <= 90.0 && x.abs() >= tiny,
-        cosh_prefix_chunk,
-        cosh_chunk,
-        slot::COSH,
-        crate::cosh,
-    )
-}
-
-/// Batched [`crate::sinpi`].
-pub fn sinpi_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Sinpi, slot::SINPI, crate::sinpi, xs, out);
-    drive(
-        xs,
-        out,
-        |x| {
-            let a = x.abs();
-            x.is_finite() && a < 8_388_608.0 && a >= 2f64.powi(-36) && !is_int_pos(a)
-        },
-        sinpi_prefix_chunk,
-        sinpi_chunk,
-        slot::SINPI,
-        crate::sinpi,
-    )
-}
-
-/// Batched [`crate::cospi`].
-pub fn cospi_slice(xs: &[f32], out: &mut [f32]) {
-    simd_dispatch!(Cospi, slot::COSPI, crate::cospi, xs, out);
-    drive(
-        xs,
-        out,
-        |x| {
-            let a = x.abs();
-            // An integral 2a catches integers AND half-integers (both
-            // handled by the scalar front's exact special cases).
-            x.is_finite() && (7.77e-5..16_777_216.0).contains(&a) && !is_int_pos(2.0 * a)
-        },
-        cospi_prefix_chunk,
-        cospi_chunk,
-        slot::COSPI,
-        crate::cospi,
-    )
+    let _ = widest;
+    drive::<L, f64, K>((), xs, out, dom, slot, scalar)
 }
 
 /// Error returned by the by-name slice entry points when the name is not
@@ -714,9 +397,8 @@ pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), Unk
 }
 
 /// Batched evaluation of a posit32 function by name: `out[i] = f(xs[i])`,
-/// bit-identical to the scalar function. Lanes run the same staged f64
-/// chunk kernels as [`eval_slice_f32`], behind the posit decode and
-/// encode; each function's domain filter is exactly its scalar entry's
+/// bit-identical to the scalar function. Lanes run the same kernels as
+/// [`eval_slice_f32`], behind the posit decode and encode; each function's domain filter is exactly its scalar entry's
 /// filter in [`crate::posit`], so NaR, zero and negative log inputs,
 /// saturating exp/sinh/cosh inputs and sinh's `|x| < 2^-13` lanes
 /// resolve per lane through that entry (NaR in, NaR out), as do the
@@ -914,11 +596,11 @@ mod tests {
     #[test]
     fn empty_and_partial_chunks() {
         let mut out = [];
-        exp_slice(&[], &mut out);
+        eval_slice_f32("exp", &[], &mut out).expect("known name");
         // A length that is not a multiple of the lane width.
         let xs: Vec<f32> = (0..97).map(|i| i as f32 * 0.11 - 5.0).collect();
         let mut out = vec![0.0f32; 97];
-        ln_slice(&xs, &mut out);
+        eval_slice_f32("ln", &xs, &mut out).expect("known name");
         for (&x, &got) in xs.iter().zip(out.iter()) {
             let want = crate::ln(x);
             assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
@@ -929,6 +611,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let mut out = vec![0.0f32; 3];
-        exp_slice(&[1.0, 2.0], &mut out);
+        let _ = eval_slice_f32("exp", &[1.0, 2.0], &mut out);
     }
 }

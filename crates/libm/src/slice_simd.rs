@@ -1,167 +1,46 @@
-//! AVX2 implementations of the staged slice pipeline (`simd` feature).
+//! The AVX2 ends of the batched driver (`simd` feature, x86_64 only).
 //!
-//! Every stage of [`super`]'s structure-of-arrays pipeline — widen and
-//! domain classification, range reduction, table gather, Horner
-//! evaluation, the bit-pattern round-safety test and the narrowing cast —
-//! is rewritten here with explicit `core::arch::x86_64` intrinsics, four
-//! f64 lanes at a time over the same 64-lane chunks, for both lane
-//! formats (f32 and posit32).
+//! The kernels' math runs in the AVX2 lane of [`crate::lane`]; what is
+//! left per format is the two ends [`super::Ends`] names, here for four
+//! lanes at a time:
 //!
-//! # Structure
+//! * **f32**: widen with `_mm256_cvtps_pd`; narrow with
+//!   `_mm256_cvtpd_ps` (nearest-even, like `as f32`) behind
+//!   [`f32_round_safe4`], the vector twin of
+//!   [`crate::round::f32_round_safe`].
+//! * **posit32**: decode with [`posit32_decode4`]; encode fused with the
+//!   round-safety test in [`posit32_safe_encode4`]. Both are integer bit
+//!   assembly that mirrors `rlibm_posit`'s scalar codec op for op (the
+//!   scalar codec stays the reference the tests compare against).
 //!
-//! * **Eval helpers.** Each function's math is one [`Kernel4`] impl: an
-//!   `#[inline]` `eval::<PREFIX>` on four widened `__m256d` lanes (range
-//!   reduction, gather, Horner at the selected tier, recombination), plus
-//!   the f32 entry's domain mask. Eight of them (the exp, log and
-//!   hyperbolic families) serve both formats; `sinpi`/`cospi` are f32-only.
-//! * **Format ends.** A [`SimdLane`] supplies the two format-specific
-//!   stages around the shared math: the widen + domain stage (f32:
-//!   `_mm256_cvtps_pd` and the kernel's f32 mask; posit32: the vector
-//!   decode [`posit32_decode4`] and the row's [`PositDomain`] mask) and
-//!   the fused round-safety mask + narrowing cast (f32:
-//!   [`f32_round_safe4`] and `_mm256_cvtpd_ps`; posit32:
-//!   [`posit32_safe_encode4`]). The eval helpers inline into each
-//!   format's stage: the widened lanes stay in registers from the widen
-//!   or decode to the store of the staged result.
-//! * **One driver.** [`drive_simd`] runs the prefix stage, the vector
-//!   safety mask against the wide prefix band, the per-group full-degree
-//!   re-run against the narrow full band, and the rescalar resolve, with
-//!   the counter accounting of the scalar driver, for every (format,
-//!   kernel) pair.
-//!
-//! # Bit-identity contract
-//!
-//! The scalar chunk functions in `super` remain the **certified
-//! reference**; this module must produce bit-identical slice outputs
-//! (`tests/two_tier_identity.rs` runs with the feature on and off and
-//! pins one shared checksum). That holds because every lane executes the
-//! *same IEEE-754 operation sequence* as the scalar code:
-//!
-//! * `_mm256_{add,sub,mul,div}_pd` round exactly like the corresponding
-//!   scalar f64 ops (no FMA contraction — the scalar kernels use plain
-//!   mul/add, and so does this module);
-//! * `_mm256_cvtpd_epi32` rounds with the MXCSR mode, which Rust leaves
-//!   at round-to-nearest-even — exactly the rounding
-//!   `fast::round_even_i64` performs in the scalar reductions;
-//! * `_mm256_cvttpd_epi32` truncates, matching `.floor() as usize` on
-//!   the non-negative values the trig reductions feed it;
-//! * table gathers read the identical `(hi, lo)` entries, and the
-//!   branchy scalar folds (`j == 128` in the log reduction, the trig
-//!   mirror folds, the sinh/cosh Taylor-vs-exp split) become mask
-//!   blends where each lane selects a value computed by the same ops the
-//!   scalar branch would have run;
-//! * the posit codec is integer bit assembly that mirrors
-//!   `rlibm_posit`'s scalar `to_f64` / `from_f64` op for op (the scalar
-//!   codec stays the reference the tests compare against).
-//!
-//! Out-of-domain lanes get the same placeholder (`1.0`) the scalar
-//! widen stage uses, so the staged arithmetic stays total and the
-//! exponents handed to [`pow2i4`] stay deep inside the normal f64 range
-//! (the per-function domain bounds cap `|k/64|` near 155 — see the
-//! scalar `fast` kernels' preconditions).
-//!
-//! Lanes that fail both bands, and special lanes, fall through to the
-//! scalar progressive entry in the resolve loop, counted by the format's
-//! `runtime.slice.*.rescalar_lanes` counter — same fallback semantics,
-//! same telemetry, as the scalar driver — and prefix/full acceptances
-//! land batched in the same `runtime.tier.*` counters the scalar front
-//! ends use.
-//!
-//! With the `fault` feature, the driver routes every in-domain prefix
-//! result through the row's fault hook before the safety mask, like the
-//! scalar driver and the scalar ladder; rescalar lanes re-enter the
-//! hooked scalar path.
+//! The helpers are `#[inline(always)]` with no `#[target_feature]`, like
+//! the lane's methods: they run inside the driver's AVX2 stages, whose
+//! `avx2` feature they inherit once inlined. The tests below check each
+//! end against its scalar twin and run both lanes of the driver against
+//! the scalar entries.
 
-use super::{PositDomain, LANES};
-use crate::registry::{Lane, TIERS};
-use crate::tables as t;
-use crate::tables_codec as codec;
+use super::{Ends, LANES};
+use crate::lane::avx2::{Avx2, Avx2Isa};
 use core::arch::x86_64::*;
 use rlibm_posit::Posit32;
-
-/// Runtime gate for the AVX2 path (cached by std's feature detection).
-/// The dispatchers fall back to the scalar driver when this returns
-/// false, so a `simd` build still runs correctly on pre-AVX2 hardware.
-#[inline]
-pub(crate) fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// One function's vector math, shared by both lane formats.
-pub(crate) trait Kernel4 {
-    /// The f32 entry's fast-path domain on exactly widened f32 lanes, as
-    /// an all-ones lane mask (NaN fails every ordered compare).
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    unsafe fn f32_dom(x: __m256d) -> __m256d;
-
-    /// The staged evaluation of four in-domain (or placeholder) lanes at
-    /// the selected tier: the vector twin of the scalar chunk kernel.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d;
-}
-
-/// A lane format's vector ends around the shared [`Kernel4`] math.
-pub(crate) trait SimdLane: Lane {
-    /// Filler for a partial chunk's unused lanes (never read back).
-    const PAD: Self;
-    /// A row's fast-path domain as the stage reads it: f32 domains live
-    /// in each kernel's [`Kernel4::f32_dom`]; posit32 rows carry theirs.
-    type Domain: Copy;
-
-    /// Widens the 4-lane groups whose bit is set in `groups`, classifies
-    /// them against the domain (placeholder 1.0 in out-of-domain lanes),
-    /// and writes kernel `K`'s staged results to `y`. Returns the
-    /// in-domain lanes as a bitmask (lane `i` = bit `i`); skipped groups
-    /// keep their previous `y` values and report 0.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    unsafe fn stage<K: Kernel4, const PREFIX: bool>(
-        xs: &[Self; LANES],
-        y: &mut [f64; LANES],
-        groups: u16,
-        dom: Self::Domain,
-    ) -> u64;
-
-    /// The round-safety test against `band` of the lanes in the 4-lane
-    /// groups whose bit is set in `groups`, as a bitmask (skipped groups
-    /// report 0), with the narrowing of every lane the mask accepts
-    /// written to `out` (other lanes' `out` values are unspecified).
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    unsafe fn safe_narrow(
-        y: &[f64; LANES],
-        band: u64,
-        groups: u16,
-        out: &mut [Self; LANES],
-    ) -> u64;
-}
 
 /// Sign-bit mask for f64 negation/abs.
 const SIGN: u64 = 1u64 << 63;
 
-/// The lanes of a 4-lane compare mask as bits `4g..4g+4` of a chunk mask.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_bits(m: __m256d, g: usize) -> u64 {
-    ((_mm256_movemask_pd(m) as u32 as u64) & 0xF) << (4 * g)
+/// The lanes of a 4-lane compare mask as bits `0..4`.
+#[inline(always)]
+unsafe fn lane_bits(m: __m256d) -> u64 {
+    u64::from(_mm256_movemask_pd(m) as u32 & 0xF)
 }
 
 /// 64-bit lanes of a constant.
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn splat(v: i64) -> __m256i {
     _mm256_set1_epi64x(v)
 }
 
 /// `lo <= a <= hi` per 64-bit lane (signed compares).
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn in_range64(a: __m256i, lo: i64, hi: i64) -> __m256i {
     _mm256_and_si256(
         _mm256_cmpgt_epi64(a, splat(lo - 1)),
@@ -169,192 +48,41 @@ unsafe fn in_range64(a: __m256i, lo: i64, hi: i64) -> __m256i {
     )
 }
 
-impl SimdLane for f32 {
-    const PAD: f32 = 1.0;
-    type Domain = ();
+// SAFETY (every `unsafe` block below): an `Avx2` or `Avx2Isa` value
+// exists only on an AVX2 CPU, and each method takes one; `g % 16` keeps
+// every 4-lane access inside its 64-lane array.
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn stage<K: Kernel4, const PREFIX: bool>(
-        xs: &[f32; LANES],
-        y: &mut [f64; LANES],
-        groups: u16,
-        (): (),
-    ) -> u64 {
-        let mut dom = 0u64;
-        for g in 0..LANES / 4 {
-            if groups & (1 << g) == 0 {
-                continue;
-            }
-            let x = widen4(xs, g);
-            let m = K::f32_dom(x);
-            store4(y, g, K::eval::<PREFIX>(placeholder(x, m)));
-            dom |= lane_bits(m, g);
-        }
-        dom
+impl Ends<Avx2> for f32 {
+    #[inline(always)]
+    fn widen(_: Avx2Isa, xs: &[f32; LANES], g: usize) -> Avx2 {
+        unsafe { Avx2::from_raw(_mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(4 * (g % 16))))) }
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn safe_narrow(
-        y: &[f64; LANES],
-        band: u64,
-        groups: u16,
-        out: &mut [f32; LANES],
-    ) -> u64 {
-        let mut safe = 0u64;
-        for g in 0..LANES / 4 {
-            if groups & (1 << g) == 0 {
-                continue;
-            }
-            let v = _mm256_loadu_pd(y.as_ptr().add(4 * g));
+    #[inline(always)]
+    fn safe_narrow(y: Avx2, band: u64, out: &mut [f32; LANES], g: usize) -> u64 {
+        unsafe {
             // cvtpd_ps rounds with the MXCSR mode (nearest-even), like `as f32`.
-            _mm_storeu_ps(out.as_mut_ptr().add(4 * g), _mm256_cvtpd_ps(v));
-            safe |= lane_bits(f32_round_safe4(v, band), g);
+            _mm_storeu_ps(out.as_mut_ptr().add(4 * (g % 16)), _mm256_cvtpd_ps(y.raw()));
+            lane_bits(f32_round_safe4(y.raw(), band))
         }
-        safe
     }
 }
 
-impl SimdLane for Posit32 {
-    const PAD: Posit32 = Posit32::ONE;
-    type Domain = PositDomain;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn stage<K: Kernel4, const PREFIX: bool>(
-        xs: &[Posit32; LANES],
-        y: &mut [f64; LANES],
-        groups: u16,
-        dom: PositDomain,
-    ) -> u64 {
-        let mut mask = 0u64;
-        for g in 0..LANES / 4 {
-            if groups & (1 << g) == 0 {
-                continue;
-            }
-            let x = posit32_decode4(xs, g);
-            let m = posit32_dom4(x, dom);
-            store4(y, g, K::eval::<PREFIX>(placeholder(x, m)));
-            mask |= lane_bits(m, g);
-        }
-        mask
+impl Ends<Avx2> for Posit32 {
+    #[inline(always)]
+    fn widen(_: Avx2Isa, xs: &[Posit32; LANES], g: usize) -> Avx2 {
+        unsafe { Avx2::from_raw(posit32_decode4(xs, g % 16)) }
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn safe_narrow(
-        y: &[f64; LANES],
-        band: u64,
-        groups: u16,
-        out: &mut [Posit32; LANES],
-    ) -> u64 {
-        let mut safe = 0u64;
-        for g in 0..LANES / 4 {
-            if groups & (1 << g) == 0 {
-                continue;
-            }
-            let (ok, patterns) = posit32_safe_encode4(_mm256_loadu_pd(y.as_ptr().add(4 * g)), band);
+    #[inline(always)]
+    fn safe_narrow(y: Avx2, band: u64, out: &mut [Posit32; LANES], g: usize) -> u64 {
+        unsafe {
+            let (ok, patterns) = posit32_safe_encode4(y.raw(), band);
             // Posit32 is a transparent u32 pattern.
-            _mm_storeu_si128(out.as_mut_ptr().add(4 * g).cast(), patterns);
-            safe |= lane_bits(ok, g);
-        }
-        safe
-    }
-}
-
-/// The shared SIMD chunk driver, over both lane formats: the prefix
-/// stage, the vector safety mask against the wide prefix band, and the
-/// per-lane resolve. Chunks whose in-domain lanes escape the prefix band
-/// re-run the full-degree stage on the 4-lane groups that hold them and
-/// re-test against the narrow full band; lanes that fail both (and
-/// special lanes) re-enter the scalar progressive entry. Mirrors
-/// `super::drive` exactly, including the per-tier counter accounting and
-/// the order in which rescalar lanes resolve.
-pub(crate) fn drive_simd<L: SimdLane, K: Kernel4>(
-    xs: &[L],
-    out: &mut [L],
-    dom: L::Domain,
-    slot: usize,
-    scalar: fn(L) -> L,
-) {
-    assert_eq!(xs.len(), out.len(), "eval_slice: input/output length mismatch");
-    let (prefix_band, band) = (TIERS[slot].prefix_band, TIERS[slot].full_band);
-    debug_assert!(avx2_available());
-    let mut y = [0.0f64; LANES];
-    let mut narrowed = [L::PAD; LANES];
-    let mut xpad = [L::PAD; LANES];
-    let mut chunks = 0u64;
-    let mut rescalar = 0u64;
-    let mut prefix_hits = 0u64;
-    let mut full_hits = 0u64;
-    for (xc, oc) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-        chunks += 1;
-        let n = xc.len();
-        let live = if n == LANES { u64::MAX } else { (1u64 << n) - 1 };
-        let xfull: &[L; LANES] = match xc.try_into() {
-            Ok(full) => full,
-            Err(_) => {
-                // Final partial chunk: pad lanes are never read back.
-                xpad[..n].copy_from_slice(xc);
-                &xpad
-            }
-        };
-        // SAFETY: AVX2 presence is checked once by the dispatcher.
-        // Every group is staged, pad lanes included: staging only a
-        // partial chunk's own groups measured lower throughput in the
-        // closed-loop serving benchmark, whose flushes are mostly partial.
-        let in_dom = unsafe { L::stage::<K, true>(xfull, &mut y, u16::MAX, dom) };
-        super::perturb_prefix(slot, &mut y, in_dom & live);
-        let safe = unsafe { L::safe_narrow(&y, prefix_band, u16::MAX, &mut narrowed) };
-        let ok = in_dom & safe & live;
-        prefix_hits += u64::from(ok.count_ones());
-        // Ship every lane's narrowed prefix result, then overwrite the
-        // ones the prefix tier did not accept.
-        match <&mut [L; LANES]>::try_from(&mut *oc) {
-            Ok(full) => *full = narrowed,
-            Err(_) => oc.copy_from_slice(&narrowed[..n]),
-        }
-        let mut special = !in_dom & live;
-        while special != 0 {
-            let i = special.trailing_zeros() as usize;
-            special &= special - 1;
-            rescalar += 1;
-            oc[i] = super::rescalar_resolve(scalar, xc[i]);
-        }
-        // In-domain lanes the prefix band rejected: escalate through the
-        // full-degree stage (rare — the prefix bands are sized so well
-        // under 1% of in-domain lanes land here).
-        let mut pending = in_dom & !safe & live;
-        if pending != 0 {
-            // Re-run only the 4-lane groups that hold a pending lane
-            // (typically one of sixteen).
-            let mut groups = 0u16;
-            for g in 0..LANES / 4 {
-                if (pending >> (4 * g)) & 0xF != 0 {
-                    groups |= 1 << g;
-                }
-            }
-            let _ = unsafe { L::stage::<K, false>(xfull, &mut y, groups, dom) };
-            let safe_full = unsafe { L::safe_narrow(&y, band, groups, &mut narrowed) };
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                if (safe_full >> i) & 1 == 1 {
-                    full_hits += 1;
-                    oc[i] = narrowed[i];
-                } else {
-                    rescalar += 1;
-                    oc[i] = super::rescalar_resolve(scalar, xc[i]);
-                }
-            }
+            _mm_storeu_si128(out.as_mut_ptr().add(4 * (g % 16)).cast(), patterns);
+            lane_bits(ok)
         }
     }
-    let (chunk_counter, rescalar_counter) = L::counters();
-    chunk_counter.add(chunks);
-    rescalar_counter.add(rescalar);
-    crate::stats::record_tier_prefix_n(slot, prefix_hits);
-    crate::stats::record_tier_full_n(slot, full_hits);
 }
 
 /// Vectorized [`crate::round::f32_round_safe`] over 4 lanes, as a lane
@@ -364,8 +92,7 @@ pub(crate) fn drive_simd<L: SimdLane, K: Kernel4>(
 ///
 /// # Safety
 /// Requires AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn f32_round_safe4(y: __m256d, band: u64) -> __m256d {
     debug_assert!(band < (1 << 26));
     let bits = _mm256_castpd_si256(y);
@@ -394,8 +121,7 @@ unsafe fn f32_round_safe4(y: __m256d, band: u64) -> __m256d {
 ///
 /// # Safety
 /// Requires AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn posit32_decode4(xs: &[Posit32; LANES], g: usize) -> __m256d {
     // Posit32 is a transparent u32 pattern.
     let raw = _mm_loadu_si128(xs.as_ptr().add(4 * g).cast());
@@ -438,25 +164,6 @@ unsafe fn posit32_decode4(xs: &[Posit32; LANES], g: usize) -> __m256d {
     _mm256_castsi256_pd(bits)
 }
 
-/// A posit32 row's domain mask on decoded lanes: the vector twin of
-/// [`PositDomain::contains`] (NaR decodes to NaN and fails every
-/// ordered compare).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn posit32_dom4(x: __m256d, dom: PositDomain) -> __m256d {
-    match dom {
-        PositDomain::Positive => _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_setzero_pd()),
-        PositDomain::AbsAtMost(c) => _mm256_cmp_pd::<_CMP_LE_OQ>(abs4(x), _mm256_set1_pd(c)),
-        PositDomain::AbsWithin(lo, hi) => {
-            let ax = abs4(x);
-            _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GE_OQ>(ax, _mm256_set1_pd(lo)),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(ax, _mm256_set1_pd(hi)),
-            )
-        }
-    }
-}
-
 /// The posit32 round-safety test of 4 lanes fused with their encode:
 /// returns the lane mask of [`crate::round::posit32_round_safe`] against
 /// `band` and, for the accepted lanes, `Posit32::from_f64` of each as
@@ -467,8 +174,7 @@ unsafe fn posit32_dom4(x: __m256d, dom: PositDomain) -> __m256d {
 ///
 /// # Safety
 /// Requires AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn posit32_safe_encode4(y: __m256d, band: u64) -> (__m256d, __m128i) {
     let bits = _mm256_castpd_si256(y);
     let abs = _mm256_andnot_si256(splat(SIGN as i64), bits);
@@ -523,834 +229,17 @@ unsafe fn posit32_safe_encode4(y: __m256d, band: u64) -> (__m256d, __m128i) {
     (_mm256_castsi256_pd(safe), _mm256_castsi256_si128(packed))
 }
 
-// ---------------------------------------------------------------------
-// 4-lane building blocks (each mirrors one scalar helper op-for-op)
-// ---------------------------------------------------------------------
-
-/// Widens 4 f32 lanes to f64 (exact) starting at lane `4*g`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn widen4(xs: &[f32; LANES], g: usize) -> __m256d {
-    _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr().add(4 * g)))
-}
-
-/// Stores 4 staged results at lane `4*g`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn store4(y: &mut [f64; LANES], g: usize, v: __m256d) {
-    _mm256_storeu_pd(y.as_mut_ptr().add(4 * g), v)
-}
-
-/// Blends the scalar widen stage's placeholder into out-of-domain lanes.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn placeholder(x: __m256d, dom: __m256d) -> __m256d {
-    _mm256_blendv_pd(_mm256_set1_pd(1.0), x, dom)
-}
-
-/// `|x|` (clears the sign bit, exact — same as scalar `abs`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn abs4(x: __m256d) -> __m256d {
-    _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_set1_epi64x(SIGN as i64)), x)
-}
-
-/// `-x` where the mask is set (IEEE negation is a sign flip).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn negate_where(v: __m256d, mask: __m256d) -> __m256d {
-    let flipped = _mm256_xor_pd(v, _mm256_castsi256_pd(_mm256_set1_epi64x(SIGN as i64)));
-    _mm256_blendv_pd(v, flipped, mask)
-}
-
-/// `2^i` for the four i32 exponents, by direct bit construction. Not
-/// total like the scalar `pow2i`: valid only for `-1022 <= i <= 1023`,
-/// which the staged pipelines guarantee — the domain filters cap the
-/// exp-family reductions at `|k| < 64*156`, so `i = k >> 6` stays within
-/// `[-156, 156]`, and placeholder lanes produce tiny `k`. For those
-/// inputs the scalar `pow2i` takes exactly this branch.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn pow2i4(i: __m128i) -> __m256d {
-    let wide = _mm256_cvtepi32_epi64(i);
-    let bits = _mm256_slli_epi64::<52>(_mm256_add_epi64(wide, _mm256_set1_epi64x(1023)));
-    _mm256_castsi256_pd(bits)
-}
-
-/// Mirror of `fast::exp_poly_fast`: same Horner structure, same
-/// grouping, no contraction.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_poly4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let mut q = c(1.0 / 5040.0);
-    q = _mm256_add_pd(c(1.0 / 720.0), _mm256_mul_pd(r, q));
-    q = _mm256_add_pd(c(1.0 / 120.0), _mm256_mul_pd(r, q));
-    q = _mm256_add_pd(c(1.0 / 24.0), _mm256_mul_pd(r, q));
-    q = _mm256_add_pd(c(1.0 / 6.0), _mm256_mul_pd(r, q));
-    q = _mm256_add_pd(c(0.5), _mm256_mul_pd(r, q));
-    // 1 + r·(1 + r·q)
-    _mm256_add_pd(c(1.0), _mm256_mul_pd(r, _mm256_add_pd(c(1.0), _mm256_mul_pd(r, q))))
-}
-
-/// Mirror of `fast::exp_poly_prefix` (progressive tier 0): the same
-/// Horner spine truncated after the `1/24` term.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_poly_prefix4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let mut q = c(1.0 / 24.0);
-    q = _mm256_add_pd(c(1.0 / 6.0), _mm256_mul_pd(r, q));
-    q = _mm256_add_pd(c(0.5), _mm256_mul_pd(r, q));
-    // 1 + r·(1 + r·q)
-    _mm256_add_pd(c(1.0), _mm256_mul_pd(r, _mm256_add_pd(c(1.0), _mm256_mul_pd(r, q))))
-}
-
-/// Mirror of `fast::exp_combined_fast` / `fast::exp_combined_prefix`
-/// (tier selected by `PREFIX`, const-folded per monomorphization): table
-/// gather at `j = k mod 64`, Horner, exponent scale at `i = k div 64`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_combined4<const PREFIX: bool>(k: __m128i, r: __m256d) -> __m256d {
-    // k & 63 == rem_euclid(64), k >> 6 == div_euclid(64) for two's
-    // complement (divisor a power of two).
-    let j = _mm_and_si128(k, _mm_set1_epi32(63));
-    let i = _mm_srai_epi32::<6>(k);
-    if PREFIX {
-        // th * p * 2^i — hi-only table read, like the scalar prefix.
-        let th = gather_hi4(&t::EXP2_64_P, j, t::EXP2_64_HI_BASE);
-        _mm256_mul_pd(_mm256_mul_pd(th, exp_poly_prefix4(r)), pow2i4(i))
-    } else {
-        let (th, tl) = gather_packed4(&t::EXP2_64_P, j, t::EXP2_64_HI_BASE, t::EXP2_64_LO_BASE);
-        // (th * p + tl) * 2^i
-        _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(th, exp_poly4(r)), tl), pow2i4(i))
-    }
-}
-
-/// The `e^x` reduction + combine over 4 widened lanes (mirror of the
-/// scalar `exp_chunk_with` body at the selected tier).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn exp4<const PREFIX: bool>(xd: __m256d) -> __m256d {
-    // cvtpd_epi32 rounds ties-to-even (MXCSR default): identical to
-    // `fast::round_even_i64(x * C)` for these small magnitudes.
-    let k = _mm256_cvtpd_epi32(_mm256_mul_pd(xd, _mm256_set1_pd(64.0 * t::LOG2_E)));
-    let kf = _mm256_cvtepi32_pd(k);
-    let r = _mm256_sub_pd(
-        _mm256_sub_pd(xd, _mm256_mul_pd(kf, _mm256_set1_pd(t::LN2_64_HI))),
-        _mm256_mul_pd(kf, _mm256_set1_pd(t::LN2_64_MID)),
-    );
-    exp_combined4::<PREFIX>(k, r)
-}
-
-/// Mirror of `fast::log1p_poly_fast`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn log1p_poly4(u: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    // q = -1/2 + u·(1/3 + u·(-1/4 + u·(1/5 + u·(-1/6 + u·(1/7 - u/8)))))
-    let mut q = _mm256_sub_pd(c(1.0 / 7.0), _mm256_mul_pd(u, c(0.125)));
-    q = _mm256_add_pd(c(-1.0 / 6.0), _mm256_mul_pd(u, q));
-    q = _mm256_add_pd(c(0.2), _mm256_mul_pd(u, q));
-    q = _mm256_add_pd(c(-0.25), _mm256_mul_pd(u, q));
-    q = _mm256_add_pd(c(1.0 / 3.0), _mm256_mul_pd(u, q));
-    q = _mm256_add_pd(c(-0.5), _mm256_mul_pd(u, q));
-    // u + u^2·q
-    _mm256_add_pd(u, _mm256_mul_pd(_mm256_mul_pd(u, u), q))
-}
-
-/// Mirror of `fast::log1p_poly_prefix`: `q` truncated after the `u^3/5`
-/// term.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn log1p_poly_prefix4(u: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    // q = -1/2 + u·(1/3 + u·(-1/4 + u·(1/5)))
-    let mut q = _mm256_add_pd(c(-0.25), _mm256_mul_pd(u, c(0.2)));
-    q = _mm256_add_pd(c(1.0 / 3.0), _mm256_mul_pd(u, q));
-    q = _mm256_add_pd(c(-0.5), _mm256_mul_pd(u, q));
-    // u + u^2·q
-    _mm256_add_pd(u, _mm256_mul_pd(_mm256_mul_pd(u, u), q))
-}
-
-/// Tier dispatch for the log-family Horner pass.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn log1p_tier4<const PREFIX: bool>(u: __m256d) -> __m256d {
-    if PREFIX {
-        log1p_poly_prefix4(u)
-    } else {
-        log1p_poly4(u)
-    }
-}
-
-/// The shared log reduction (mirror of `fast::reduce_fast`): returns
-/// `(e as f64, j as i32x4, u)` with the index-128 fold applied as a
-/// blend. Requires positive normal-f64 lanes (the dom filter + widen
-/// guarantee it: every positive f32, subnormals included, widens to a
-/// normal f64).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn log_reduce4(xd: __m256d) -> (__m256d, __m128i, __m256d) {
-    let bits = _mm256_castpd_si256(xd);
-    // Biased exponent as an exact small-integer double via the 2^52
-    // magic-bits trick, with the -1023 bias folded into the subtrahend.
-    let be = _mm256_srli_epi64::<52>(bits); // sign bit is 0: x > 0
-    let magic = _mm256_set1_epi64x(0x4330_0000_0000_0000); // 2^52
-    let ef = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(be, magic)),
-        _mm256_set1_pd(4_503_599_627_370_496.0 + 1023.0),
-    );
-    let z = _mm256_castsi256_pd(_mm256_or_si256(
-        _mm256_and_si256(bits, _mm256_set1_epi64x(0x000F_FFFF_FFFF_FFFF)),
-        _mm256_set1_epi64x(0x3FF0_0000_0000_0000u64 as i64),
-    ));
-    // j = round_even_i64((z - 1) * 128), 0..=128
-    let j = _mm256_cvtpd_epi32(_mm256_mul_pd(
-        _mm256_sub_pd(z, _mm256_set1_pd(1.0)),
-        _mm256_set1_pd(128.0),
-    ));
-    // Index-128 fold: e += 1, z *= 0.5 (exact), j = 0.
-    let fold = _mm_cmpeq_epi32(j, _mm_set1_epi32(128));
-    let fold_pd = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(fold));
-    let ef = _mm256_add_pd(ef, _mm256_and_pd(fold_pd, _mm256_set1_pd(1.0)));
-    let z = _mm256_blendv_pd(z, _mm256_mul_pd(z, _mm256_set1_pd(0.5)), fold_pd);
-    let j = _mm_andnot_si128(fold, j);
-    // f = 1 + j/128 (exact), u = (z - f)/f
-    let f = _mm256_add_pd(
-        _mm256_set1_pd(1.0),
-        _mm256_div_pd(_mm256_cvtepi32_pd(j), _mm256_set1_pd(128.0)),
-    );
-    let u = _mm256_div_pd(_mm256_sub_pd(z, f), f);
-    (ef, j, u)
-}
-
-/// Vector twin of `tables_codec::decode_hi`: 4 masked 56-bit hi words
-/// to f64 lanes. `base` is the table's hi exponent origin.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn decode_hi4(w: __m256i, base: u64) -> __m256d {
-    let mant = _mm256_and_si256(w, _mm256_set1_epi64x(codec::MANT52_MASK as i64));
-    let code = _mm256_srli_epi64::<52>(w); // word is pre-masked to 56 bits
-    let exp = _mm256_slli_epi64::<52>(_mm256_add_epi64(code, _mm256_set1_epi64x(base as i64 - 1)));
-    let bits = _mm256_or_si256(exp, mant);
-    let zero = _mm256_cmpeq_epi64(code, _mm256_setzero_si256());
-    _mm256_castsi256_pd(_mm256_andnot_si256(zero, bits))
-}
-
-/// Vector twin of `tables_codec::decode_lo`: 4 masked 57-bit lo words
-/// (sign in bit 56) to f64 lanes.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn decode_lo4(w: __m256i, base: u64) -> __m256d {
-    let mant = _mm256_and_si256(w, _mm256_set1_epi64x(codec::MANT52_MASK as i64));
-    let code = _mm256_and_si256(_mm256_srli_epi64::<52>(w), _mm256_set1_epi64x(0xF));
-    let sign = _mm256_slli_epi64::<7>(_mm256_and_si256(w, _mm256_set1_epi64x(1i64 << 56)));
-    let exp = _mm256_slli_epi64::<52>(_mm256_add_epi64(code, _mm256_set1_epi64x(base as i64 - 1)));
-    let bits = _mm256_or_si256(sign, _mm256_or_si256(exp, mant));
-    let zero = _mm256_cmpeq_epi64(code, _mm256_setzero_si256());
-    _mm256_castsi256_pd(_mm256_andnot_si256(zero, bits))
-}
-
-/// Gathers and decodes 4 entries of a 15-byte-stride packed table: two
-/// scale-1 `i32gather_epi64` loads per group (byte offsets `15n` and
-/// `15n + 7`), then the fixed shift/mask decode. The last entry's lo
-/// load ends exactly at the table's final byte, so every in-bounds index
-/// gathers in bounds.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_packed4(
-    bytes: &[u8],
-    idx: __m128i,
-    hi_base: u64,
-    lo_base: u64,
-) -> (__m256d, __m256d) {
-    let base = bytes.as_ptr().cast::<i64>();
-    // byte offset 15n computed as 16n - n
-    let off = _mm_sub_epi32(_mm_slli_epi32::<4>(idx), idx);
-    let w0 = _mm256_i32gather_epi64::<1>(base, off);
-    let w1 = _mm256_i32gather_epi64::<1>(base, _mm_add_epi32(off, _mm_set1_epi32(7)));
-    let hw = _mm256_and_si256(w0, _mm256_set1_epi64x(codec::HI_WORD_MASK as i64));
-    let lw = _mm256_and_si256(w1, _mm256_set1_epi64x(codec::LO_WORD_MASK as i64));
-    (decode_hi4(hw, hi_base), decode_lo4(lw, lo_base))
-}
-
-/// `gather_packed4` into the sinpi table through the cospi mirror
-/// (`COSPI_T[n] == SINPI_T[256 - n]`, verified at build time).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_cospi4(idx: __m128i) -> (__m256d, __m256d) {
-    let mirrored = _mm_sub_epi32(_mm_set1_epi32(256), idx);
-    gather_packed4(&t::SINPI_T_P, mirrored, t::SINPI_T_HI_BASE, t::SINPI_T_LO_BASE)
-}
-
-/// Hi-word-only gather — the prefix tier's table read (vector twin of
-/// `tables::*_hi`): one u64 gather at byte offset `15n` plus the hi
-/// decode, half the gather traffic of [`gather_packed4`]. Sound for the
-/// same reason as the scalar prefix kernels: the dropped lo words sit
-/// far inside every prefix band, and an excursion escalates a tier.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_hi4(bytes: &[u8], idx: __m128i, hi_base: u64) -> __m256d {
-    let base = bytes.as_ptr().cast::<i64>();
-    let off = _mm_sub_epi32(_mm_slli_epi32::<4>(idx), idx);
-    let w0 = _mm256_i32gather_epi64::<1>(base, off);
-    decode_hi4(_mm256_and_si256(w0, _mm256_set1_epi64x(codec::HI_WORD_MASK as i64)), hi_base)
-}
-
-/// [`gather_hi4`] through the cospi mirror.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_cospi_hi4(idx: __m128i) -> __m256d {
-    let mirrored = _mm_sub_epi32(_mm_set1_epi32(256), idx);
-    gather_hi4(&t::SINPI_T_P, mirrored, t::SINPI_T_HI_BASE)
-}
-
-/// Mirror of `fast::sinpi_poly_fast`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn sinpi_poly4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let r2 = _mm256_mul_pd(r, r);
-    let tail = _mm256_add_pd(
-        c(t::SINPI_C3),
-        _mm256_mul_pd(r2, _mm256_add_pd(c(t::SINPI_C5), _mm256_mul_pd(r2, c(t::SINPI_C7)))),
-    );
-    // r·PI_HI + (r·PI_LO + (r·r2)·tail)
-    _mm256_add_pd(
-        _mm256_mul_pd(r, c(t::PI_HI)),
-        _mm256_add_pd(
-            _mm256_mul_pd(r, c(t::PI_LO)),
-            _mm256_mul_pd(_mm256_mul_pd(r, r2), tail),
-        ),
-    )
-}
-
-/// Mirror of `fast::cospi_poly_fast`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cospi_poly4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let r2 = _mm256_mul_pd(r, r);
-    let tail = _mm256_add_pd(
-        c(t::COSPI_C4),
-        _mm256_mul_pd(r2, c(t::COSPI_C6)),
-    );
-    // 1 + (r2·C2_HI + (r2·C2_LO + (r2·r2)·tail))
-    _mm256_add_pd(
-        c(1.0),
-        _mm256_add_pd(
-            _mm256_mul_pd(r2, c(t::COSPI_C2_HI)),
-            _mm256_add_pd(
-                _mm256_mul_pd(r2, c(t::COSPI_C2_LO)),
-                _mm256_mul_pd(_mm256_mul_pd(r2, r2), tail),
-            ),
-        ),
-    )
-}
-
-/// Mirror of `fast::sinpi_poly_prefix` (drops `C5`, `C7`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn sinpi_poly_prefix4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let r2 = _mm256_mul_pd(r, r);
-    // r·PI_HI + (r·PI_LO + (r·r2)·C3)
-    _mm256_add_pd(
-        _mm256_mul_pd(r, c(t::PI_HI)),
-        _mm256_add_pd(
-            _mm256_mul_pd(r, c(t::PI_LO)),
-            _mm256_mul_pd(_mm256_mul_pd(r, r2), c(t::SINPI_C3)),
-        ),
-    )
-}
-
-/// Mirror of `fast::cospi_poly_prefix` (drops `C6`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cospi_poly_prefix4(r: __m256d) -> __m256d {
-    let c = |v: f64| _mm256_set1_pd(v);
-    let r2 = _mm256_mul_pd(r, r);
-    // 1 + (r2·C2_HI + (r2·C2_LO + (r2·r2)·C4))
-    _mm256_add_pd(
-        c(1.0),
-        _mm256_add_pd(
-            _mm256_mul_pd(r2, c(t::COSPI_C2_HI)),
-            _mm256_add_pd(
-                _mm256_mul_pd(r2, c(t::COSPI_C2_LO)),
-                _mm256_mul_pd(_mm256_mul_pd(r2, r2), c(t::COSPI_C4)),
-            ),
-        ),
-    )
-}
-
-/// Tier dispatch for the trig polynomial pair.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn sinpi_tier4<const PREFIX: bool>(r: __m256d) -> __m256d {
-    if PREFIX {
-        sinpi_poly_prefix4(r)
-    } else {
-        sinpi_poly4(r)
-    }
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cospi_tier4<const PREFIX: bool>(r: __m256d) -> __m256d {
-    if PREFIX {
-        cospi_poly_prefix4(r)
-    } else {
-        cospi_poly4(r)
-    }
-}
-
-/// Mirror of `fast::mod2_split_fast`: `(k mask, l)` with
-/// `l = a mod 2` folded into `[0, 1)` and `k` flagging the upper half
-/// period.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mod2_split4(a: __m256d) -> (__m256d, __m256d) {
-    const FLOOR: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
-    let fl = _mm256_round_pd::<FLOOR>(_mm256_mul_pd(a, _mm256_set1_pd(0.5)));
-    let jm = _mm256_sub_pd(a, _mm256_mul_pd(_mm256_set1_pd(2.0), fl));
-    let k = _mm256_cmp_pd::<_CMP_GE_OQ>(jm, _mm256_set1_pd(1.0));
-    let l = _mm256_blendv_pd(jm, _mm256_sub_pd(jm, _mm256_set1_pd(1.0)), k);
-    (k, l)
-}
-
-// ---------------------------------------------------------------------
-// per-function kernels: the f32 domain masks and the shared eval bodies
-// ---------------------------------------------------------------------
-
-/// `e^x`.
-pub(crate) struct Exp;
-/// `2^x`.
-pub(crate) struct Exp2;
-/// `10^x`.
-pub(crate) struct Exp10;
-/// Natural logarithm.
-pub(crate) struct Ln;
-/// Base-2 logarithm.
-pub(crate) struct Log2;
-/// Base-10 logarithm.
-pub(crate) struct Log10;
-/// Hyperbolic sine.
-pub(crate) struct Sinh;
-/// Hyperbolic cosine.
-pub(crate) struct Cosh;
-/// `sin(πx)` (f32 only).
-pub(crate) struct Sinpi;
-/// `cos(πx)` (f32 only).
-pub(crate) struct Cospi;
-
-/// `lo <= x <= hi` (both inclusive; NaN fails).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn within4(x: __m256d, lo: f64, hi: f64) -> __m256d {
-    _mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_GE_OQ>(x, _mm256_set1_pd(lo)),
-        _mm256_cmp_pd::<_CMP_LE_OQ>(x, _mm256_set1_pd(hi)),
-    )
-}
-
-impl Kernel4 for Exp {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        // (-106.0..=89.0).contains(&x) — f32 compare, exactly preserved
-        // on the exactly-widened doubles.
-        within4(x, -106.0, 89.0)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        exp4::<PREFIX>(xd)
-    }
-}
-
-impl Kernel4 for Exp2 {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        // (-151.0..128.0): half-open on the right.
-        _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GE_OQ>(x, _mm256_set1_pd(-151.0)),
-            _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(128.0)),
-        )
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let k = _mm256_cvtpd_epi32(_mm256_mul_pd(xd, _mm256_set1_pd(64.0)));
-        let kf = _mm256_cvtepi32_pd(k);
-        // tt = x - k/64 (exact); r = tt·LN2_HI + tt·LN2_LO
-        let tt = _mm256_sub_pd(xd, _mm256_div_pd(kf, _mm256_set1_pd(64.0)));
-        let r = _mm256_add_pd(
-            _mm256_mul_pd(tt, _mm256_set1_pd(t::LN2_HI)),
-            _mm256_mul_pd(tt, _mm256_set1_pd(t::LN2_LO)),
-        );
-        exp_combined4::<PREFIX>(k, r)
-    }
-}
-
-impl Kernel4 for Exp10 {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        // (-45.5..=38.6): 38.6 here is the f32 literal widened exactly.
-        within4(x, -45.5f32 as f64, 38.6f32 as f64)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let k = _mm256_cvtpd_epi32(_mm256_mul_pd(xd, _mm256_set1_pd(64.0 * t::LOG2_10)));
-        let kf = _mm256_cvtepi32_pd(k);
-        let b = _mm256_mul_pd(kf, _mm256_set1_pd(t::LN2_64_HI));
-        // r = (x·LN10_HI - b) + (x·LN10_LO - kf·LN2_64_MID)
-        let r = _mm256_add_pd(
-            _mm256_sub_pd(_mm256_mul_pd(xd, _mm256_set1_pd(t::LN10_HI)), b),
-            _mm256_sub_pd(
-                _mm256_mul_pd(xd, _mm256_set1_pd(t::LN10_LO)),
-                _mm256_mul_pd(kf, _mm256_set1_pd(t::LN2_64_MID)),
-            ),
-        );
-        exp_combined4::<PREFIX>(k, r)
-    }
-}
-
-/// Shared log-family f32 dom mask: `x > 0 && x < inf` (subnormal f32
-/// widens to normal f64, so the reduction's normal-f64 precondition
-/// holds).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn log_dom4(x: __m256d) -> __m256d {
-    _mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_set1_pd(0.0)),
-        _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(f64::INFINITY)),
-    )
-}
-
-impl Kernel4 for Ln {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        log_dom4(x)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let (ef, j, u) = log_reduce4(xd);
-        let p = log1p_tier4::<PREFIX>(u);
-        if PREFIX {
-            // Hi-only gather: c = ef·LN2_HI42 + th; y = c + (p + ef·LN2_MID)
-            let th = gather_hi4(&t::LN_F_P, j, t::LN_F_HI_BASE);
-            let c = _mm256_add_pd(_mm256_mul_pd(ef, _mm256_set1_pd(t::LN2_HI42)), th);
-            _mm256_add_pd(c, _mm256_add_pd(p, _mm256_mul_pd(ef, _mm256_set1_pd(t::LN2_MID))))
-        } else {
-            let (th, tl) = gather_packed4(&t::LN_F_P, j, t::LN_F_HI_BASE, t::LN_F_LO_BASE);
-            // c = ef·LN2_HI42 + th; lo = tl + ef·LN2_MID; y = c + (p + lo)
-            let c = _mm256_add_pd(_mm256_mul_pd(ef, _mm256_set1_pd(t::LN2_HI42)), th);
-            let lo = _mm256_add_pd(tl, _mm256_mul_pd(ef, _mm256_set1_pd(t::LN2_MID)));
-            _mm256_add_pd(c, _mm256_add_pd(p, lo))
-        }
-    }
-}
-
-impl Kernel4 for Log2 {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        log_dom4(x)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let (ef, j, u) = log_reduce4(xd);
-        let p = log1p_tier4::<PREFIX>(u);
-        if PREFIX {
-            // Hi-only gather: c = e + th; y = c + (p·INV_LN2_HI + p·INV_LN2_LO)
-            let c = _mm256_add_pd(ef, gather_hi4(&t::LOG2_F_P, j, t::LOG2_F_HI_BASE));
-            _mm256_add_pd(
-                c,
-                _mm256_add_pd(
-                    _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN2_HI)),
-                    _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN2_LO)),
-                ),
-            )
-        } else {
-            let (th, tl) = gather_packed4(&t::LOG2_F_P, j, t::LOG2_F_HI_BASE, t::LOG2_F_LO_BASE);
-            // c = e + th; y = c + (p·INV_LN2_HI + (tl + p·INV_LN2_LO))
-            let c = _mm256_add_pd(ef, th);
-            _mm256_add_pd(
-                c,
-                _mm256_add_pd(
-                    _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN2_HI)),
-                    _mm256_add_pd(tl, _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN2_LO))),
-                ),
-            )
-        }
-    }
-}
-
-impl Kernel4 for Log10 {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        log_dom4(x)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let (ef, j, u) = log_reduce4(xd);
-        let p = log1p_tier4::<PREFIX>(u);
-        if PREFIX {
-            // Hi-only gather: c = ef·LOG10_2_HI + th
-            // y = c + (p·INV_LN10_HI + (ef·LOG10_2_LO + p·INV_LN10_LO))
-            let th = gather_hi4(&t::LOG10_F_P, j, t::LOG10_F_HI_BASE);
-            let c = _mm256_add_pd(_mm256_mul_pd(ef, _mm256_set1_pd(t::LOG10_2_HI)), th);
-            let inner = _mm256_add_pd(
-                _mm256_mul_pd(ef, _mm256_set1_pd(t::LOG10_2_LO)),
-                _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN10_LO)),
-            );
-            _mm256_add_pd(
-                c,
-                _mm256_add_pd(_mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN10_HI)), inner),
-            )
-        } else {
-            let (th, tl) = gather_packed4(&t::LOG10_F_P, j, t::LOG10_F_HI_BASE, t::LOG10_F_LO_BASE);
-            // c = ef·LOG10_2_HI + th
-            // y = c + (p·INV_LN10_HI + ((tl + ef·LOG10_2_LO) + p·INV_LN10_LO))
-            let c = _mm256_add_pd(_mm256_mul_pd(ef, _mm256_set1_pd(t::LOG10_2_HI)), th);
-            let inner = _mm256_add_pd(
-                _mm256_add_pd(tl, _mm256_mul_pd(ef, _mm256_set1_pd(t::LOG10_2_LO))),
-                _mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN10_LO)),
-            );
-            _mm256_add_pd(
-                c,
-                _mm256_add_pd(_mm256_mul_pd(p, _mm256_set1_pd(t::INV_LN10_HI)), inner),
-            )
-        }
-    }
-}
-
-/// sinh/cosh f32 dom mask: `tiny <= |x| <= 90`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn hyper_dom4(x: __m256d, tiny: f64) -> __m256d {
-    let ax = abs4(x);
-    _mm256_and_pd(
-        _mm256_cmp_pd::<_CMP_LE_OQ>(ax, _mm256_set1_pd(90.0)),
-        _mm256_cmp_pd::<_CMP_GE_OQ>(ax, _mm256_set1_pd(tiny)),
-    )
-}
-
-/// sinh/cosh share the dominant `e^|x|` pipeline; the small-|x| Taylor
-/// branch becomes a blend (both sides are computed with the scalar
-/// branch's exact op sequence, each lane keeps the one the scalar code
-/// would have taken).
-impl Kernel4 for Sinh {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        hyper_dom4(x, 2f32.powi(-12) as f64)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let c = |v: f64| _mm256_set1_pd(v);
-        let a = abs4(xd);
-        let big = exp4::<PREFIX>(a);
-        let x2 = _mm256_mul_pd(a, a);
-        // a + (a·x2)·(1/6 + x2·(1/120 + x2·(1/5040 + x2·(1/362880))))
-        let tail = _mm256_add_pd(
-            c(1.0 / 6.0),
-            _mm256_mul_pd(
-                x2,
-                _mm256_add_pd(
-                    c(1.0 / 120.0),
-                    _mm256_mul_pd(
-                        x2,
-                        _mm256_add_pd(c(1.0 / 5040.0), _mm256_mul_pd(x2, c(1.0 / 362_880.0))),
-                    ),
-                ),
-            ),
-        );
-        let v_small = _mm256_add_pd(a, _mm256_mul_pd(_mm256_mul_pd(a, x2), tail));
-        // 0.5·(big - 1/big)
-        let v_big = _mm256_mul_pd(c(0.5), _mm256_sub_pd(big, _mm256_div_pd(c(1.0), big)));
-        let small = _mm256_cmp_pd::<_CMP_LT_OQ>(a, c(0.0625));
-        let v = _mm256_blendv_pd(v_big, v_small, small);
-        let neg = _mm256_cmp_pd::<_CMP_LT_OQ>(xd, c(0.0));
-        negate_where(v, neg)
-    }
-}
-
-impl Kernel4 for Cosh {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        hyper_dom4(x, 2f32.powi(-13) as f64)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let c = |v: f64| _mm256_set1_pd(v);
-        let a = abs4(xd);
-        let big = exp4::<PREFIX>(a);
-        let x2 = _mm256_mul_pd(a, a);
-        // 1 + x2·(1/2 + x2·(1/24 + x2·(1/720 + x2·(1/40320))))
-        let tail = _mm256_add_pd(
-            c(0.5),
-            _mm256_mul_pd(
-                x2,
-                _mm256_add_pd(
-                    c(1.0 / 24.0),
-                    _mm256_mul_pd(
-                        x2,
-                        _mm256_add_pd(c(1.0 / 720.0), _mm256_mul_pd(x2, c(1.0 / 40_320.0))),
-                    ),
-                ),
-            ),
-        );
-        let v_small = _mm256_add_pd(c(1.0), _mm256_mul_pd(x2, tail));
-        // 0.5·(big + 1/big)
-        let v_big = _mm256_mul_pd(c(0.5), _mm256_add_pd(big, _mm256_div_pd(c(1.0), big)));
-        let small = _mm256_cmp_pd::<_CMP_LT_OQ>(a, c(0.0625));
-        _mm256_blendv_pd(v_big, v_small, small)
-    }
-}
-
-/// The trig reductions' "branch-heavy mirror folds" become mask blends;
-/// this vectorizes the lanes the scalar slice path evaluates per lane.
-impl Kernel4 for Sinpi {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
-        let ax = abs4(x);
-        // finite && a < 2^23 && a >= 2^-36 && a != trunc(a)
-        _mm256_and_pd(
-            _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LT_OQ>(ax, _mm256_set1_pd(8_388_608.0)),
-                _mm256_cmp_pd::<_CMP_GE_OQ>(ax, _mm256_set1_pd(2f64.powi(-36))),
-            ),
-            _mm256_cmp_pd::<_CMP_NEQ_OQ>(ax, _mm256_round_pd::<TRUNC>(ax)),
-        )
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let c = |v: f64| _mm256_set1_pd(v);
-        let a = abs4(xd);
-        let (k, l) = mod2_split4(a);
-        let upper = _mm256_cmp_pd::<_CMP_GT_OQ>(l, c(0.5));
-        let lp = _mm256_blendv_pd(l, _mm256_sub_pd(c(1.0), l), upper);
-        // n = floor(lp·512) in 0..=256 for staged lanes; clamped to the
-        // table bound purely as gather-safety (never binding in-domain).
-        let n = _mm_min_epi32(
-            _mm256_cvttpd_epi32(_mm256_mul_pd(lp, c(512.0))),
-            _mm_set1_epi32(256),
-        );
-        let r = _mm256_sub_pd(lp, _mm256_div_pd(_mm256_cvtepi32_pd(n), c(512.0)));
-        let sp = sinpi_tier4::<PREFIX>(r);
-        let cp = cospi_tier4::<PREFIX>(r);
-        let v = if PREFIX {
-            // Hi-only gathers, no corr fold (mirror of the scalar
-            // prefix): v = sh·cp + ch·sp
-            let sh = gather_hi4(&t::SINPI_T_P, n, t::SINPI_T_HI_BASE);
-            let ch = gather_cospi_hi4(n);
-            _mm256_add_pd(_mm256_mul_pd(sh, cp), _mm256_mul_pd(ch, sp))
-        } else {
-            let (sh, sl) =
-                gather_packed4(&t::SINPI_T_P, n, t::SINPI_T_HI_BASE, t::SINPI_T_LO_BASE);
-            let (ch, cl) = gather_cospi4(n);
-            // corr = sl·cp + cl·sp; v = sh·cp + (ch·sp + corr)
-            let corr = _mm256_add_pd(_mm256_mul_pd(sl, cp), _mm256_mul_pd(cl, sp));
-            _mm256_add_pd(_mm256_mul_pd(sh, cp), _mm256_add_pd(_mm256_mul_pd(ch, sp), corr))
-        };
-        // neg = (x < 0) ^ k
-        let neg = _mm256_xor_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(xd, c(0.0)), k);
-        negate_where(v, neg)
-    }
-}
-
-impl Kernel4 for Cospi {
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn f32_dom(x: __m256d) -> __m256d {
-        const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
-        let ax = abs4(x);
-        let a2 = _mm256_mul_pd(_mm256_set1_pd(2.0), ax);
-        // finite && (7.77e-5..2^24).contains(a) && 2a != trunc(2a)
-        _mm256_and_pd(
-            _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GE_OQ>(ax, _mm256_set1_pd(7.77e-5)),
-                _mm256_cmp_pd::<_CMP_LT_OQ>(ax, _mm256_set1_pd(16_777_216.0)),
-            ),
-            _mm256_cmp_pd::<_CMP_NEQ_OQ>(a2, _mm256_round_pd::<TRUNC>(a2)),
-        )
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval<const PREFIX: bool>(xd: __m256d) -> __m256d {
-        let c = |v: f64| _mm256_set1_pd(v);
-        let a = abs4(xd);
-        let (k, l) = mod2_split4(a);
-        let upper = _mm256_cmp_pd::<_CMP_GT_OQ>(l, c(0.5));
-        let lp = _mm256_blendv_pd(l, _mm256_sub_pd(c(1.0), l), upper);
-        // n in 0..=255 for staged lanes (lp < 1/2: half-integers are
-        // filtered by the dom mask and placeholders land at lp = 0);
-        // clamp is gather-safety only.
-        let n = _mm_min_epi32(
-            _mm256_cvttpd_epi32(_mm256_mul_pd(lp, c(512.0))),
-            _mm_set1_epi32(255),
-        );
-        let n0 = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmpeq_epi32(n, _mm_setzero_si128())));
-        // n == 0 branch: pure polynomial at lp.
-        let v0 = cospi_tier4::<PREFIX>(lp);
-        // n >= 1 branch: complementary recombination at np = n + 1.
-        let np = _mm_add_epi32(n, _mm_set1_epi32(1));
-        let r = _mm256_sub_pd(_mm256_div_pd(_mm256_cvtepi32_pd(np), c(512.0)), lp);
-        let sp = sinpi_tier4::<PREFIX>(r);
-        let cp = cospi_tier4::<PREFIX>(r);
-        let v1 = if PREFIX {
-            // Hi-only gathers, no corr fold (mirror of the scalar
-            // prefix): v = ch·cp + sh·sp
-            let ch = gather_cospi_hi4(np);
-            let sh = gather_hi4(&t::SINPI_T_P, np, t::SINPI_T_HI_BASE);
-            _mm256_add_pd(_mm256_mul_pd(ch, cp), _mm256_mul_pd(sh, sp))
-        } else {
-            let (ch, cl) = gather_cospi4(np);
-            let (sh, sl) =
-                gather_packed4(&t::SINPI_T_P, np, t::SINPI_T_HI_BASE, t::SINPI_T_LO_BASE);
-            // corr = cl·cp + sl·sp; v = ch·cp + (sh·sp + corr)
-            let corr = _mm256_add_pd(_mm256_mul_pd(cl, cp), _mm256_mul_pd(sl, sp));
-            _mm256_add_pd(_mm256_mul_pd(ch, cp), _mm256_add_pd(_mm256_mul_pd(sh, sp), corr))
-        };
-        let v = _mm256_blendv_pd(v1, v0, n0);
-        // sign = k ^ m(irror)
-        let neg = _mm256_xor_pd(k, upper);
-        negate_where(v, neg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::LANES;
-    use super::SimdLane;
+    use super::super::{safe_narrow, Ends, LANES};
+    use crate::lane::avx2::{Avx2, Avx2Isa};
+    use crate::lane::F64Lane;
+    use crate::registry::{F32_BATCHED, POSIT32_BATCHED};
     use rlibm_fp::rng::XorShift64;
     use rlibm_posit::Posit32;
+
+    /// Every 4-lane group of a chunk.
+    const ALL_GROUPS: u64 = (1 << (LANES / 4)) - 1;
 
     /// The SIMD driver must be lane-for-lane bit-identical to the scalar
     /// map on adversarial inputs (specials, domain edges, random bit
@@ -1360,7 +249,7 @@ mod tests {
     /// route through them.
     #[test]
     fn simd_slices_are_bit_identical_to_scalar() {
-        if !super::avx2_available() {
+        if Avx2Isa::detect().is_none() {
             return; // scalar fallback path: covered by the super tests
         }
         let mut xs = vec![
@@ -1397,15 +286,20 @@ mod tests {
             xs.push(f32::from_bits(0x3F00_0000 + i * 37));
         }
         let mut out = vec![0.0f32; xs.len()];
-        for name in crate::F32_NAMES {
-            crate::eval_slice_f32(name, &xs, &mut out).expect("known name");
-            for (i, (&x, &got)) in xs.iter().zip(out.iter()).enumerate() {
+        let mut portable = vec![0.0f32; xs.len()];
+        for (name, batched) in crate::F32_NAMES.into_iter().zip(F32_BATCHED) {
+            // Both lanes of the driver: AVX2, then f64 (the fallback).
+            let tally = batched(&xs, &mut out, true);
+            assert_eq!(batched(&xs, &mut portable, false), tally, "{name}: tier accounting");
+            for (i, (&x, (&got, &got_f64))) in xs.iter().zip(out.iter().zip(&portable)).enumerate() {
                 let want = crate::eval_f32_by_name(name, x).expect("known name");
-                assert!(
-                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                    "{name}[{i}]: x = {x:e} ({:#010x}): simd slice {got:e} vs scalar {want:e}",
-                    x.to_bits()
-                );
+                for got in [got, got_f64] {
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{name}[{i}]: x = {x:e} ({:#010x}): slice {got:e} vs scalar {want:e}",
+                        x.to_bits()
+                    );
+                }
             }
         }
     }
@@ -1415,7 +309,7 @@ mod tests {
     /// still resolve every real lane correctly.
     #[test]
     fn simd_partial_chunks_match_scalar() {
-        if !super::avx2_available() {
+        if Avx2Isa::detect().is_none() {
             return;
         }
         for len in [1usize, 3, 4, 5, 63, 64, 65, 67, 127, 130] {
@@ -1436,9 +330,9 @@ mod tests {
     /// band edges, and every accepted lane narrows like `as f32`.
     #[test]
     fn round_safe_mask_matches_scalar_predicate() {
-        if !super::avx2_available() {
+        let Some(isa) = Avx2Isa::detect() else {
             return;
-        }
+        };
         let mut rng = XorShift64::new(0xBEEF_CAFE);
         for band in [0u64, 16, 256, 1024, 2048] {
             let mut y = [0.0f64; LANES];
@@ -1464,7 +358,11 @@ mod tests {
                     };
                 }
                 let mut out = [0.0f32; LANES];
-                let mask = unsafe { f32::safe_narrow(&y, band, u16::MAX, &mut out) };
+                let mask = Avx2::enter(
+                    isa,
+                    #[inline(always)]
+                    || safe_narrow::<_, Avx2>(isa, &y, band, ALL_GROUPS, &mut out),
+                );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::f32_round_safe(v, band);
                     assert_eq!(
@@ -1482,7 +380,7 @@ mod tests {
     }
 
     /// Decodes `patterns` (any length) with the vector codec.
-    fn decode_all(patterns: &[u32]) -> Vec<f64> {
+    fn decode_all(isa: Avx2Isa, patterns: &[u32]) -> Vec<f64> {
         let mut out = Vec::with_capacity(patterns.len());
         for c in patterns.chunks(LANES) {
             let mut xs = [Posit32::ZERO; LANES];
@@ -1490,16 +388,22 @@ mod tests {
                 *x = Posit32::from_bits(p);
             }
             let mut y = [0.0f64; LANES];
-            for g in 0..LANES / 4 {
-                unsafe { super::store4(&mut y, g, super::posit32_decode4(&xs, g)) };
-            }
+            Avx2::enter(
+                isa,
+                #[inline(always)]
+                || {
+                    for g in 0..LANES / 4 {
+                        <Posit32 as Ends<Avx2>>::widen(isa, &xs, g).store(&mut y, g);
+                    }
+                },
+            );
             out.extend_from_slice(&y[..c.len()]);
         }
         out
     }
 
-    fn assert_decodes_like_scalar(patterns: &[u32]) {
-        for (&p, got) in patterns.iter().zip(decode_all(patterns)) {
+    fn assert_decodes_like_scalar(isa: Avx2Isa, patterns: &[u32]) {
+        for (&p, got) in patterns.iter().zip(decode_all(isa, patterns)) {
             let want = Posit32::from_bits(p).to_f64();
             assert_eq!(got.to_bits(), want.to_bits(), "pattern {p:#010x}: {got:e} vs {want:e}");
         }
@@ -1510,9 +414,9 @@ mod tests {
     /// patterns either side of it), both signs, NaR and zero.
     #[test]
     fn posit_decode_matches_scalar_codec() {
-        if !super::avx2_available() {
+        let Some(isa) = Avx2Isa::detect() else {
             return;
-        }
+        };
         let mut patterns = vec![0u32, 0x8000_0000, 1, 0x7FFF_FFFF, 0x8000_0001, 0xFFFF_FFFF];
         for run in 1..=31u32 {
             // A run of `run` ones (then a zero) and of `run` zeros (then a
@@ -1533,22 +437,22 @@ mod tests {
         for _ in 0..100_000 {
             patterns.push(rng.next_u32());
         }
-        assert_decodes_like_scalar(&patterns);
+        assert_decodes_like_scalar(isa, &patterns);
     }
 
     /// Every one of the 2^32 patterns (about 30 s in release).
     #[test]
     #[ignore]
     fn posit_decode_exhaustive() {
-        if !super::avx2_available() {
+        let Some(isa) = Avx2Isa::detect() else {
             return;
-        }
+        };
         let mut patterns = vec![0u32; 1 << 20];
         for hi in 0..1u32 << 12 {
             for (lo, p) in patterns.iter_mut().enumerate() {
                 *p = (hi << 20) | lo as u32;
             }
-            assert_decodes_like_scalar(&patterns);
+            assert_decodes_like_scalar(isa, &patterns);
         }
     }
 
@@ -1558,7 +462,7 @@ mod tests {
     #[test]
     #[ignore]
     fn posit_rows_match_scalar_on_strided_sweep() {
-        if !super::avx2_available() {
+        if Avx2Isa::detect().is_none() {
             return;
         }
         let xs: Vec<Posit32> =
@@ -1596,9 +500,9 @@ mod tests {
     /// both saturation zones included.
     #[test]
     fn posit_safe_encode_matches_scalar() {
-        if !super::avx2_available() {
+        let Some(isa) = Avx2Isa::detect() else {
             return;
-        }
+        };
         let mut rng = XorShift64::new(0x5AFE_E1C0);
         let mut values = vec![
             0.0,
@@ -1638,7 +542,11 @@ mod tests {
                 let mut y = [1.0f64; LANES];
                 y[..c.len()].copy_from_slice(c);
                 let mut out = [Posit32::ZERO; LANES];
-                let mask = unsafe { Posit32::safe_narrow(&y, band, u16::MAX, &mut out) };
+                let mask = Avx2::enter(
+                    isa,
+                    #[inline(always)]
+                    || safe_narrow::<_, Avx2>(isa, &y, band, ALL_GROUPS, &mut out),
+                );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::posit32_round_safe(v, band);
                     assert_eq!(
@@ -1661,7 +569,7 @@ mod tests {
     /// entries lane for lane.
     #[test]
     fn posit_partial_chunks_and_specials_match_scalar() {
-        if !super::avx2_available() {
+        if Avx2Isa::detect().is_none() {
             return;
         }
         let specials =
@@ -1676,11 +584,15 @@ mod tests {
                 }
             }
             let mut out = vec![Posit32::ZERO; len];
-            for name in crate::POSIT32_NAMES {
-                crate::eval_slice_posit32(name, &xs, &mut out).expect("known name");
-                for (&x, &got) in xs.iter().zip(out.iter()) {
+            let mut portable = vec![Posit32::ZERO; len];
+            for (name, batched) in crate::POSIT32_NAMES.into_iter().zip(POSIT32_BATCHED) {
+                // Both lanes of the driver: AVX2, then f64 (the fallback).
+                let tally = batched(&xs, &mut out, true);
+                assert_eq!(batched(&xs, &mut portable, false), tally, "{name}: tier accounting");
+                for (&x, (&got, &got_f64)) in xs.iter().zip(out.iter().zip(&portable)) {
                     let want = crate::eval_posit32_by_name(name, x).expect("known name");
                     assert_eq!(got, want, "{name}({:#010x}) len {len}", x.to_bits());
+                    assert_eq!(got_f64, want, "{name}({:#010x}) len {len}, f64 lane", x.to_bits());
                 }
             }
         }

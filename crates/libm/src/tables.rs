@@ -17,9 +17,9 @@
 //!
 //! Unpacking is exact — `tests/table_packing.rs` round-trips every
 //! entry against the pre-packing committed bits — so kernel outputs are
-//! bit-identical to the unpacked era. The AVX2 gather path in
-//! [`crate::slice_simd`] decodes the same layout with vector loads at
-//! byte offsets `15n` / `15n + 7`.
+//! bit-identical to the unpacked era. The AVX2 lane's gathers
+//! (`crate::lane`) decode the same layout with vector loads at byte
+//! offsets `15n` / `15n + 7`.
 //!
 //! Regenerate the pin (after an intentional oracle/packing change) with
 //! `RLIBM_WRITE_TABLE_FNV=1 cargo build -p rlibm-math`, then re-certify.
@@ -28,34 +28,88 @@ use crate::tables_codec as codec;
 
 include!(concat!(env!("OUT_DIR"), "/packed_tables.rs"));
 
+/// One packed table: its bytes and the exponent origins of its hi and lo
+/// columns. The fast kernels read entries through
+/// [`crate::lane::F64Lane::gather_hi`] / `gather_packed`, one entry per
+/// lane; the dd kernels through the pair accessors below.
+#[derive(Debug, Clone, Copy)]
+pub struct Packed {
+    /// The entries at a [`codec::PACKED_STRIDE`]-byte stride.
+    pub bytes: &'static [u8],
+    /// Biased-exponent origin of the hi codes.
+    pub hi_base: u64,
+    /// Biased-exponent origin of the lo codes.
+    pub lo_base: u64,
+}
+
+impl Packed {
+    /// Number of entries.
+    #[inline(always)]
+    pub const fn len(&self) -> usize {
+        self.bytes.len() / codec::PACKED_STRIDE
+    }
+
+    /// Always false: every table has entries.
+    pub const fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Entry `i` as its `(hi, lo)` pair.
+    #[inline(always)]
+    pub fn entry(&self, i: usize) -> (f64, f64) {
+        codec::unpack_entry(self.bytes, i, self.hi_base, self.lo_base)
+    }
+
+    /// The hi word of entry `i` alone (one u64 load and decode).
+    #[inline(always)]
+    pub fn hi(&self, i: usize) -> f64 {
+        codec::unpack_hi(self.bytes, i, self.hi_base)
+    }
+}
+
+/// `2^(j/64)` for `j in 0..64`.
+pub const EXP2_64: Packed =
+    Packed { bytes: &EXP2_64_P, hi_base: EXP2_64_HI_BASE, lo_base: EXP2_64_LO_BASE };
+/// `ln(1 + j/128)` for `j in 0..=128`.
+pub const LN_F: Packed = Packed { bytes: &LN_F_P, hi_base: LN_F_HI_BASE, lo_base: LN_F_LO_BASE };
+/// `log2(1 + j/128)` for `j in 0..=128`.
+pub const LOG2_F: Packed =
+    Packed { bytes: &LOG2_F_P, hi_base: LOG2_F_HI_BASE, lo_base: LOG2_F_LO_BASE };
+/// `log10(1 + j/128)` for `j in 0..=128`.
+pub const LOG10_F: Packed =
+    Packed { bytes: &LOG10_F_P, hi_base: LOG10_F_HI_BASE, lo_base: LOG10_F_LO_BASE };
+/// `sin(pi n/512)` for `n in 0..=256`; entry `256 - n` is `cos(pi n/512)`.
+pub const SINPI_T: Packed =
+    Packed { bytes: &SINPI_T_P, hi_base: SINPI_T_HI_BASE, lo_base: SINPI_T_LO_BASE };
+
 /// `2^(j/64)` for `j in 0..64`, as a hi/lo double-double pair.
 #[inline(always)]
 pub fn exp2_64(j: usize) -> (f64, f64) {
-    codec::unpack_entry(&EXP2_64_P, j, EXP2_64_HI_BASE, EXP2_64_LO_BASE)
+    EXP2_64.entry(j)
 }
 
 /// `ln(1 + j/128)` for `j in 0..=128` (`j == 0` is exactly zero).
 #[inline(always)]
 pub fn ln_f(j: usize) -> (f64, f64) {
-    codec::unpack_entry(&LN_F_P, j, LN_F_HI_BASE, LN_F_LO_BASE)
+    LN_F.entry(j)
 }
 
 /// `log2(1 + j/128)` for `j in 0..=128`.
 #[inline(always)]
 pub fn log2_f(j: usize) -> (f64, f64) {
-    codec::unpack_entry(&LOG2_F_P, j, LOG2_F_HI_BASE, LOG2_F_LO_BASE)
+    LOG2_F.entry(j)
 }
 
 /// `log10(1 + j/128)` for `j in 0..=128`.
 #[inline(always)]
 pub fn log10_f(j: usize) -> (f64, f64) {
-    codec::unpack_entry(&LOG10_F_P, j, LOG10_F_HI_BASE, LOG10_F_LO_BASE)
+    LOG10_F.entry(j)
 }
 
 /// `sin(pi n/512)` for `n in 0..=256`.
 #[inline(always)]
 pub fn sinpi_t(n: usize) -> (f64, f64) {
-    codec::unpack_entry(&SINPI_T_P, n, SINPI_T_HI_BASE, SINPI_T_LO_BASE)
+    SINPI_T.entry(n)
 }
 
 /// `cos(pi n/512)` for `n in 0..=256` — the bit-exact mirror
@@ -63,49 +117,6 @@ pub fn sinpi_t(n: usize) -> (f64, f64) {
 #[inline(always)]
 pub fn cospi_t(n: usize) -> (f64, f64) {
     sinpi_t(256 - n)
-}
-
-// Hi-word-only accessors — the prefix tier's table reads. Every prefix
-// band dwarfs the lo column's contribution (at most ~1 f64 ulp of the
-// hi word, amplified to a few hundred 2^-53 units by the log family's
-// post-fold cancellation floor — see the tier-0 band notes in
-// `crate::fast`), so tier 0 decodes a single u64 per entry and touches
-// half the packed bytes. The full tier keeps the exact hi/lo pairs.
-
-/// Hi word only of [`exp2_64`].
-#[inline(always)]
-pub fn exp2_64_hi(j: usize) -> f64 {
-    codec::unpack_hi(&EXP2_64_P, j, EXP2_64_HI_BASE)
-}
-
-/// Hi word only of [`ln_f`].
-#[inline(always)]
-pub fn ln_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LN_F_P, j, LN_F_HI_BASE)
-}
-
-/// Hi word only of [`log2_f`].
-#[inline(always)]
-pub fn log2_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LOG2_F_P, j, LOG2_F_HI_BASE)
-}
-
-/// Hi word only of [`log10_f`].
-#[inline(always)]
-pub fn log10_f_hi(j: usize) -> f64 {
-    codec::unpack_hi(&LOG10_F_P, j, LOG10_F_HI_BASE)
-}
-
-/// Hi word only of [`sinpi_t`].
-#[inline(always)]
-pub fn sinpi_t_hi(n: usize) -> f64 {
-    codec::unpack_hi(&SINPI_T_P, n, SINPI_T_HI_BASE)
-}
-
-/// Hi word only of [`cospi_t`] (mirror of [`sinpi_t_hi`]).
-#[inline(always)]
-pub fn cospi_t_hi(n: usize) -> f64 {
-    sinpi_t_hi(256 - n)
 }
 
 #[cfg(test)]
@@ -137,19 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn hi_accessors_match_pair_hi() {
-        for j in 0..64 {
-            assert_eq!(exp2_64_hi(j).to_bits(), exp2_64(j).0.to_bits());
+    fn hi_reads_match_pair_hi() {
+        for table in [EXP2_64, LN_F, LOG2_F, LOG10_F, SINPI_T] {
+            for i in 0..table.len() {
+                assert_eq!(table.hi(i).to_bits(), table.entry(i).0.to_bits());
+            }
         }
-        for j in 0..=128 {
-            assert_eq!(ln_f_hi(j).to_bits(), ln_f(j).0.to_bits());
-            assert_eq!(log2_f_hi(j).to_bits(), log2_f(j).0.to_bits());
-            assert_eq!(log10_f_hi(j).to_bits(), log10_f(j).0.to_bits());
-        }
-        for n in 0..=256 {
-            assert_eq!(sinpi_t_hi(n).to_bits(), sinpi_t(n).0.to_bits());
-            assert_eq!(cospi_t_hi(n).to_bits(), cospi_t(n).0.to_bits());
-        }
+        assert_eq!((EXP2_64.len(), LN_F.len(), SINPI_T.len()), (64, 129, 257));
     }
 
     #[test]
