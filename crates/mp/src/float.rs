@@ -202,9 +202,20 @@ impl MpFloat {
         } else {
             (other, self)
         };
+        // Align both operands at a common ulp `base`: at least `prec` bits
+        // below hi's leading bit plus G guard bits, even when hi itself
+        // carries fewer than `prec` significant bits (a short operand's own
+        // ulp would round the sum at hi's precision, not at `prec`). When
+        // the magnitudes are within a binade of each other the sum may
+        // cancel to anything, so `base` also reaches down to lo's ulp and
+        // the difference is exact before its one rounding.
         const G: i64 = 3; // guard bits
-        let base = hi.exp - G;
-        let a = hi.mant.shl(G as u64);
+        let msb = hi.msb_pos();
+        let mut base = hi.exp.min(msb - prec as i64) - G;
+        if lo.msb_pos() >= msb - 1 {
+            base = base.min(lo.exp);
+        }
+        let a = hi.mant.shl((hi.exp - base) as u64);
         let s = lo.exp - base;
         let (b, mut sticky) = if s >= 0 {
             (lo.mant.shl(s as u64), false)
@@ -569,6 +580,89 @@ mod tests {
         let sum = one.add(&tiny, 128);
         let diff = sum.sub(&one, 128);
         assert_eq!(diff.to_f64(), 2f64.powi(-100));
+    }
+
+    /// `sign · m · 2^exp`, exactly, at the precision of `m` (at least 2).
+    fn exact(sign: bool, m: &BigUint, exp: i64) -> MpFloat {
+        MpFloat::normalize_round(sign, exp, m.clone(), (m.bit_len() as u32).max(2), false)
+    }
+
+    /// A random mantissa of exactly `len` bits.
+    fn mantissa(rng: &mut rlibm_fp::rng::XorShift64, len: u64) -> BigUint {
+        let mut m = BigUint::one();
+        while m.bit_len() < len {
+            let take = (len - m.bit_len()).min(32);
+            m = m.shl(take).add(&BigUint::from_u64(rng.next_u64() >> (64 - take)));
+        }
+        m
+    }
+
+    /// `a + b` by exact aligned `BigUint` arithmetic, then one rounding.
+    fn reference_add(a: &MpFloat, b: &MpFloat, prec: u32) -> MpFloat {
+        if a.is_zero() || b.is_zero() {
+            let v = if a.is_zero() { b } else { a };
+            return MpFloat::normalize_round(v.sign, v.exp, v.mant.clone(), prec, false);
+        }
+        let e = a.exp.min(b.exp);
+        let (x, y) = (a.mant.shl((a.exp - e) as u64), b.mant.shl((b.exp - e) as u64));
+        let (sign, m) = if a.sign == b.sign {
+            (a.sign, x.add(&y))
+        } else if x.cmp(&y) != Ordering::Less {
+            (a.sign, x.sub(&y))
+        } else {
+            (b.sign, y.sub(&x))
+        };
+        if m.is_zero() {
+            return MpFloat::zero(prec);
+        }
+        MpFloat::normalize_round(sign, e, m, prec, false)
+    }
+
+    /// `add` agrees with exact addition plus one rounding for operands of
+    /// every mantissa length (1, 39, 53 and the target precision, plus a
+    /// longer one), both orders, both signs, every alignment from equal
+    /// exponents to far apart, and near-total cancellation (an operand
+    /// against its own rounding to fewer bits, perturbed in the last bits).
+    #[test]
+    fn add_matches_exact_sum_rounded_once() {
+        let mut rng = rlibm_fp::rng::XorShift64::new(0xADD5);
+        for prec in [53u32, 160] {
+            let lens = [1u64, 39, 53, prec as u64, prec as u64 + 40];
+            for &la in &lens {
+                for &lb in &lens {
+                    for shift in [0i64, 1, 2, 3, 38, 52, 60, prec as i64 - 1, prec as i64 + 5, 300] {
+                        for _ in 0..8 {
+                            let ma = mantissa(&mut rng, la);
+                            let a = exact(false, &ma, -(la as i64));
+                            let mut mb = mantissa(&mut rng, lb);
+                            if shift == 0 && lb >= la {
+                                // Near-total cancellation: b is a's value
+                                // extended to lb bits, plus a few low ulps.
+                                let low = BigUint::from_u64(rng.next_u64() >> 60);
+                                mb = ma.shl(lb - la).add(&low);
+                                if mb.bit_len() > lb {
+                                    mb = ma.shl(lb - la);
+                                }
+                            }
+                            let b = exact(false, &mb, -(lb as i64) - shift);
+                            for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
+                                let x = if sa { a.neg() } else { a.clone() };
+                                let y = if sb { b.neg() } else { b.clone() };
+                                let want = reference_add(&x, &y, prec);
+                                for got in [x.add(&y, prec), y.add(&x, prec)] {
+                                    assert_eq!(got, want, "prec {prec}, lens {la}/{lb}, shift {shift}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The case that exposed the bug: a 160-bit constant minus its own
+        // 39-bit rounding must keep every bit of the difference.
+        let ln2_64 = crate::consts::ln2(160).mul_pow2(-6);
+        let hi39 = ln2_64.round(39);
+        assert_eq!(ln2_64.sub(&hi39, 160), reference_add(&ln2_64, &hi39.neg(), 160));
     }
 
     #[test]

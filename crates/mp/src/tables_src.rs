@@ -76,13 +76,16 @@ pub fn compute(prec: u32) -> TableData {
     let inv_ln10 = one.div(&ln10, prec);
     let log10_2 = ln2.div(&ln10, prec);
 
-    // ln2/64 split into an exact 39-bit head (so `k * LN2_64_HI` with
-    // |k| < 2^14 is exact) plus two corrections.
+    // ln2/64 split into an exact 39-bit head plus two corrections. The
+    // first correction is rounded to 39 bits too, so both `k * LN2_64_HI`
+    // and `k * LN2_64_MID` are exact for |k| < 2^14 and the fast kernels'
+    // reductions round once; the second carries the rest (< 2^-87).
     let ln2_64 = ln2.mul_pow2(-6);
     let hi39 = ln2_64.round(39);
     let rest = ln2_64.sub(&hi39, prec);
-    let (mid, _) = dd(&rest, prec);
-    let rest2 = rest.sub(&MpFloat::from_f64(mid, prec), prec);
+    let mid39 = rest.round(39);
+    let mid = mid39.to_f64();
+    let rest2 = rest.sub(&mid39, prec);
 
     // Same split for ln2 itself at 42 bits (the log kernels' `e * LN2`).
     let ln2_hi42 = ln2.round(42);
@@ -123,7 +126,11 @@ pub fn compute(prec: u32) -> TableData {
             "`ln2/64` rounded to 39 bits: `k * LN2_64_HI` is exact for `|k| < 2^14`.",
             hi39.to_f64(),
         ),
-        ("LN2_64_MID", "`ln2/64 - LN2_64_HI`, first correction.", mid),
+        (
+            "LN2_64_MID",
+            "`ln2/64 - LN2_64_HI` rounded to 39 bits, first correction: `k * LN2_64_MID` is exact for `|k| < 2^14`.",
+            mid,
+        ),
         ("LN2_64_LO", "`ln2/64 - LN2_64_HI - LN2_64_MID`, second correction.", rest2.to_f64()),
         (
             "LN2_HI42",

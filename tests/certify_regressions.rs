@@ -169,3 +169,45 @@ fn posit32_boundary_patterns_fast_dd_oracle_agree() {
         }
     }
 }
+
+/// The inputs where the fast and dd tiers once agreed on a wrong result:
+/// `LN2_64_MID` / `LN2_64_LO` came out of a multi-precision subtraction
+/// that rounded at its short operand's precision (`MpFloat::add`), so
+/// every `exp`-family reduction carried an error of `k · 8.6e-16`.
+/// Each entry is (function, input, correctly rounded result); the scalar
+/// entry, the batched entry, the dd reference and the oracle must all
+/// return that result.
+const LN2_64_SPLIT_F32: &[(Func, u32, u32)] = &[(Func::Exp, 0x429d_de46, 0x786b_38a5)];
+const LN2_64_SPLIT_POSIT32: &[(Func, u32, u32)] = &[
+    (Func::Exp, 0x5059_e368, 0x6811_393c),
+    (Func::Exp, 0xacee_f95a, 0x100c_4869),
+    (Func::Sinh, 0x2172_599a, 0x2174_8bc4),
+    (Func::Cosh, 0xb2c4_52cd, 0x5daf_f266),
+    (Func::Cosh, 0xc709_3aa4, 0x4149_e7a6),
+];
+
+#[test]
+fn ln2_64_split_misrounds_are_fixed() {
+    for &(f, bits, want) in LN2_64_SPLIT_F32 {
+        let x = f32::from_bits(bits);
+        let mut batched = [0.0f32];
+        rlibm_math::eval_slice_f32(f.name(), &[x], &mut batched).expect("registry");
+        let scalar = rlibm_math::f32_fn_by_name(f.name()).expect("registry")(x);
+        let dd = rlibm_math::f32_dd_fn_by_name(f.name()).expect("registry")(x);
+        let oracle = correctly_rounded::<f32>(f, x);
+        for (path, y) in [("scalar", scalar), ("batched", batched[0]), ("dd", dd), ("oracle", oracle)] {
+            assert_eq!(y.to_bits(), want, "f32 {}({bits:#010x}) via {path}", f.name());
+        }
+    }
+    for &(f, bits, want) in LN2_64_SPLIT_POSIT32 {
+        let x = Posit32::from_bits(bits);
+        let mut batched = [Posit32::ZERO];
+        rlibm_math::eval_slice_posit32(f.name(), &[x], &mut batched).expect("registry");
+        let scalar = rlibm_math::posit32_fn_by_name(f.name()).expect("registry")(x);
+        let dd = rlibm_math::posit32_dd_fn_by_name(f.name()).expect("registry")(x);
+        let oracle = correctly_rounded::<Posit32>(f, x);
+        for (path, y) in [("scalar", scalar), ("batched", batched[0]), ("dd", dd), ("oracle", oracle)] {
+            assert_eq!(y.to_bits(), want, "posit32 {}({bits:#010x}) via {path}", f.name());
+        }
+    }
+}
