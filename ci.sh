@@ -107,9 +107,12 @@ echo "== simd inlining gate: AVX2 stages and scalar ladders stay call-free =="
 #  - any AVX2 stage (`lane::avx2::avx2_stage`, which holds both the
 #    kernel stages and the round-safe + narrow stages) contains a call or
 #    jumps into another function, or
-#  - any of the 18 scalar entry points (the inlined f32/posit32 ladders)
-#    calls anything but its dd rung: the dd kernels and round-to-odd, their
-#    `fma` and next_up/down helpers, and the table index bounds-fail panic.
+#  - any of the 18 scalar entry points (the inlined f32/posit32 ladders,
+#    whose prefix tier ships >99.9% of calls) calls anything but the cold
+#    `registry::escalate` (the full tier, then dd) and its dd rung, or any
+#    `escalate` calls anything but the dd rung: the dd kernels and
+#    round-to-odd, their `fma` and next_up/down helpers, and the table
+#    index bounds-fail panic.
 stage_gate() {
     local bin=$1 dis
     dis=$(mktemp)
@@ -136,23 +139,26 @@ stage_gate() {
           fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn)
           stage = index(fn, "rlibm_math::lane::avx2::avx2_stage") == 1
           entry = fn ~ /^rlibm_math::(float::(log::(ln|log2|log10)|exp::(exp|exp2|exp10)|hyper::(sinh|cosh)|trig::(sinpi|cospi))|posit::(ln|log2|log10|exp|exp2|exp10|sinh|cosh)_p32)$/
-          stages += stage; entries += entry
+          escalate = fn == "rlibm_math::registry::escalate"
+          stages += stage; entries += entry; escalates += escalate
           next
       }
       stage && /\t(call|jmp) / {
           c = callee($0)
           if ($0 ~ /\tcall/ || c != fn) { print "FAIL: AVX2 stage calls " c ": " $0; bad = 1 }
       }
-      entry && /\tcall / {
+      (entry || escalate) && /\t(call|jmp) / {
           c = callee($0)
-          if (c !~ /(_kernel|_dd|::dd|exp_combined|to_f64_round_odd|next_(up|down)_f64|^fma(@.*)?$|panic|_fail$)/) {
+          dd = c ~ /(_kernel|_dd|::dd|exp_combined|to_f64_round_odd|next_(up|down)_f64|^fma(@.*)?$|panic|_fail$)/
+          if (c != fn && !dd && !(entry && c == "rlibm_math::registry::escalate")) {
               print "FAIL: " fn " calls " c; bad = 1
           }
       }
       END {
           if (stages == 0) { print "FAIL: no AVX2 stage symbols"; bad = 1 }
           if (entries != 18) { print "FAIL: " entries " of 18 scalar entry points found"; bad = 1 }
-          if (!bad) print stages " AVX2 stages call-free; 18 scalar entry points call only their dd rung"
+          if (escalates == 0) { print "FAIL: no escalate symbols"; bad = 1 }
+          if (!bad) print stages " AVX2 stages call-free; 18 scalar entry points and " escalates " escalations call only their dd rung"
           exit bad
       }' "$dis"
     local status=$?

@@ -5,7 +5,7 @@
 //! the round-safe bit test rejects it and the dd kernel re-runs. This
 //! module provides the adversarial evidence. With the `fault` cargo
 //! feature, every f32/posit32 front end routes its fast-path result,
-//! and both batched slice drivers their prefix-stage results, through
+//! and the batched driver (on either lane) its prefix-stage results, through
 //! `perturb` (a named site, one per [`crate::stats::slot`])
 //! which — when a thread-local plan is [`arm`]ed — corrupts the value
 //! with a seeded [`rlibm_fp::rng::XorShift64`] stream. Without the
@@ -47,12 +47,12 @@ pub(crate) fn register_metrics() {
     FAULT_INJECTED.register();
 }
 
-/// Certification slack per site, in f64 ulps: `full_band - full_derived`
+/// Certification slack per site, in f64 ulps: `full.band - full.derived`
 /// of the site's registry row (posit rows share the f32 kernels).
 #[cfg(feature = "fault")]
 pub(crate) fn slack(site: usize) -> u64 {
     let t = &crate::registry::TIERS[site % SITE_COUNT];
-    t.full_band - t.full_derived
+    t.full.band - t.full.derived
 }
 
 #[cfg(feature = "fault")]

@@ -55,7 +55,7 @@ fn exp_poly(r: Dd) -> Dd {
 fn exp_combined(k64: i64, r: Dd) -> Dd {
     let i = k64.div_euclid(64);
     let j = k64.rem_euclid(64) as usize;
-    let (th, tl) = t::exp2_64(j);
+    let (th, tl) = t::EXP2_64.entry(j);
     let v = Dd { hi: th, lo: tl }.mul(exp_poly(r));
     v.scale(pow2i(i))
 }

@@ -66,7 +66,7 @@ pub(crate) fn ln_kernel(x: f64) -> Dd {
     let (e, j, p) = reduce(x);
     let ef = e as f64;
     // e * LN2_HI42 is exact (42-bit constant, |e| <= 2^11).
-    let (fh, fl) = t::ln_f(j);
+    let (fh, fl) = t::LN_F.entry(j);
     let (s, se) = two_sum(ef * t::LN2_HI42, fh);
     let lo = se + fl + ef * t::LN2_MID + ef * t::LN2_LO42;
     Dd::new(s, lo).add(p)
@@ -76,7 +76,7 @@ pub(crate) fn ln_kernel(x: f64) -> Dd {
 pub(crate) fn log2_kernel(x: f64) -> Dd {
     let (e, j, p) = reduce(x);
     // log2(x) = e + table[j] + p / ln2; e is an exact integer.
-    let (fh, fl) = t::log2_f(j);
+    let (fh, fl) = t::LOG2_F.entry(j);
     let (s, se) = two_sum(e as f64, fh);
     let scaled = p.mul(Dd { hi: t::INV_LN2_HI, lo: t::INV_LN2_LO });
     Dd::new(s, se + fl).add(scaled)
@@ -88,7 +88,7 @@ pub(crate) fn log10_kernel(x: f64) -> Dd {
     let ef = e as f64;
     // e * log10(2) via an exact product split.
     let (eh, el) = two_prod(ef, t::LOG10_2_HI);
-    let (fh, fl) = t::log10_f(j);
+    let (fh, fl) = t::LOG10_F.entry(j);
     let (s, se) = two_sum(eh, fh);
     let scaled = p.mul(Dd { hi: t::INV_LN10_HI, lo: t::INV_LN10_LO });
     Dd::new(s, se + el + fl + ef * t::LOG10_2_LO).add(scaled)

@@ -67,9 +67,9 @@ pub(crate) fn sinpi_kernel(a: f64) -> (bool, Dd) {
     let lp = if l > 0.5 { 1.0 - l } else { l };
     let n = (lp * 512.0) as usize; // as-cast truncation == floor (lp >= 0) // 0..=256
     let r = lp - n as f64 / 512.0; // exact
-    let (sh, sl) = t::sinpi_t(n);
+    let (sh, sl) = t::SINPI_T.entry(n);
     let s = Dd { hi: sh, lo: sl };
-    let (ch, cl) = t::cospi_t(n);
+    let (ch, cl) = t::SINPI_T.entry(256 - n); // cos(pi n/512)
     let c = Dd { hi: ch, lo: cl };
     let v = s.mul(cospi_poly(r)).add(c.mul(sinpi_poly(r)));
     (k, v)
@@ -145,9 +145,9 @@ pub(crate) fn cospi_kernel(a: f64) -> (bool, Dd) {
         // Section 5's monotonic recombination: L' = N'/512 - R.
         let np = n + 1;
         let r = np as f64 / 512.0 - lp; // exact
-        let (ch, cl) = t::cospi_t(np);
+        let (ch, cl) = t::SINPI_T.entry(256 - np); // cos(pi np/512)
         let c = Dd { hi: ch, lo: cl };
-        let (sh, sl) = t::sinpi_t(np);
+        let (sh, sl) = t::SINPI_T.entry(np);
         let s = Dd { hi: sh, lo: sl };
         c.mul(cospi_poly(r)).add(s.mul(sinpi_poly(r)))
     };

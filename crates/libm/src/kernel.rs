@@ -127,22 +127,8 @@
 use crate::dd::Dd;
 use crate::float::{exp as fexp, hyper, log, trig};
 use crate::lane::F64Lane;
+use crate::registry::Rung;
 use crate::tables as t;
-
-/// One tier of a kernel's ladder, in `2^-53` relative units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Rung {
-    /// Terms the tier's Horner chain evaluates.
-    pub(crate) terms: usize,
-    /// Round-safety band the tier's result is tested against.
-    pub(crate) band: u64,
-    /// Certified bound on |tier result − dd kernel|.
-    pub(crate) derived: u64,
-}
-
-const fn rung(terms: usize, band: u64, derived: u64) -> Rung {
-    Rung { terms, band, derived }
-}
 
 /// One function's fast kernel: the single source of its plain-double
 /// math for every lane and tier.
@@ -219,8 +205,8 @@ fn exp_combine<V: F64Lane, const PREFIX: bool>(k: V::Int, r: V) -> V {
 pub(crate) struct Exp;
 
 impl Kernel for Exp {
-    const PREFIX: Rung = rung(5, 2048, 512);
-    const FULL: Rung = rung(8, 256, 16);
+    const PREFIX: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const FULL: Rung = Rung { terms: 8, band: 256, derived: 16 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -248,8 +234,8 @@ impl Kernel for Exp {
 pub(crate) struct Exp2;
 
 impl Kernel for Exp2 {
-    const PREFIX: Rung = rung(5, 2048, 512);
-    const FULL: Rung = rung(8, 256, 16);
+    const PREFIX: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const FULL: Rung = Rung { terms: 8, band: 256, derived: 16 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -278,8 +264,8 @@ impl Kernel for Exp2 {
 pub(crate) struct Exp10;
 
 impl Kernel for Exp10 {
-    const PREFIX: Rung = rung(5, 4096, 1024);
-    const FULL: Rung = rung(8, 1024, 256);
+    const PREFIX: Rung = Rung { terms: 5, band: 4096, derived: 1024 };
+    const FULL: Rung = Rung { terms: 8, band: 1024, derived: 256 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -336,20 +322,14 @@ fn log1p<V: F64Lane, const PREFIX: bool>(u: V) -> V {
     u + (u * u) * q
 }
 
-/// The logarithms' f32 domain: `0 < x < inf`.
-#[inline(always)]
-fn log_dom<V: F64Lane>(x: V) -> V::Mask {
-    x.gt(0.0) & x.lt(f64::INFINITY)
-}
-
 /// Natural logarithm. Fed positive finite `x`: the f32 entry's
 /// `0 < x < inf` (subnormals widen to normal doubles) and the posit
 /// entry's `x > 0`.
 pub(crate) struct Ln;
 
 impl Kernel for Ln {
-    const PREFIX: Rung = rung(5, 16384, 4096);
-    const FULL: Rung = rung(8, 256, 32);
+    const PREFIX: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const FULL: Rung = Rung { terms: 8, band: 256, derived: 32 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -371,9 +351,10 @@ impl Kernel for Ln {
         }
     }
 
+    /// `0 < x < inf`, the domain of all three logarithms.
     #[inline(always)]
     fn dom<V: F64Lane>(x: V) -> V::Mask {
-        log_dom(x)
+        x.gt(0.0) & x.lt(f64::INFINITY)
     }
 
     fn dd(x: f64) -> Dd {
@@ -385,8 +366,8 @@ impl Kernel for Ln {
 pub(crate) struct Log2;
 
 impl Kernel for Log2 {
-    const PREFIX: Rung = rung(5, 16384, 4096);
-    const FULL: Rung = rung(8, 256, 32);
+    const PREFIX: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const FULL: Rung = Rung { terms: 8, band: 256, derived: 32 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -405,7 +386,7 @@ impl Kernel for Log2 {
 
     #[inline(always)]
     fn dom<V: F64Lane>(x: V) -> V::Mask {
-        log_dom(x)
+        Ln::dom(x)
     }
 
     fn dd(x: f64) -> Dd {
@@ -417,8 +398,8 @@ impl Kernel for Log2 {
 pub(crate) struct Log10;
 
 impl Kernel for Log10 {
-    const PREFIX: Rung = rung(5, 16384, 4096);
-    const FULL: Rung = rung(8, 384, 64);
+    const PREFIX: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const FULL: Rung = Rung { terms: 8, band: 384, derived: 64 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -437,7 +418,7 @@ impl Kernel for Log10 {
 
     #[inline(always)]
     fn dom<V: F64Lane>(x: V) -> V::Mask {
-        log_dom(x)
+        Ln::dom(x)
     }
 
     fn dd(x: f64) -> Dd {
@@ -459,8 +440,8 @@ impl Kernel for Log10 {
 pub(crate) struct Sinh;
 
 impl Kernel for Sinh {
-    const PREFIX: Rung = rung(5, 16384, 8192);
-    const FULL: Rung = rung(8, 2048, 128);
+    const PREFIX: Rung = Rung { terms: 5, band: 16384, derived: 8192 };
+    const FULL: Rung = Rung { terms: 8, band: 2048, derived: 128 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -499,8 +480,8 @@ impl Kernel for Sinh {
 pub(crate) struct Cosh;
 
 impl Kernel for Cosh {
-    const PREFIX: Rung = rung(5, 2048, 512);
-    const FULL: Rung = rung(8, 512, 16);
+    const PREFIX: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const FULL: Rung = Rung { terms: 8, band: 512, derived: 16 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -573,8 +554,8 @@ fn mod2_split<V: F64Lane>(a: V) -> (V::Mask, V) {
 pub(crate) struct Sinpi;
 
 impl Kernel for Sinpi {
-    const PREFIX: Rung = rung(2, 1 << 19, 1 << 17);
-    const FULL: Rung = rung(4, 2048, 1024);
+    const PREFIX: Rung = Rung { terms: 2, band: 1 << 19, derived: 1 << 17 };
+    const FULL: Rung = Rung { terms: 4, band: 2048, derived: 1024 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -621,8 +602,8 @@ impl Kernel for Sinpi {
 pub(crate) struct Cospi;
 
 impl Kernel for Cospi {
-    const PREFIX: Rung = rung(3, 1 << 19, 1 << 17);
-    const FULL: Rung = rung(4, 2048, 1024);
+    const PREFIX: Rung = Rung { terms: 3, band: 1 << 19, derived: 1 << 17 };
+    const FULL: Rung = Rung { terms: 4, band: 2048, derived: 1024 };
 
     #[inline(always)]
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V {
@@ -674,21 +655,19 @@ mod tests {
     use super::*;
     use rlibm_fp::rng::XorShift64;
 
-    /// Checks the kernel against its dd kernel on random in-domain inputs:
-    /// the observed relative error must stay within the tier's certified
-    /// band (the dd kernel is ~2^-85 accurate, so the difference is an
-    /// excellent proxy for the fast kernel's true error).
-    fn assert_within_band<K: Kernel, const PREFIX: bool>(lo: f64, hi: f64, log_domain: bool) {
+    /// Checks the kernel against its dd kernel on 20 000 inputs from
+    /// `draw` in its f32 domain: the observed relative error must stay
+    /// within the tier's certified band (the dd kernel is ~2^-85
+    /// accurate, so the difference is an excellent proxy for the fast
+    /// kernel's true error).
+    fn assert_within_band<K: Kernel, const PREFIX: bool>(seed: u64, draw: impl Fn(&mut XorShift64) -> f64) {
         let band = if PREFIX { K::PREFIX.band } else { K::FULL.band };
-        let mut rng = XorShift64::new(0xFA57);
+        let mut rng = XorShift64::new(seed);
         for _ in 0..20_000 {
-            let x = if log_domain {
-                // log-uniform positives
-                let e = rng.uniform_f64(-120.0, 120.0);
-                rng.uniform_f64(1.0, 2.0) * e.exp2()
-            } else {
-                rng.uniform_f64(lo, hi)
-            };
+            let x = draw(&mut rng);
+            if !K::dom(x) {
+                continue;
+            }
             let got = K::eval::<f64, PREFIX>(x);
             let want = K::dd(x).to_f64();
             let rel = ((got - want) / want).abs();
@@ -699,24 +678,34 @@ mod tests {
         }
     }
 
+    fn uniform(lo: f64, hi: f64) -> impl Fn(&mut XorShift64) -> f64 {
+        move |rng| rng.uniform_f64(lo, hi)
+    }
+
+    /// Log-uniform positives.
+    fn log_uniform(rng: &mut XorShift64) -> f64 {
+        let e = rng.uniform_f64(-120.0, 120.0);
+        rng.uniform_f64(1.0, 2.0) * e.exp2()
+    }
+
     #[test]
     fn exp_family_within_band() {
-        assert_within_band::<Exp, false>(-87.0, 88.0, false);
-        assert_within_band::<Exp2, false>(-149.0, 127.9, false);
-        assert_within_band::<Exp10, false>(-45.0, 38.5, false);
+        assert_within_band::<Exp, false>(0xFA57, uniform(-87.0, 88.0));
+        assert_within_band::<Exp2, false>(0xFA57, uniform(-149.0, 127.9));
+        assert_within_band::<Exp10, false>(0xFA57, uniform(-45.0, 38.5));
     }
 
     #[test]
     fn log_family_within_band() {
-        assert_within_band::<Ln, false>(0.0, 0.0, true);
-        assert_within_band::<Log2, false>(0.0, 0.0, true);
-        assert_within_band::<Log10, false>(0.0, 0.0, true);
+        assert_within_band::<Ln, false>(0xFA57, log_uniform);
+        assert_within_band::<Log2, false>(0xFA57, log_uniform);
+        assert_within_band::<Log10, false>(0xFA57, log_uniform);
     }
 
     #[test]
     fn hyper_within_band() {
-        assert_within_band::<Sinh, false>(-88.0, 88.0, false);
-        assert_within_band::<Cosh, false>(-88.0, 88.0, false);
+        assert_within_band::<Sinh, false>(0xFA57, uniform(-88.0, 88.0));
+        assert_within_band::<Cosh, false>(0xFA57, uniform(-88.0, 88.0));
     }
 
     #[test]
@@ -733,45 +722,27 @@ mod tests {
         }
     }
 
-    /// Both trig kernels at both tiers against their signed dd kernels.
-    fn assert_trig_within_band<K: Kernel, const PREFIX: bool>(hi: f64, seed: u64) {
-        let band = if PREFIX { K::PREFIX.band } else { K::FULL.band };
-        let mut rng = XorShift64::new(seed);
-        for _ in 0..20_000 {
-            let x = rng.uniform_f64(-hi, hi);
-            if !K::dom(x) {
-                continue;
-            }
-            let got = K::eval::<f64, PREFIX>(x);
-            let want = K::dd(x).to_f64();
-            if want != 0.0 {
-                let rel = ((got - want) / want).abs();
-                assert!(rel <= band as f64 * 2f64.powi(-53), "x = {x:e}: rel {rel:e}");
-            }
-        }
-    }
-
     #[test]
     fn trig_within_band() {
-        assert_trig_within_band::<Sinpi, false>(8_388_607.0, 0x517A);
-        assert_trig_within_band::<Cospi, false>(16_777_215.0, 0x517B);
+        assert_within_band::<Sinpi, false>(0x517A, uniform(-8_388_607.0, 8_388_607.0));
+        assert_within_band::<Cospi, false>(0x517B, uniform(-16_777_215.0, 16_777_215.0));
         // Small arguments, where N = 0 and the polynomial is the result.
-        assert_trig_within_band::<Sinpi, false>(1e-3, 0x517C);
-        assert_trig_within_band::<Cospi, false>(1e-2, 0x517D);
+        assert_within_band::<Sinpi, false>(0x517C, uniform(-1e-3, 1e-3));
+        assert_within_band::<Cospi, false>(0x517D, uniform(-1e-2, 1e-2));
     }
 
     #[test]
     fn prefix_kernels_within_prefix_bands() {
-        assert_within_band::<Exp, true>(-87.0, 88.0, false);
-        assert_within_band::<Exp2, true>(-149.0, 127.9, false);
-        assert_within_band::<Exp10, true>(-45.0, 38.5, false);
-        assert_within_band::<Ln, true>(0.0, 0.0, true);
-        assert_within_band::<Log2, true>(0.0, 0.0, true);
-        assert_within_band::<Log10, true>(0.0, 0.0, true);
-        assert_within_band::<Sinh, true>(-88.0, 88.0, false);
-        assert_within_band::<Cosh, true>(-88.0, 88.0, false);
-        assert_trig_within_band::<Sinpi, true>(8_388_607.0, 0x9217);
-        assert_trig_within_band::<Cospi, true>(16_777_215.0, 0x9218);
+        assert_within_band::<Exp, true>(0xFA57, uniform(-87.0, 88.0));
+        assert_within_band::<Exp2, true>(0xFA57, uniform(-149.0, 127.9));
+        assert_within_band::<Exp10, true>(0xFA57, uniform(-45.0, 38.5));
+        assert_within_band::<Ln, true>(0xFA57, log_uniform);
+        assert_within_band::<Log2, true>(0xFA57, log_uniform);
+        assert_within_band::<Log10, true>(0xFA57, log_uniform);
+        assert_within_band::<Sinh, true>(0xFA57, uniform(-88.0, 88.0));
+        assert_within_band::<Cosh, true>(0xFA57, uniform(-88.0, 88.0));
+        assert_within_band::<Sinpi, true>(0x9217, uniform(-8_388_607.0, 8_388_607.0));
+        assert_within_band::<Cospi, true>(0x9218, uniform(-16_777_215.0, 16_777_215.0));
     }
 
     /// Both lanes of kernel `K` agree bit for bit *before* rounding, at

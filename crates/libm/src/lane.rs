@@ -402,18 +402,12 @@ pub(crate) mod avx2 {
     binop!(Mul, mul, _mm256_mul_pd);
     binop!(Div, div, _mm256_div_pd);
 
-    /// The sign bit of every lane.
-    #[inline(always)]
-    unsafe fn sign_bits() -> __m256d {
-        _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MIN))
-    }
-
     impl Neg for Avx2 {
         type Output = Avx2;
         /// A sign flip, like scalar negation.
         #[inline(always)]
         fn neg(self) -> Avx2 {
-            unsafe { Avx2(_mm256_xor_pd(self.0, sign_bits())) }
+            unsafe { Avx2(_mm256_xor_pd(self.0, _mm256_set1_pd(-0.0))) }
         }
     }
 
@@ -441,17 +435,23 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Clamps gather indices into `0..t.len()` (negative indices read as
-    /// large unsigned ones), so every gather stays inside its table
-    /// whatever the lanes hold. In-domain lanes never reach the clamp.
+    /// Byte offsets `15·i` of entries `i` of `t`, the indices clamped into
+    /// `0..t.len()` (negative ones read as large unsigned ones), so every
+    /// gather stays inside its table whatever the lanes hold. In-domain
+    /// lanes never reach the clamp.
     #[inline(always)]
-    unsafe fn byte_offsets(t: &Packed, i: Avx2Int) -> __m128i {
-        let idx = _mm_min_epu32(i.0, _mm_set1_epi32(t.len() as i32 - 1));
-        // 15·idx as 16·idx - idx
-        _mm_sub_epi32(_mm_slli_epi32::<4>(idx), idx)
+    fn byte_offsets(t: &Packed, i: Avx2Int) -> __m128i {
+        // SAFETY: `i` exists only on an AVX2 CPU.
+        unsafe {
+            let idx = _mm_min_epu32(i.0, _mm_set1_epi32(t.len() as i32 - 1));
+            _mm_sub_epi32(_mm_slli_epi32::<4>(idx), idx) // 16·idx - idx
+        }
     }
 
     /// Vector twin of `tables_codec::decode_hi`.
+    ///
+    /// # Safety
+    /// Requires AVX2.
     #[inline(always)]
     unsafe fn decode_hi(w: __m256i, base: u64) -> __m256d {
         let mant = _mm256_and_si256(w, _mm256_set1_epi64x(codec::MANT52_MASK as i64));
@@ -463,6 +463,9 @@ pub(crate) mod avx2 {
     }
 
     /// Vector twin of `tables_codec::decode_lo` (sign in bit 56).
+    ///
+    /// # Safety
+    /// Requires AVX2.
     #[inline(always)]
     unsafe fn decode_lo(w: __m256i, base: u64) -> __m256d {
         let mant = _mm256_and_si256(w, _mm256_set1_epi64x(codec::MANT52_MASK as i64));
@@ -503,7 +506,7 @@ pub(crate) mod avx2 {
 
         #[inline(always)]
         fn abs(self) -> Avx2 {
-            unsafe { Avx2(_mm256_andnot_pd(sign_bits(), self.0)) }
+            unsafe { Avx2(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0)) }
         }
 
         #[inline(always)]

@@ -47,45 +47,36 @@ use crate::slice::{PositDomain, Tally};
 use crate::stats::TierCounters;
 use crate::{baselines::float32 as base, bf16, half16, p16, posit, slice};
 
-/// One row's escalation ladder.
+/// One tier of a ladder, in `2^-53` relative units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rung {
+    /// Terms the tier's Horner chain evaluates.
+    pub terms: usize,
+    /// Round-safety band the tier's result is tested against (28-bit
+    /// frac distance).
+    pub band: u64,
+    /// Certified bound on |tier result − dd kernel|.
+    pub derived: u64,
+}
+
+/// One row's escalation ladder: its kernel's two fast tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierSpec {
     /// Row name, matching the suffix of the `runtime.tier.*` counters
     /// (e.g. `"f32.exp"`).
     pub name: &'static str,
-    /// Round-safety band for the prefix tier (28-bit frac distance).
-    pub prefix_band: u64,
-    /// Round-safety band for the full-degree tier.
-    pub full_band: u64,
-    /// Certified bound on |prefix poly − dd kernel| in band units.
-    pub prefix_derived: u64,
-    /// Certified bound on |full poly − dd kernel| in band units.
-    pub full_derived: u64,
-    /// Terms evaluated by the prefix Horner chain.
-    pub prefix_terms: usize,
-    /// Terms evaluated by the full-degree Horner chain.
-    pub full_terms: usize,
+    /// The truncated-polynomial tier.
+    pub prefix: Rung,
+    /// The full-degree tier.
+    pub full: Rung,
 }
 
 impl TierSpec {
-    /// A row's spec, read off its kernel.
-    const fn of<K: Kernel>(name: &'static str) -> TierSpec {
-        TierSpec {
-            name,
-            prefix_band: K::PREFIX.band,
-            full_band: K::FULL.band,
-            prefix_derived: K::PREFIX.derived,
-            full_derived: K::FULL.derived,
-            prefix_terms: K::PREFIX.terms,
-            full_terms: K::FULL.terms,
-        }
-    }
-
     /// The soundness inequality for this ladder: any value the prefix
     /// tier accepts must also be a value the full tier would accept,
     /// given the two certified error bounds.
     pub const fn prefix_subsumed_by_full(&self) -> bool {
-        self.prefix_derived + (self.full_band - self.full_derived) <= self.prefix_band
+        self.prefix.derived + (self.full.band - self.full.derived) <= self.prefix.band
     }
 
     /// Looks a spec up by its name (`"f32.exp"`, `"posit32.ln"`).
@@ -213,6 +204,15 @@ pub(crate) fn ladder<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
         crate::stats::record_tier_prefix(slot);
         return L::round_from_f64(y);
     }
+    escalate::<L, K>(slot, xd)
+}
+
+/// The ladder's full and dd rungs, out of line: under 0.1% of calls get
+/// here, and inlining them into every entry point measured slower prefix
+/// paths (`float.sinpi.ns` +25% in the benchmark's `call_f32`).
+#[cold]
+#[inline(never)]
+fn escalate<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
     let y = K::eval::<f64, false>(xd);
     if L::round_safe(y, K::FULL.band) {
         crate::stats::record_tier_full(slot);
@@ -278,8 +278,16 @@ macro_rules! registry {
 
         /// Every row's ladder, indexed by [`slot`].
         pub static TIERS: [TierSpec; slot::COUNT] = [
-            $(TierSpec::of::<$fk>(concat!("f32.", stringify!($f))),)*
-            $(TierSpec::of::<$pk>(concat!("posit32.", stringify!($p))),)*
+            $(TierSpec {
+                name: concat!("f32.", stringify!($f)),
+                prefix: <$fk>::PREFIX,
+                full: <$fk>::FULL,
+            },)*
+            $(TierSpec {
+                name: concat!("posit32.", stringify!($p)),
+                prefix: <$pk>::PREFIX,
+                full: <$pk>::FULL,
+            },)*
         ];
 
         /// The `runtime.tier.{prefix,full,dd}.<kind>.<fn>` counters,
@@ -425,28 +433,28 @@ registry! {
         }
         exp => P32_EXP {
             entry: posit::exp_p32, dd: posit::exp_p32_dd, kernel: kernel::Exp,
-            domain: PositDomain::AbsAtMost(LN_MAXPOS + 0.5),
+            domain: PositDomain::Abs(0.0, LN_MAXPOS + 0.5),
             sixteen: [p16::exp_p16, half16::exp_f16, bf16::exp_bf16],
         }
         exp2 => P32_EXP2 {
             entry: posit::exp2_p32, dd: posit::exp2_p32_dd, kernel: kernel::Exp2,
-            domain: PositDomain::AbsAtMost(120.5),
+            domain: PositDomain::Abs(0.0, 120.5),
             sixteen: [p16::exp2_p16, half16::exp2_f16, bf16::exp2_bf16],
         }
         exp10 => P32_EXP10 {
             entry: posit::exp10_p32, dd: posit::exp10_p32_dd, kernel: kernel::Exp10,
-            domain: PositDomain::AbsAtMost(LOG10_MAXPOS + 0.5),
+            domain: PositDomain::Abs(0.0, LOG10_MAXPOS + 0.5),
             sixteen: [p16::exp10_p16, half16::exp10_f16, bf16::exp10_bf16],
         }
         sinh => P32_SINH {
             entry: posit::sinh_p32, dd: posit::sinh_p32_dd, kernel: kernel::Sinh,
             // `sinh_p32` returns x itself below 2^-13.
-            domain: PositDomain::AbsWithin(1.0 / 8192.0, LN_MAXPOS + 1.5),
+            domain: PositDomain::Abs(1.0 / 8192.0, LN_MAXPOS + 1.5),
             sixteen: [p16::sinh_p16, half16::sinh_f16, bf16::sinh_bf16],
         }
         cosh => P32_COSH {
             entry: posit::cosh_p32, dd: posit::cosh_p32_dd, kernel: kernel::Cosh,
-            domain: PositDomain::AbsAtMost(LN_MAXPOS + 1.5),
+            domain: PositDomain::Abs(0.0, LN_MAXPOS + 1.5),
             sixteen: [p16::cosh_p16, half16::cosh_f16, bf16::cosh_bf16],
         }
     }
@@ -567,17 +575,17 @@ mod tests {
         for t in &TIERS {
             assert!(
                 t.prefix_subsumed_by_full(),
-                "{}: prefix_derived {} + (full_band {} - full_derived {}) > prefix_band {}",
+                "{}: prefix derived {} + (full band {} - full derived {}) > prefix band {}",
                 t.name,
-                t.prefix_derived,
-                t.full_band,
-                t.full_derived,
-                t.prefix_band
+                t.prefix.derived,
+                t.full.band,
+                t.full.derived,
+                t.prefix.band
             );
-            assert!(t.full_derived < t.full_band, "{}: no fault slack", t.name);
-            assert!(t.prefix_band > t.full_band, "{}: prefix band must be wider", t.name);
-            assert!(t.prefix_band < (1 << 26), "{}: band too wide for round_safe", t.name);
-            assert!(t.prefix_terms < t.full_terms, "{}: prefix must be shorter", t.name);
+            assert!(t.full.derived < t.full.band, "{}: no fault slack", t.name);
+            assert!(t.prefix.band > t.full.band, "{}: prefix band must be wider", t.name);
+            assert!(t.prefix.band < (1 << 26), "{}: band too wide for round_safe", t.name);
+            assert!(t.prefix.terms < t.full.terms, "{}: prefix must be shorter", t.name);
         }
     }
 }

@@ -24,22 +24,28 @@ use crate::lane::avx2::{Avx2, Avx2Isa};
 use core::arch::x86_64::*;
 use rlibm_posit::Posit32;
 
-/// Sign-bit mask for f64 negation/abs.
-const SIGN: u64 = 1u64 << 63;
-
 /// The lanes of a 4-lane compare mask as bits `0..4`.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn lane_bits(m: __m256d) -> u64 {
     u64::from(_mm256_movemask_pd(m) as u32 & 0xF)
 }
 
 /// 64-bit lanes of a constant.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn splat(v: i64) -> __m256i {
     _mm256_set1_epi64x(v)
 }
 
 /// `lo <= a <= hi` per 64-bit lane (signed compares).
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn in_range64(a: __m256i, lo: i64, hi: i64) -> __m256i {
     _mm256_and_si256(
@@ -120,7 +126,7 @@ unsafe fn f32_round_safe4(y: __m256d, band: u64) -> __m256d {
 /// the regime come from one variable 64-bit shift.
 ///
 /// # Safety
-/// Requires AVX2.
+/// Requires AVX2 and `g < LANES / 4`.
 #[inline(always)]
 unsafe fn posit32_decode4(xs: &[Posit32; LANES], g: usize) -> __m256d {
     // Posit32 is a transparent u32 pattern.
@@ -177,7 +183,7 @@ unsafe fn posit32_decode4(xs: &[Posit32; LANES], g: usize) -> __m256d {
 #[inline(always)]
 unsafe fn posit32_safe_encode4(y: __m256d, band: u64) -> (__m256d, __m128i) {
     let bits = _mm256_castpd_si256(y);
-    let abs = _mm256_andnot_si256(splat(SIGN as i64), bits);
+    let abs = _mm256_andnot_si256(splat(i64::MIN), bits);
     let be = _mm256_srli_epi64::<52>(abs); // e + 1023, 0..=2047
     // e in [-120, 119]: the regimes with a rounding grid.
     let core = in_range64(be, 903, 1142);
@@ -238,8 +244,6 @@ mod tests {
     use rlibm_fp::rng::XorShift64;
     use rlibm_posit::Posit32;
 
-    /// Every 4-lane group of a chunk.
-    const ALL_GROUPS: u64 = (1 << (LANES / 4)) - 1;
 
     /// The SIMD driver must be lane-for-lane bit-identical to the scalar
     /// map on adversarial inputs (specials, domain edges, random bit
@@ -304,27 +308,6 @@ mod tests {
         }
     }
 
-    /// Partial chunks (tail shorter than the lane width, including
-    /// shorter than one 4-lane group) pad with the placeholder and must
-    /// still resolve every real lane correctly.
-    #[test]
-    fn simd_partial_chunks_match_scalar() {
-        if Avx2Isa::detect().is_none() {
-            return;
-        }
-        for len in [1usize, 3, 4, 5, 63, 64, 65, 67, 127, 130] {
-            let xs: Vec<f32> = (0..len).map(|i| 0.3 + i as f32 * 0.41).collect();
-            let mut out = vec![0.0f32; len];
-            for name in crate::F32_NAMES {
-                crate::eval_slice_f32(name, &xs, &mut out).expect("known name");
-                for (&x, &got) in xs.iter().zip(out.iter()) {
-                    let want = crate::eval_f32_by_name(name, x).expect("known name");
-                    assert_eq!(got.to_bits(), want.to_bits(), "{name}({x:e}) len {len}");
-                }
-            }
-        }
-    }
-
     /// The vectorized safety mask agrees with the scalar predicate on
     /// every lane for random doubles and for values planted exactly at
     /// band edges, and every accepted lane narrows like `as f32`.
@@ -361,7 +344,7 @@ mod tests {
                 let mask = Avx2::enter(
                     isa,
                     #[inline(always)]
-                    || safe_narrow::<_, Avx2>(isa, &y, band, ALL_GROUPS, &mut out),
+                    || safe_narrow::<_, Avx2>(isa, &y, band, 0..LANES / 4, &mut out),
                 );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::f32_round_safe(v, band);
@@ -545,7 +528,7 @@ mod tests {
                 let mask = Avx2::enter(
                     isa,
                     #[inline(always)]
-                    || safe_narrow::<_, Avx2>(isa, &y, band, ALL_GROUPS, &mut out),
+                    || safe_narrow::<_, Avx2>(isa, &y, band, 0..LANES / 4, &mut out),
                 );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::posit32_round_safe(v, band);

@@ -9,7 +9,7 @@
 //! 4-bit code against a per-column base, which the accessors expand
 //! with two unaligned u64 loads and fixed shifts. `COSPI_T` is not
 //! stored at all — `cos(pi n/512) == sin(pi (256-n)/512)` bit-for-bit,
-//! so [`cospi_t`] mirror-indexes the sinpi table. Together that is
+//! so `cos(pi n/512)` is read as sinpi entry `256 - n`. Together that is
 //! [`TABLE_BYTES_PACKED`] bytes in place of the former
 //! [`TABLE_BYTES_UNPACKED`] (a 31% reduction), which matters because
 //! every serving shard hammers these tables through the slice kernels:
@@ -29,9 +29,9 @@ use crate::tables_codec as codec;
 include!(concat!(env!("OUT_DIR"), "/packed_tables.rs"));
 
 /// One packed table: its bytes and the exponent origins of its hi and lo
-/// columns. The fast kernels read entries through
-/// [`crate::lane::F64Lane::gather_hi`] / `gather_packed`, one entry per
-/// lane; the dd kernels through the pair accessors below.
+/// columns. The fast kernels read entries through the lane gathers
+/// (`crate::lane`), one entry per lane; the dd kernels through
+/// [`Packed::entry`].
 #[derive(Debug, Clone, Copy)]
 pub struct Packed {
     /// The entries at a [`codec::PACKED_STRIDE`]-byte stride.
@@ -45,13 +45,8 @@ pub struct Packed {
 impl Packed {
     /// Number of entries.
     #[inline(always)]
-    pub const fn len(&self) -> usize {
+    pub(crate) const fn len(&self) -> usize {
         self.bytes.len() / codec::PACKED_STRIDE
-    }
-
-    /// Always false: every table has entries.
-    pub const fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Entry `i` as its `(hi, lo)` pair.
@@ -82,66 +77,27 @@ pub const LOG10_F: Packed =
 pub const SINPI_T: Packed =
     Packed { bytes: &SINPI_T_P, hi_base: SINPI_T_HI_BASE, lo_base: SINPI_T_LO_BASE };
 
-/// `2^(j/64)` for `j in 0..64`, as a hi/lo double-double pair.
-#[inline(always)]
-pub fn exp2_64(j: usize) -> (f64, f64) {
-    EXP2_64.entry(j)
-}
-
-/// `ln(1 + j/128)` for `j in 0..=128` (`j == 0` is exactly zero).
-#[inline(always)]
-pub fn ln_f(j: usize) -> (f64, f64) {
-    LN_F.entry(j)
-}
-
-/// `log2(1 + j/128)` for `j in 0..=128`.
-#[inline(always)]
-pub fn log2_f(j: usize) -> (f64, f64) {
-    LOG2_F.entry(j)
-}
-
-/// `log10(1 + j/128)` for `j in 0..=128`.
-#[inline(always)]
-pub fn log10_f(j: usize) -> (f64, f64) {
-    LOG10_F.entry(j)
-}
-
-/// `sin(pi n/512)` for `n in 0..=256`.
-#[inline(always)]
-pub fn sinpi_t(n: usize) -> (f64, f64) {
-    SINPI_T.entry(n)
-}
-
-/// `cos(pi n/512)` for `n in 0..=256` — the bit-exact mirror
-/// `sinpi_t(256 - n)`, verified at build time.
-#[inline(always)]
-pub fn cospi_t(n: usize) -> (f64, f64) {
-    sinpi_t(256 - n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn anchor_entries_unpack_exactly() {
-        assert_eq!(exp2_64(0), (1.0, 0.0));
-        assert_eq!(ln_f(0), (0.0, 0.0));
-        assert_eq!(ln_f(128).0, core::f64::consts::LN_2);
-        assert_eq!(log2_f(128), (1.0, 0.0));
-        assert_eq!(sinpi_t(0), (0.0, 0.0));
-        assert_eq!(sinpi_t(256), (1.0, 0.0));
-        assert_eq!(cospi_t(0), (1.0, 0.0));
-        assert_eq!(cospi_t(256), (0.0, 0.0));
+        assert_eq!(EXP2_64.entry(0), (1.0, 0.0));
+        assert_eq!(LN_F.entry(0), (0.0, 0.0));
+        assert_eq!(LN_F.entry(128).0, core::f64::consts::LN_2);
+        assert_eq!(LOG2_F.entry(128), (1.0, 0.0));
+        assert_eq!(SINPI_T.entry(0), (0.0, 0.0));
+        assert_eq!(SINPI_T.entry(256), (1.0, 0.0));
     }
 
     #[test]
     fn lo_parts_keep_their_signs() {
         // The packed lo column carries a real sign bit; at least one
         // entry per table is negative in the committed data.
-        for table in [ln_f as fn(usize) -> (f64, f64), log2_f, log10_f, sinpi_t] {
+        for table in [LN_F, LOG2_F, LOG10_F, SINPI_T] {
             assert!(
-                (0..=128).any(|j| table(j).1 < 0.0),
+                (0..=128).any(|j| table.entry(j).1 < 0.0),
                 "no negative lo part survived unpacking"
             );
         }

@@ -49,12 +49,13 @@ fn parse_bits_file() -> Vec<Row> {
 /// Resolves a table name to its public accessor.
 fn lookup(table: &str, idx: usize) -> (f64, f64) {
     match table {
-        "EXP2_64" => tables::exp2_64(idx),
-        "LN_F" => tables::ln_f(idx),
-        "LOG2_F" => tables::log2_f(idx),
-        "LOG10_F" => tables::log10_f(idx),
-        "SINPI_T" => tables::sinpi_t(idx),
-        "COSPI_T" => tables::cospi_t(idx),
+        "EXP2_64" => tables::EXP2_64.entry(idx),
+        "LN_F" => tables::LN_F.entry(idx),
+        "LOG2_F" => tables::LOG2_F.entry(idx),
+        "LOG10_F" => tables::LOG10_F.entry(idx),
+        "SINPI_T" => tables::SINPI_T.entry(idx),
+        // cos(pi n/512) is the sinpi table mirrored (checked at build time).
+        "COSPI_T" => tables::SINPI_T.entry(256 - idx),
         other => panic!("unknown table {other}"),
     }
 }
