@@ -436,14 +436,15 @@ pub(crate) mod avx2 {
     }
 
     /// Byte offsets `15·i` of entries `i` of `t`, the indices clamped into
-    /// `0..t.len()` (negative ones read as large unsigned ones), so every
+    /// the table (negative ones read as large unsigned ones), so every
     /// gather stays inside its table whatever the lanes hold. In-domain
     /// lanes never reach the clamp.
     #[inline(always)]
     fn byte_offsets(t: &Packed, i: Avx2Int) -> __m128i {
+        let last = (t.bytes.len() / codec::PACKED_STRIDE) as i32 - 1;
         // SAFETY: `i` exists only on an AVX2 CPU.
         unsafe {
-            let idx = _mm_min_epu32(i.0, _mm_set1_epi32(t.len() as i32 - 1));
+            let idx = _mm_min_epu32(i.0, _mm_set1_epi32(last));
             _mm_sub_epi32(_mm_slli_epi32::<4>(idx), idx) // 16·idx - idx
         }
     }
