@@ -13,8 +13,10 @@ cd "$(dirname "$0")"
 echo "== cargo build --release --offline =="
 cargo build --workspace --release --offline
 
-echo "== cargo test -q --offline =="
-cargo test -q --offline
+echo "== cargo test --workspace --release -q --offline =="
+# Every member crate's own tests, not just the root facade package (the
+# workspace's only default member).
+cargo test --workspace --release -q --offline
 
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -51,13 +53,6 @@ if [ "$GEN_FNV" != "$PINNED_FNV" ]; then
 fi
 echo "regenerated tables match pin $PINNED_FNV"
 
-echo "== posit32 codec: dedicated codec vs the generic reference =="
-# Posit32::{to_f64, from_f64} run a dedicated codec; the generic
-# PositFormat path stays the reference. The default tests compare them on
-# every regime boundary, a strided pattern sweep, ties, the saturation
-# band and non-posit f64 values (the exhaustive 2^32 sweep is #[ignore]d).
-cargo test -q --offline --release -p rlibm-posit
-
 echo "== tier counters: delta accounting in both telemetry configs =="
 # Every in-domain call ships from exactly one of the three progressive
 # tiers (prefix/full/dd), scalar and batched alike; with telemetry off
@@ -67,8 +62,8 @@ cargo test -q --offline --release -p rlibm --features telemetry --test tier_coun
 cargo test -q --offline --release -p rlibm --test tier_counters
 
 echo "== telemetry-off identity: instrumentation changes no output bit =="
-# Workspace-wide test runs above unify features with rlibm-bench and so
-# run with telemetry ON; building the facade crate alone leaves telemetry
+# The workspace-wide test run above unifies features with rlibm-bench and
+# so runs with telemetry ON; building the facade crate alone leaves telemetry
 # OFF. The telemetry test suite pins the runtime library's outputs on a
 # fixed sweep to one checksum constant, so passing in both configurations
 # proves the instrumented and uninstrumented libraries are bit-identical.
@@ -216,22 +211,13 @@ grep -q '"schema": "rlibm-chaos/v1"' target/bench-smoke/CHAOS_manifest.quick.jso
 cargo run --release --offline -p rlibm-bench --features fault --bin chaos_bench -- \
     --check CHAOS_manifest.json
 
-echo "== bench smoke: fig3 --quick + JSON schema =="
+echo "== bench smoke: gen_bench --quick + JSON schema =="
 # Quick-mode harness run, fully offline, writing under target/ so the
 # committed full-run BENCH_*.json files are never clobbered. Each
 # harness re-parses and schema-checks its own emission and exits
-# non-zero on a malformed document; the greps below double-check the
-# files landed with the expected schema tags.
+# non-zero on a malformed document; the grep double-checks the file
+# landed with the expected schema tag.
 mkdir -p target/bench-smoke
-cargo run --release --offline -p rlibm-bench --bin fig3 -- \
-    --quick --out target/bench-smoke/BENCH_fig3.quick.json
-grep -q '"schema": "rlibm-bench/fig3/v2"' target/bench-smoke/BENCH_fig3.quick.json
-cargo run --release --offline -p rlibm-bench --bin fig4 -- \
-    --quick --out target/bench-smoke/BENCH_fig4.quick.json
-grep -q '"schema": "rlibm-bench/fig4/v1"' target/bench-smoke/BENCH_fig4.quick.json
-cargo run --release --offline -p rlibm-bench --bin vector_harness -- \
-    --quick --out target/bench-smoke/BENCH_vector.quick.json
-grep -q '"schema": "rlibm-bench/vector/v3"' target/bench-smoke/BENCH_vector.quick.json
 cargo run --release --offline -p rlibm-bench --bin gen_bench -- \
     --quick --out target/bench-smoke/BENCH_gen.quick.json
 grep -q '"schema": "rlibm-bench/gen/v1"' target/bench-smoke/BENCH_gen.quick.json
@@ -244,22 +230,22 @@ cargo run --release --offline -p rlibm-bench --features simd --bin serve_bench -
     --quick --out target/bench-smoke/BENCH_serve.quick.json
 grep -q '"schema": "rlibm-bench/serve/v1"' target/bench-smoke/BENCH_serve.quick.json
 
-echo "== vector regression gate: committed BENCH_vector vs quick simd run =="
-# The committed BENCH_vector.json is a full simd-feature run; a fresh
-# --quick run in the same configuration must stay within the comparator's
-# regression threshold on every row's same-host ratio `ratio_batched`:
-# the batched time over the float baseline (f32 rows) or over the scalar
-# loop (posit32 rows), both timed in the same pass. A slice-kernel
-# pessimisation moves the ratio and fails CI here; a loaded or slower
-# host moves both of its sides, where absolute nanoseconds flaked.
-# Threshold is +60%: quick mode does fewer reps and this gate runs on
-# whatever shared hardware CI lands on — it is an order-of-magnitude
-# tripwire, while the committed-file protocol (EXPERIMENTS.md) remains
-# the precise before/after evidence.
-cargo run --release --offline -p rlibm-bench --features simd --bin vector_harness -- \
-    --quick --out target/bench-smoke/BENCH_vector.simd.quick.json
+echo "== timing regression gate: committed BENCH_timing vs quick simd run =="
+# One timing run (Figures 3-5 and the §4.3 harness) in the configuration
+# of the committed full run, simd on. A fresh --quick run must stay
+# within the comparator's regression threshold on every row's same-host
+# ratio `ratio_batched`: the batched time over the float-libm model (f32
+# rows) or over the scalar call (posit32 rows), both timed in the same
+# pass. A slice-kernel pessimisation moves the ratio and fails CI here;
+# a loaded or slower host moves both of its sides, where absolute
+# nanoseconds flaked. Threshold is +60%: quick mode does fewer passes
+# and this gate runs on whatever shared hardware CI lands on — it is an
+# order-of-magnitude tripwire, while the committed-file protocol
+# (EXPERIMENTS.md) remains the precise before/after evidence.
+cargo run --release --offline -p rlibm-bench --features simd --bin timing -- \
+    --quick --out target/bench-smoke/BENCH_timing.quick.json
 cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_vector.json target/bench-smoke/BENCH_vector.simd.quick.json \
+    BENCH_timing.json target/bench-smoke/BENCH_timing.quick.json \
     --fields ratio_ --threshold 60
 
 echo "== telemetry smoke: telemetry_report --quick + JSON schema =="
@@ -311,19 +297,9 @@ cargo run --release --offline -p rlibm-bench --bin certify -- \
 echo "== bench_compare smoke: committed BENCH files self-diff clean =="
 # A file diffed against itself must report all-1.0 ratios and exit 0;
 # nonzero means the comparator (or a committed artifact) broke.
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_fig3.json BENCH_fig3.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_fig4.json BENCH_fig4.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_gen.json BENCH_gen.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_vector.json BENCH_vector.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    BENCH_serve.json BENCH_serve.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    CHAOS_manifest.json CHAOS_manifest.json
-cargo run --release --offline -p rlibm-bench --bin bench_compare -- \
-    TRACE_report.json TRACE_report.json
+for doc in BENCH_timing.json BENCH_gen.json BENCH_serve.json \
+    CHAOS_manifest.json TRACE_report.json; do
+    cargo run --release --offline -p rlibm-bench --bin bench_compare -- "$doc" "$doc"
+done
 
 echo "CI OK"

@@ -2,8 +2,8 @@
 //! on timing regressions — the guard that keeps the committed full-run
 //! BENCH files honest as the kernels evolve.
 //!
-//! Both documents must carry the same `schema` tag (comparing a fig3
-//! run against a fig4 run is a usage error, exit 2). Every `ns_*`
+//! Both documents must carry the same `schema` tag, exactly (comparing
+//! a timing run against a serve run is a usage error, exit 2). Every `ns_*`
 //! field present in both files is compared per function as the ratio
 //! `new / old`; a ratio above `1 + threshold` on any field is a
 //! regression (exit 1). The summary prints the geometric-mean ratio
@@ -14,7 +14,7 @@
 //! pessimisation (the two-tier split is worth ~2x).
 //!
 //! `--fields PREFIX` compares the numeric fields starting with `PREFIX`
-//! instead of `ns_`: `--fields ratio_` gates a vector document on its
+//! instead of `ns_`: `--fields ratio_` gates a timing document on its
 //! same-host `ratio_batched` fields, which a uniformly loaded host leaves
 //! alone where it inflates every absolute time.
 //!
@@ -32,16 +32,7 @@ use rlibm_bench::timing::geomean;
 /// no harness in this workspace emits, so the "same schema" check can't
 /// vouch that the ns_* fields mean the same thing in both files.
 const KNOWN_SCHEMAS: &[&str] = &[
-    "rlibm-bench/fig3/v1",
-    // v2 adds a top-level "tables" size section (progressive tiers +
-    // bit-packed tables); the per-function ns_* fields are unchanged,
-    // so v1 and v2 documents diff cleanly against each other.
-    "rlibm-bench/fig3/v2",
-    "rlibm-bench/fig4/v1",
-    "rlibm-bench/vector/v1",
-    "rlibm-bench/vector/v2",
-    // v3 adds the posit32 rows and the same-host `ratio_batched` field.
-    "rlibm-bench/vector/v3",
+    "rlibm-bench/timing/v1",
     "rlibm-bench/gen/v1",
     "rlibm-bench/serve/v1",
     // chaos_bench rows are scenarios, not functions, but carry ns_p50 /
@@ -118,16 +109,6 @@ fn functions(doc: &Json, path: &str) -> Vec<(String, Json)> {
         .collect()
 }
 
-/// A schema tag without its trailing `/vN` revision: documents of the
-/// same family measure the same thing, so a v1 baseline stays diffable
-/// after a harness bumps its revision for an additive section.
-fn schema_family(tag: &str) -> &str {
-    match tag.rfind('/') {
-        Some(i) if tag[i + 1..].starts_with('v') => &tag[..i],
-        _ => tag,
-    }
-}
-
 /// The numeric fields of a function entry whose names start with
 /// `prefix`, insertion order.
 fn prefixed_fields(entry: &Json, prefix: &str) -> Vec<String> {
@@ -154,7 +135,7 @@ fn main() {
         .get("schema")
         .and_then(Json::as_str)
         .unwrap_or_else(|| usage(&format!("{}: missing 'schema' tag", cli.new)));
-    if schema_family(old_schema) != schema_family(new_schema) {
+    if old_schema != new_schema {
         usage(&format!(
             "schema mismatch: {} is '{old_schema}', {} is '{new_schema}'",
             cli.old, cli.new
@@ -234,8 +215,8 @@ fn main() {
         println!("{:>16} | {:>13.4} | {:>+8.1}%", field, g, (g - 1.0) * 100.0);
     }
 
-    // Table-footprint delta, printed whenever both documents carry the
-    // v2 "tables" size section (informational: smaller is better, but a
+    // Table-footprint delta, printed whenever both documents carry a
+    // "tables" size section (informational: smaller is better, but a
     // growth here is a review prompt, not a regression exit).
     if let (Some(Json::Obj(old_t)), Some(Json::Obj(new_t))) =
         (old_doc.get("tables"), new_doc.get("tables"))

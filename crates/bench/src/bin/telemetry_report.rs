@@ -17,8 +17,8 @@
 //!    at 200k and settles for registered-at-zero presence).
 //! 4. **Batched eval** — one `eval_slice_f32` call ticking the
 //!    `runtime.slice.f32.*` counters.
-//! 5. **Progressive tiers** — the fig3 timing workload through every
-//!    scalar front end, populating `runtime.tier.{prefix,full,dd}.*`
+//! 5. **Progressive tiers** — the timing harness's f32 workload through
+//!    every scalar front end, populating `runtime.tier.{prefix,full,dd}.*`
 //!    and asserting the prefix tier carried >= 90% of in-domain calls
 //!    (the cheap tier must be the common case or the ladder is
 //!    mis-tuned).
@@ -168,9 +168,9 @@ fn exercise_fallbacks(seed: u64, cap: u64) -> Vec<String> {
     missing
 }
 
-/// Phase 5: the progressive-tier hit-rate check. Runs the same
-/// domain-biased workload fig3 times through every scalar front end
-/// and returns the aggregate prefix-tier share of in-domain calls.
+/// Phase 5: the progressive-tier hit-rate check. Runs the kernel-domain
+/// workload the timing harness times through every scalar front end and
+/// returns the aggregate prefix-tier share of in-domain calls.
 fn exercise_tiers(per_fn: usize) -> f64 {
     let mut prefix_total = 0u64;
     let mut total = 0u64;

@@ -1,5 +1,5 @@
 //! Minimal JSON emitter + parser for the machine-readable bench results
-//! (`BENCH_fig3.json` etc.).
+//! (`BENCH_timing.json` etc.).
 //!
 //! The workspace has a zero-registry-dependency policy, so this is a
 //! hand-rolled subset of JSON sufficient for flat result documents:
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn round_trips_a_bench_like_document() {
         let doc = Json::obj()
-            .set("schema", "rlibm-bench/fig3/v1")
+            .set("schema", "rlibm-bench/timing/v1")
             .set("quick", true)
             .set("n_inputs", 256.0)
             .set(
@@ -494,19 +494,19 @@ mod tests {
     #[test]
     fn schema_check_catches_missing_fields() {
         let good = Json::obj()
-            .set("schema", "rlibm-bench/fig3/v1")
+            .set("schema", "rlibm-bench/timing/v1")
             .set("n_inputs", 64.0)
             .set(
                 "functions",
                 vec![Json::obj().set("name", "exp").set("ns_fast", 3.0)],
             );
-        assert!(check_bench_schema(&good, "rlibm-bench/fig3/v1", &["ns_fast"]).is_ok());
-        assert!(check_bench_schema(&good, "rlibm-bench/fig4/v1", &["ns_fast"]).is_err());
-        assert!(check_bench_schema(&good, "rlibm-bench/fig3/v1", &["ns_dd"]).is_err());
+        assert!(check_bench_schema(&good, "rlibm-bench/timing/v1", &["ns_fast"]).is_ok());
+        assert!(check_bench_schema(&good, "rlibm-bench/serve/v1", &["ns_fast"]).is_err());
+        assert!(check_bench_schema(&good, "rlibm-bench/timing/v1", &["ns_dd"]).is_err());
         let empty = Json::obj()
-            .set("schema", "rlibm-bench/fig3/v1")
+            .set("schema", "rlibm-bench/timing/v1")
             .set("n_inputs", 64.0)
             .set("functions", Vec::new());
-        assert!(check_bench_schema(&empty, "rlibm-bench/fig3/v1", &[]).is_err());
+        assert!(check_bench_schema(&empty, "rlibm-bench/timing/v1", &[]).is_err());
     }
 }

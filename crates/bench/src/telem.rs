@@ -180,7 +180,7 @@ mod tests {
         let good = telem_to_json(&sample_snapshot(), false, 1);
         assert!(check_telem_schema(&good).is_ok());
 
-        let wrong_tag = Json::obj().set("schema", "rlibm-bench/fig3/v1");
+        let wrong_tag = Json::obj().set("schema", "rlibm-bench/timing/v1");
         assert!(check_telem_schema(&wrong_tag).is_err());
 
         let no_counters = Json::obj()

@@ -8,7 +8,7 @@
 //! in-tree [`XorShift64`] generator — the workspace has no registry
 //! dependencies, and the streams are reproducible by seed alone.
 
-use rlibm_fp::rng::XorShift64;
+use rlibm_fp::rng::{f32_kernel_domain, XorShift64};
 use rlibm_posit::Posit32;
 
 /// A deterministic RNG for reproducible workloads.
@@ -17,23 +17,20 @@ pub fn rng(seed: u64) -> XorShift64 {
 }
 
 /// Timing inputs for a float function: uniform over the region where the
-/// kernel (not the special-case filter) runs.
+/// kernel (not the special-case filter) runs, [`f32_kernel_domain`];
+/// log-uniform positives across the full exponent range for the logs.
 pub fn timing_inputs_f32(name: &str, n: usize, seed: u64) -> Vec<f32> {
     let mut r = rng(seed);
+    let (lo, hi) = f32_kernel_domain(name);
     (0..n)
-        .map(|_| match name {
-            "ln" | "log2" | "log10" => {
-                // Log-uniform positives across the full exponent range.
+        .map(|_| {
+            if lo == hi {
                 let e = r.uniform_f32(-126.0, 127.0);
                 let m = r.uniform_f32(1.0, 2.0);
                 m * e.exp2()
+            } else {
+                r.uniform_f32(lo, hi)
             }
-            "exp" => r.uniform_f32(-87.0, 88.0),
-            "exp2" => r.uniform_f32(-125.0, 127.0),
-            "exp10" => r.uniform_f32(-37.0, 38.0),
-            "sinh" | "cosh" => r.uniform_f32(-88.0, 88.0),
-            "sinpi" | "cospi" => r.uniform_f32(-1000.0, 1000.0),
-            _ => panic!("unknown function {name}"),
         })
         .collect()
 }
