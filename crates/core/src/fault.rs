@@ -14,7 +14,7 @@
 //! > No corruption of the fast-path value may ever escape as a
 //! > mis-rounded result — it is either provably below the certification
 //! > band (the accepted cast is still correct) or rejected by
-//! > `f32_round_safe`/`posit32_round_safe` into the dd fallback.
+//! > `f32_round_safe`/`posit32_safe_narrow` into the dd fallback.
 //!
 //! The sweep keeps injecting until a target count of *actual* injections
 //! (not merely evaluations) is reached per function, across both f32 and

@@ -15,7 +15,8 @@
 //!    Horner — no double-double, no `fma` libcalls) with a *statically
 //!    derived* relative error bound `BAND · 2^-53`;
 //! 2. the front end checks, with one bit-pattern test
-//!    ([`crate::round::f32_round_safe`] / `posit32_round_safe`]), whether
+//!    ([`crate::round::f32_round_safe`] /
+//!    [`crate::round::posit32_safe_narrow`], fused with the cast), whether
 //!    the double could lie within that bound of a rounding boundary of the
 //!    target grid. If it cannot, rounding the double **is** the correct
 //!    rounding and the fast result ships;

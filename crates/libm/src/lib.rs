@@ -18,10 +18,10 @@
 //! output compensation — evaluated in **two tiers**. Tier 1 (the
 //! private `kernel` module, one generic kernel per function) runs that
 //! structure in plain double with a statically derived worst-case error
-//! band; a few integer ops on the result's
-//! bit pattern ([`round::f32_round_safe`] / [`round::posit32_round_safe`])
-//! certify the final cast is the correct rounding. The rare inputs
-//! landing inside an unsafe band re-run the double-double kernels
+//! band; a few integer ops on the result's bit pattern
+//! ([`round::f32_round_safe`], or [`round::posit32_safe_narrow`], which
+//! also encodes) certify the final cast is the correct rounding. The
+//! rare inputs landing inside an unsafe band re-run the double-double kernels
 //! ([`dd`]) with round-to-odd composition ([`round`]) — bit-identical
 //! results, constructive accuracy argument, no double rounding. The
 //! dd-only paths stay exported (`*_dd`) for certification sweeps, the

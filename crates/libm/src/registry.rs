@@ -137,17 +137,19 @@ impl Posit32Row {
 /// A 32-bit format the ladder and the batched driver round into. Every
 /// tier evaluates in f64 whatever the format, so a format only supplies
 /// its exact widening and correctly rounding narrowing
-/// ([`Representation`]), the round-safety test that certifies a double,
-/// its batched fast-path domain, and the counters its slices land in.
+/// ([`Representation`]), its round-safety test fused with the narrowing
+/// it certifies, its batched fast-path domain, and the counters its
+/// slices land in.
 pub(crate) trait Lane: Representation {
     /// Filler for a partial chunk's unused lanes (never read back).
     const PAD: Self;
     /// A row's batched domain as data (f32 rows read theirs off the
     /// kernel).
     type Domain: Copy;
-    /// True when narrowing `y` is the correct rounding of every value
-    /// within `band · 2^-53` relative of it (see [`crate::round`]).
-    fn round_safe(y: f64, band: u64) -> bool;
+    /// The narrowing of `y` when it is the correct rounding of every
+    /// value within `band · 2^-53` relative of `y`, else `None` (see
+    /// [`crate::round`]).
+    fn narrow_if_safe(y: f64, band: u64) -> Option<Self>;
     /// The lanes of the widened `x` in kernel `K`'s batched domain.
     fn in_domain<K: Kernel, V: F64Lane>(dom: Self::Domain, x: V) -> V::Mask;
     /// This format's `(chunks, rescalar lanes)` slice counters.
@@ -159,8 +161,8 @@ impl Lane for f32 {
     type Domain = ();
 
     #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::f32_round_safe(y, band)
+    fn narrow_if_safe(y: f64, band: u64) -> Option<f32> {
+        crate::round::f32_round_safe(y, band).then_some(y as f32)
     }
 
     #[inline(always)]
@@ -178,8 +180,8 @@ impl Lane for Posit32 {
     type Domain = PositDomain;
 
     #[inline(always)]
-    fn round_safe(y: f64, band: u64) -> bool {
-        crate::round::posit32_round_safe(y, band)
+    fn narrow_if_safe(y: f64, band: u64) -> Option<Posit32> {
+        crate::round::posit32_safe_narrow(y, band)
     }
 
     #[inline(always)]
@@ -200,9 +202,9 @@ impl Lane for Posit32 {
 #[inline(always)]
 pub(crate) fn ladder<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
     let y = crate::fault::perturb(slot, K::eval::<f64, true>(xd));
-    if L::round_safe(y, K::PREFIX.band) {
+    if let Some(r) = L::narrow_if_safe(y, K::PREFIX.band) {
         crate::stats::record_tier_prefix(slot);
-        return L::round_from_f64(y);
+        return r;
     }
     escalate::<L, K>(slot, xd)
 }
@@ -214,9 +216,9 @@ pub(crate) fn ladder<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
 #[inline(never)]
 fn escalate<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
     let y = K::eval::<f64, false>(xd);
-    if L::round_safe(y, K::FULL.band) {
+    if let Some(r) = L::narrow_if_safe(y, K::FULL.band) {
         crate::stats::record_tier_full(slot);
-        return L::round_from_f64(y);
+        return r;
     }
     crate::stats::record_tier_dd(slot);
     crate::round::round_dd(K::dd(xd))
@@ -584,7 +586,7 @@ mod tests {
             );
             assert!(t.full.derived < t.full.band, "{}: no fault slack", t.name);
             assert!(t.prefix.band > t.full.band, "{}: prefix band must be wider", t.name);
-            assert!(t.prefix.band < (1 << 26), "{}: band too wide for round_safe", t.name);
+            assert!(t.prefix.band < (1 << 26), "{}: band too wide for f32_round_safe", t.name);
             assert!(t.prefix.terms < t.full.terms, "{}: prefix must be shorter", t.name);
         }
     }

@@ -156,7 +156,7 @@ pub(crate) trait Ends<V: F64Lane>: Lane {
     fn safe_narrow(y: V, band: u64, out: &mut [Self; LANES], g: usize) -> u64;
 }
 
-/// The portable ends: the scalar codec and round-safety predicate.
+/// The portable ends: the scalar codec and fused round-safe narrowing.
 impl<L: Lane> Ends<f64> for L {
     #[inline(always)]
     fn widen((): (), xs: &[L; LANES], g: usize) -> f64 {
@@ -165,11 +165,11 @@ impl<L: Lane> Ends<f64> for L {
 
     #[inline(always)]
     fn safe_narrow(y: f64, band: u64, out: &mut [L; LANES], g: usize) -> u64 {
-        let ok = L::round_safe(y, band);
-        if ok {
-            out[g % LANES] = L::round_from_f64(y);
+        let narrowed = L::narrow_if_safe(y, band);
+        if let Some(v) = narrowed {
+            out[g % LANES] = v;
         }
-        u64::from(ok)
+        u64::from(narrowed.is_some())
     }
 }
 

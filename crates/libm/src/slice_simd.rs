@@ -170,10 +170,10 @@ unsafe fn posit32_decode4(xs: &[Posit32; LANES], g: usize) -> __m256d {
     _mm256_castsi256_pd(bits)
 }
 
-/// The posit32 round-safety test of 4 lanes fused with their encode:
-/// returns the lane mask of [`crate::round::posit32_round_safe`] against
-/// `band` and, for the accepted lanes, `Posit32::from_f64` of each as
-/// four u32 patterns. An accepted lane is never a tie (its distance from
+/// The posit32 round-safety test of 4 lanes fused with their encode,
+/// the vector twin of [`crate::round::posit32_safe_narrow`]: returns the
+/// lane mask of the accepted lanes against `band` and, for those lanes,
+/// `Posit32::from_f64` of each as four u32 patterns. An accepted lane is never a tie (its distance from
 /// the rounding boundary exceeds `band >= 0`), so the encode is the
 /// truncated body plus the round bit; the accepted saturation zones
 /// encode as `maxpos` / `minpos`.
@@ -460,25 +460,9 @@ mod tests {
         }
     }
 
-    /// Places `y` on the rounding boundary of its own binade (the window's
-    /// low `54 - avail` bits set to their half), for `|e| <= 120`.
-    fn boundary_of(y: f64) -> f64 {
-        let bits = y.to_bits();
-        let e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-        let k = e >> 2;
-        let regime_len = if k >= 0 { k + 2 } else { 1 - k };
-        let shift = 54 - (31 - regime_len) as u64;
-        let window = ((e as u64 & 3) << 52) | (bits & ((1u64 << 52) - 1));
-        let low_mask = (1u64 << shift) - 1;
-        let w = (window & !low_mask) | (1u64 << (shift - 1));
-        let e2 = (e & !3) | (w >> 52) as i64;
-        let sign = bits & (1u64 << 63);
-        f64::from_bits(sign | (((e2 + 1023) as u64) << 52) | (w & ((1u64 << 52) - 1)))
-    }
-
-    /// The fused posit32 safe-mask + encode agrees with the scalar
-    /// predicate lane for lane, and every accepted lane's pattern equals
-    /// `Posit32::from_f64`: random values, and values at the band edges of
+    /// The fused posit32 safe-mask + encode agrees with its scalar twin
+    /// `posit32_safe_narrow` lane for lane, mask and pattern (the round
+    /// tests tie that twin to `Posit32::from_f64`): random values, and values at the band edges of
     /// the rounding boundary in every regime, the es-truncated regimes and
     /// both saturation zones included.
     #[test]
@@ -513,7 +497,7 @@ mod tests {
             for e in -120..=119 {
                 for _ in 0..4 {
                     let y = rng.uniform_f64(1.0, 2.0) * 2f64.powi(e);
-                    let b = boundary_of(y).to_bits();
+                    let b = crate::round::tests::posit32_boundary(y).to_bits();
                     for d in [0, 1, band, band + 1] {
                         for bits in [b + d, b - d, b ^ (1u64 << 63)] {
                             ys.push(f64::from_bits(bits));
@@ -531,15 +515,15 @@ mod tests {
                     || safe_narrow::<_, Avx2>(isa, &y, band, 0..LANES / 4, &mut out),
                 );
                 for (i, &v) in y.iter().enumerate() {
-                    let want = crate::round::posit32_round_safe(v, band);
+                    let want = crate::round::posit32_safe_narrow(v, band);
                     assert_eq!(
                         (mask >> i) & 1 == 1,
-                        want,
+                        want.is_some(),
                         "band {band}, y = {v:e} ({:#018x})",
                         v.to_bits()
                     );
-                    if want {
-                        assert_eq!(out[i], Posit32::from_f64(v), "encode of {v:e}");
+                    if let Some(p) = want {
+                        assert_eq!(out[i], p, "encode of {v:e}");
                     }
                 }
             }

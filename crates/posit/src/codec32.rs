@@ -71,13 +71,12 @@ pub(crate) fn from_f64(x: f64) -> u32 {
         // filled from the window `e (2 bits) | 52-bit fraction` behind it.
         let avail = (31 - len) as u32;
         let window = (((scale & 3) as u64) << 52) | (abs & ((1u64 << 52) - 1));
-        let mut body = (regime << avail) | (window >> (54 - avail)) as u32;
-        let round = (window >> (53 - avail)) & 1 == 1;
-        let sticky = window & ((1u64 << (53 - avail)) - 1) != 0;
-        if round && (sticky || body & 1 == 1) {
-            body += 1;
-        }
-        body.clamp(1, MAXPOS)
+        let body = (regime << avail) | (window >> (54 - avail)) as u32;
+        // Round to nearest, ties to even, as an added bit: up when the
+        // round bit is set and the sticky bits or the body's last bit are.
+        let round = (window >> (53 - avail)) as u32;
+        let sticky = u32::from(window & ((1u64 << (53 - avail)) - 1) != 0);
+        (body + (round & (sticky | body) & 1)).clamp(1, MAXPOS)
     };
     if bits >> 63 == 1 {
         body.wrapping_neg()

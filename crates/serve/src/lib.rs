@@ -493,7 +493,9 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     if let Some(i) = shard_outcomes.iter().position(Option::is_none) {
         return Err(ServeError::ShardLost { shard: i });
     }
-    let mut completions = Vec::with_capacity(total as usize);
+    // The first shard's log becomes the merged log and the others are
+    // appended to it, so no second copy of a full log is ever resident.
+    let mut completions = Vec::new();
     let mut sheds = Vec::new();
     let mut panics = 0u64;
     let mut restarts = 0u64;
@@ -503,8 +505,12 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     let mut attribution = [StageAttribution::default(); workload::NUM_FUNCS];
     let mut flight = Vec::new();
     for (i, outcome) in shard_outcomes.into_iter().enumerate() {
-        let o = outcome.unwrap_or_else(|| unreachable!("checked above"));
-        completions.extend_from_slice(&o.completions);
+        let mut o = outcome.unwrap_or_else(|| unreachable!("checked above"));
+        if i == 0 {
+            completions = std::mem::take(&mut o.completions);
+        } else {
+            completions.append(&mut o.completions);
+        }
         sheds.extend_from_slice(&o.sheds);
         panics += o.panics;
         restarts += o.restarts;
