@@ -5,7 +5,9 @@
 //! The shape of a production deployment, scaled to whatever the host
 //! offers: one worker thread ("shard") per core, each owning a bounded
 //! lock-free MPMC ring ([`queue::MpmcQueue`]) that producers push
-//! requests into round-robin. Workers batch requests per function into
+//! requests into in bursts of up to a batch, round-robin by burst, with
+//! one ring claim and one clock read per burst. Workers pop bursts and
+//! batch requests per function into
 //! the 64-lane staged slice chunks (AVX2 under the `simd` feature) and
 //! answer with bit patterns identical to the scalar two-tier functions
 //! — the correctness contract of the whole stack carries through the
@@ -99,9 +101,9 @@ pub struct ServeConfig {
     /// still queued `deadline_ns` after its enqueue is shed as
     /// [`ShedReason::Deadline`] instead of served.
     pub deadline_ns: u64,
-    /// Producer push budget: attempts (spin, then yield) against a full
-    /// ring before the request is shed as
-    /// [`ShedReason::Backpressure`]. Min 1.
+    /// Producer push budget: consecutive attempts (spin, then yield)
+    /// that push nothing onto a full ring before the rest of the burst
+    /// is shed as [`ShedReason::Backpressure`]. Min 1.
     pub push_budget: u32,
     /// Per-shard supervisor restart budget; a shard that panics more
     /// than this gives up and drains its backlog into
@@ -262,7 +264,8 @@ pub struct ServeReport {
     /// Exact chaos injection counts (all zero without the `fault`
     /// feature or with no chaos plan).
     pub chaos: ChaosStats,
-    /// Per-shard drain accounting from the quiesce protocol.
+    /// Per-shard completion and drain accounting from the quiesce
+    /// protocol.
     pub quiesce: Vec<ShardQuiesce>,
     /// Exact per-function latency attribution of trace-sampled requests
     /// (queue wait, batch residency, kernel, rescalar fallback), merged
@@ -306,34 +309,43 @@ struct ProducerOutcome {
     sheds: Vec<Shed>,
 }
 
-/// Bounded-backoff push: a few spins, then yields, up to `budget`
-/// attempts. Returns the request on a persistently full ring (the
-/// typed `Sheddable` outcome) or when admission closes mid-wait.
+/// Bounded-backoff burst push: claims as much of `reqs` as the ring has
+/// room for, then retries the rest with a few spins and then yields, up
+/// to `budget` consecutive attempts that push nothing. `Ok` carries the
+/// attempts the burst took; `Err` the count pushed before the budget ran
+/// out on a persistently full ring or admission closed mid-wait (the
+/// caller sheds `reqs[count..]`).
 fn push_with_backoff(
     queue: &MpmcQueue<Request>,
-    mut req: Request,
+    reqs: &[Request],
     budget: u32,
     ctrl: &ServiceControl,
-) -> Result<u32, Request> {
-    for attempt in 0..budget.max(1) {
-        match queue.push(req) {
-            Ok(()) => return Ok(attempt + 1),
-            Err(back) => {
-                req = back;
-                if ctrl.admission_closed() {
-                    return Err(req);
-                }
-                if attempt < 32 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+) -> Result<u32, usize> {
+    let mut pushed = 0;
+    let mut attempts = 0u32;
+    let mut idle = 0u32;
+    loop {
+        let n = queue.push_slice(&reqs[pushed..]);
+        pushed += n;
+        attempts = attempts.saturating_add(1);
+        if pushed == reqs.len() {
+            return Ok(attempts);
+        }
+        idle = if n > 0 { 1 } else { idle + 1 };
+        if idle >= budget.max(1) || ctrl.admission_closed() {
+            return Err(pushed);
+        }
+        if idle <= 32 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
         }
     }
-    Err(req)
 }
 
+/// One producer: draws its quota in bursts of up to [`BATCH`] requests,
+/// stamps each burst with one clock read and pushes it to one shard,
+/// round-robin by burst.
 #[allow(clippy::too_many_arguments)]
 fn producer_loop(
     p: usize,
@@ -349,50 +361,72 @@ fn producer_loop(
     let n = producer_quota(cfg.requests, producers, p);
     let mut rr = p;
     let mut sheds = Vec::new();
-    for j in 0..n {
-        // Always draw the payload, even when shedding: the submitted
-        // stream stays a function of the seed alone, so ground truth
-        // (and the sharding-independence property) survives a drain.
-        let func = workload::pick_func(&mut rng, cfg.posit_permille);
-        let x_bits = workload::synth_bits(&mut rng, func);
-        let tag = make_tag(p, j);
-        if ctrl.admission_closed() {
-            metrics::shed_counter(ShedReason::AdmissionClosed).add(1);
-            flight::shed_event(func, x_bits, tag, ShedReason::AdmissionClosed);
-            sheds.push(Shed { func, x_bits, tag, reason: ShedReason::AdmissionClosed });
+    let mut burst = [Request::new(0, 0, 0, 0, NO_DEADLINE); BATCH];
+    let mut j = 0u64;
+    while j < n {
+        let want = (n - j).min(BATCH as u64) as usize;
+        let mut len = 0;
+        for tag in (j..j + want as u64).map(|k| make_tag(p, k)) {
+            // Always draw the payload, even when shedding: the submitted
+            // stream stays a function of the seed alone, so ground truth
+            // (and the sharding-independence property) survives a drain.
+            let func = workload::pick_func(&mut rng, cfg.posit_permille);
+            let x_bits = workload::synth_bits(&mut rng, func);
+            if ctrl.admission_closed() {
+                metrics::shed_counter(ShedReason::AdmissionClosed).add(1);
+                flight::shed_event(func, x_bits, tag, ShedReason::AdmissionClosed);
+                sheds.push(Shed { func, x_bits, tag, reason: ShedReason::AdmissionClosed });
+                continue;
+            }
+            burst[len] = Request { func, x_bits, tag, ..burst[len] };
+            len += 1;
+        }
+        j += want as u64;
+        if len == 0 {
             continue;
         }
+        // One clock read stamps the whole burst: its submission time.
         let t_enqueue_ns = epoch.elapsed().as_nanos() as u64;
         let deadline_ns = if cfg.deadline_ns == 0 {
             NO_DEADLINE
         } else {
             t_enqueue_ns.saturating_add(cfg.deadline_ns)
         };
-        let req = Request::new(func, x_bits, tag, t_enqueue_ns, deadline_ns);
-        match push_with_backoff(&queues[rr % shards], req, cfg.push_budget, ctrl) {
-            // Record only contended pushes: a first-try success is the
+        for r in &mut burst[..len] {
+            *r = Request::new(r.func, r.x_bits, r.tag, t_enqueue_ns, deadline_ns);
+        }
+        let queue = &queues[rr % shards];
+        let pushed = match push_with_backoff(queue, &burst[..len], cfg.push_budget, ctrl) {
+            // Record only contended bursts: a first-try success is the
             // overwhelmingly common case, and two histogram atomics per
-            // request would tax the hot path just to count ones.
+            // burst would tax the hot path just to count ones.
             Ok(attempts) => {
                 if attempts > 1 {
                     metrics::push_attempts().record(u64::from(attempts));
                 }
-                // Open the span for trace-sampled requests (the shard
-                // side agrees on the sample set via the same tag hash).
-                if rlibm_obs::enabled() && trace::sampled(tag) {
-                    trace::emit(TraceKind::Enqueue, workload::fold(func) as u8, tag, x_bits);
-                }
+                len
             }
-            Err(req) => {
+            Err(pushed) => {
                 metrics::push_attempts().record(u64::from(cfg.push_budget.max(1)));
                 let reason = if ctrl.admission_closed() {
                     ShedReason::AdmissionClosed
                 } else {
                     ShedReason::Backpressure
                 };
-                metrics::shed_counter(reason).add(1);
-                flight::shed_event(req.func, req.x_bits, req.tag, reason);
-                sheds.push(Shed { func: req.func, x_bits: req.x_bits, tag: req.tag, reason });
+                for r in &burst[pushed..len] {
+                    metrics::shed_counter(reason).add(1);
+                    flight::shed_event(r.func, r.x_bits, r.tag, reason);
+                    sheds.push(Shed { func: r.func, x_bits: r.x_bits, tag: r.tag, reason });
+                }
+                pushed
+            }
+        };
+        // Open the span for trace-sampled requests once they are on the
+        // ring (the shard side agrees on the sample set via the same tag
+        // hash).
+        if rlibm_obs::enabled() {
+            for r in burst[..pushed].iter().filter(|r| trace::sampled(r.tag)) {
+                trace::emit(TraceKind::Enqueue, workload::fold(r.func) as u8, r.tag, r.x_bits);
             }
         }
         rr = rr.wrapping_add(1);
@@ -400,9 +434,16 @@ fn producer_loop(
     ProducerOutcome { sheds }
 }
 
+/// Completions one shard can log without reallocating. Bursts go to
+/// shards round-robin, so a shard gets at most one burst per producer
+/// above its even share; a batch on top is slack.
+fn completion_log_capacity(total: u64, shards: usize, producers: usize) -> usize {
+    (total as usize) / shards + producers * BATCH + BATCH
+}
+
 /// Runs the service as a closed loop: `producers` synthetic-workload
-/// threads push `requests` total requests round-robin into the shard
-/// rings (bounded-backoff, shedding on overflow), supervised shards
+/// threads push `requests` total requests in round-robin bursts into the
+/// shard rings (bounded-backoff, shedding on overflow), supervised shards
 /// serve until the drain protocol completes, and every completion and
 /// shed record is returned. Deterministic workload per seed; the serve
 /// outputs are bit-identical to the scalar functions regardless of
@@ -422,10 +463,7 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
         (0..shards).map(|_| MpmcQueue::with_capacity(cfg.queue_capacity)).collect();
     let ctrl = ServiceControl::new();
     let epoch = Instant::now();
-    // Round-robin routing bounds any shard's share of the traffic by
-    // one extra request per producer; pad by a batch for slack so the
-    // completion log never reallocates mid-run.
-    let per_shard = (total as usize) / shards + producers + BATCH;
+    let per_shard = completion_log_capacity(total, shards, producers);
     let mut shard_outcomes: Vec<Option<supervisor::ShardOutcome>> = Vec::with_capacity(shards);
     let mut producer_outcomes: Vec<Option<ProducerOutcome>> = Vec::with_capacity(producers);
     let mut drain_ns = 0u64;
@@ -742,24 +780,52 @@ mod tests {
     }
 
     /// The bounded-backoff push surfaces a typed overflow outcome
-    /// instead of spinning forever: with no consumer, a full ring and
-    /// an exhausted budget hand the request back.
+    /// instead of spinning forever: with no consumer, a burst that meets
+    /// a full ring pushes what fits and reports the count, so the caller
+    /// sheds exactly the tail.
     #[test]
     fn push_backoff_returns_request_when_budget_exhausts() {
         let ctrl = ServiceControl::new();
-        let q: MpmcQueue<Request> = MpmcQueue::with_capacity(2);
-        for j in 0..2 {
-            let r = Request::new(0, 0, make_tag(0, j), 0, NO_DEADLINE);
-            assert!(push_with_backoff(&q, r, 4, &ctrl).is_ok());
-        }
-        let r = Request::new(0, 7, make_tag(0, 2), 0, NO_DEADLINE);
-        let back = push_with_backoff(&q, r, 4, &ctrl).expect_err("ring is full");
-        assert_eq!(back.tag, make_tag(0, 2));
-        assert_eq!(back.x_bits, 7);
+        let q: MpmcQueue<Request> = MpmcQueue::with_capacity(4);
+        let burst: Vec<Request> =
+            (0..6).map(|j| Request::new(0, j as u32, make_tag(0, j), 0, NO_DEADLINE)).collect();
+        assert_eq!(push_with_backoff(&q, &burst[..2], 4, &ctrl), Ok(1));
+        assert_eq!(push_with_backoff(&q, &burst[2..], 4, &ctrl), Err(2), "room for two of four");
+        assert_eq!(q.len(), 4);
+        assert_eq!(push_with_backoff(&q, &burst[4..], 4, &ctrl), Err(0), "ring is full");
         // Closing admission short-circuits the wait.
         ctrl.close_admission();
-        let r = Request::new(0, 8, make_tag(0, 3), 0, NO_DEADLINE);
-        assert!(push_with_backoff(&q, r, u32::MAX, &ctrl).is_err());
+        assert_eq!(push_with_backoff(&q, &burst[4..], u32::MAX, &ctrl), Err(0));
+        // What was pushed is intact and in order.
+        for j in 0..4 {
+            assert_eq!(q.pop().map(|r| r.tag), Some(make_tag(0, j)));
+        }
+    }
+
+    /// Bursts are routed round-robin, so with uneven producer quotas a
+    /// shard can receive one burst per producer above its even share.
+    /// No shard may complete more requests than its log was sized for:
+    /// growing a full-size log mid-run would double the peak memory.
+    #[test]
+    fn no_shard_outgrows_its_completion_log() {
+        let cfg = ServeConfig {
+            shards: 3,
+            producers: 2,
+            // Quotas 4 * BATCH + 1 and 4 * BATCH: five bursts and four.
+            requests: 8 * BATCH as u64 + 1,
+            ..small_cfg()
+        };
+        let report = run(&cfg).expect("healthy run");
+        assert!(report.balanced());
+        assert_eq!(report.completions.len() as u64, cfg.requests);
+        let bound = completion_log_capacity(cfg.requests, 3, 2) as u64;
+        let served: Vec<u64> = report.quiesce.iter().map(|q| q.completions).collect();
+        assert_eq!(served.iter().sum::<u64>(), cfg.requests);
+        assert!(served.iter().all(|&c| c <= bound), "{served:?} exceeds the log bound {bound}");
+        // Producer 0's bursts go to shards 0, 1, 2, 0, 1 (the last one
+        // request) and producer 1's to 1, 2, 0, 1: shard 1 gets three
+        // full bursts of the eight, 21 requests above its even share.
+        assert_eq!(served[1], 3 * BATCH as u64 + 1);
     }
 
     /// Chaos-injected shard panics cannot shrink the completion log
@@ -835,7 +901,7 @@ mod tests {
         let report = run(&ServeConfig {
             requests: 30_000,
             chaos: Some(ChaosConfig {
-                seed: 0xBAD5_107,
+                seed: 0x0BAD_5107,
                 corrupt_per_million: 30_000, // 3% of dequeues corrupted
                 ..ChaosConfig::default()
             }),
@@ -856,7 +922,7 @@ mod tests {
     /// injected chaos panics (they are expected by the supervisor) but
     /// still reports everything else.
     #[cfg(feature = "fault")]
-    fn suppress_chaos_panic_output() {
+    pub(crate) fn suppress_chaos_panic_output() {
         use std::sync::Once;
         static HOOK: Once = Once::new();
         HOOK.call_once(|| {

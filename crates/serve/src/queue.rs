@@ -14,6 +14,12 @@
 //! full/empty from that side. The sequence store is the release edge
 //! that publishes the payload write, so no other synchronization is
 //! needed.
+//!
+//! Requests move in bursts: [`MpmcQueue::push_slice`] and
+//! [`MpmcQueue::pop_into`] scan the run of ready slots from their side's
+//! ticket and claim the whole run with one CAS, so a burst of up to a
+//! batch costs one locked instruction per side instead of one per
+//! request. `push` and `pop` are the one-element case of the same claim.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
@@ -46,7 +52,9 @@ pub struct MpmcQueue<T> {
 unsafe impl<T: Send> Send for MpmcQueue<T> {}
 unsafe impl<T: Send> Sync for MpmcQueue<T> {}
 
-impl<T> MpmcQueue<T> {
+/// Bounded on `Copy`: a claimed slot is read by a bitwise copy and the
+/// ring never owns anything that needs dropping, so it has no `Drop`.
+impl<T: Copy> MpmcQueue<T> {
     /// A queue holding at least `capacity` elements (rounded up to the
     /// next power of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> MpmcQueue<T> {
@@ -87,72 +95,135 @@ impl<T> MpmcQueue<T> {
         q
     }
 
-    /// Attempts to enqueue; a full ring hands the value back so the
-    /// caller owns the backpressure policy (spin, yield, drop).
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.enqueue_pos.0.load(Ordering::Relaxed);
+    /// The one claim routine behind every operation. Ticket `p` is
+    /// ready for this side when its slot's seq is `p + lag` (`lag` 0:
+    /// free for a producer; 1: published for a consumer). From the
+    /// side's current ticket, scans the run of ready slots (at most
+    /// `max`) and claims the whole run with one CAS. Returns the first
+    /// ticket and the run length; 0 means full (producer side) or empty
+    /// (consumer side).
+    ///
+    /// A ready slot stays ready until the holder of its ticket acts on
+    /// it, and nobody holds a ticket at or past the counter, so a run
+    /// scanned from `pos` is still ready when the CAS from `pos`
+    /// succeeds.
+    #[inline]
+    fn claim(&self, counter: &AtomicUsize, lag: usize, max: usize) -> (usize, usize) {
+        let mut pos = counter.load(Ordering::Relaxed);
+        if max == 0 {
+            return (pos, 0);
+        }
         loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
+            let seq = self.slots[pos & self.mask].seq.load(Ordering::Acquire);
+            let diff = seq.wrapping_sub(pos.wrapping_add(lag)) as isize;
             if diff == 0 {
-                match self.enqueue_pos.0.compare_exchange_weak(
+                let mut n = 1;
+                while n < max {
+                    let p = pos.wrapping_add(n);
+                    let seq = self.slots[p & self.mask].seq.load(Ordering::Acquire);
+                    if seq != p.wrapping_add(lag) {
+                        break;
+                    }
+                    n += 1;
+                }
+                match counter.compare_exchange_weak(
                     pos,
-                    pos.wrapping_add(1),
+                    pos.wrapping_add(n),
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed ticket `pos`, so this
-                        // thread is the unique writer of this slot until
-                        // the seq store below publishes it.
-                        unsafe { (*slot.val.get()).write(value) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
+                    Ok(_) => return (pos, n),
                     Err(current) => pos = current,
                 }
             } else if diff < 0 {
-                return Err(value); // ring full
+                return (pos, 0);
             } else {
-                pos = self.enqueue_pos.0.load(Ordering::Relaxed);
+                pos = counter.load(Ordering::Relaxed);
             }
         }
     }
 
+    /// Writes `values` into tickets `pos..` and publishes each slot.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold a producer-side claim on tickets
+    /// `pos..pos + values.len()` that it has not yet published.
+    #[inline]
+    unsafe fn publish(&self, pos: usize, values: &[T]) {
+        for (k, v) in values.iter().enumerate() {
+            let p = pos.wrapping_add(k);
+            let slot = &self.slots[p & self.mask];
+            // SAFETY: the caller's claim makes this thread the unique
+            // writer of ticket `p`'s slot until the seq store below
+            // publishes it.
+            unsafe { (*slot.val.get()).write(*v) };
+            slot.seq.store(p.wrapping_add(1), Ordering::Release);
+        }
+    }
+
+    /// Reads ticket `p` and frees its slot for the producer one lap
+    /// later.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold a consumer-side claim on ticket `p` that it
+    /// has not yet taken.
+    #[inline]
+    unsafe fn take(&self, p: usize) -> T {
+        let slot = &self.slots[p & self.mask];
+        // SAFETY: the caller's claim makes this thread ticket `p`'s
+        // unique reader, and the claim's Acquire load of seq synchronized
+        // with the producer's Release store, so the payload is written.
+        let value = unsafe { (*slot.val.get()).assume_init_read() };
+        slot.seq.store(p.wrapping_add(self.mask + 1), Ordering::Release);
+        value
+    }
+
+    /// Attempts to enqueue; a full ring hands the value back so the
+    /// caller owns the backpressure policy (spin, yield, drop).
+    pub fn push(&self, value: T) -> Result<(), T> {
+        match self.claim(&self.enqueue_pos.0, 0, 1) {
+            (pos, 1) => {
+                // SAFETY: the claim above holds ticket `pos`.
+                unsafe { self.publish(pos, core::slice::from_ref(&value)) };
+                Ok(())
+            }
+            _ => Err(value), // ring full
+        }
+    }
+
+    /// Enqueues the longest prefix of `values` the ring has room for,
+    /// with one ticket claim, and returns its length. A short count
+    /// means the ring filled: the caller still owns `values[count..]`.
+    pub fn push_slice(&self, values: &[T]) -> usize {
+        let (pos, n) = self.claim(&self.enqueue_pos.0, 0, values.len());
+        // SAFETY: the claim above holds tickets `pos..pos + n`.
+        unsafe { self.publish(pos, &values[..n]) };
+        n
+    }
+
     /// Attempts to dequeue; `None` means the ring was observed empty.
     pub fn pop(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos.wrapping_add(1) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.0.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed ticket `pos`; the
-                        // Acquire load of seq synchronized with the
-                        // producer's Release store, so the payload is
-                        // fully written and this thread is its unique
-                        // reader.
-                        let value = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(current) => pos = current,
-                }
-            } else if diff < 0 {
-                return None; // ring empty
-            } else {
-                pos = self.dequeue_pos.0.load(Ordering::Relaxed);
-            }
+        match self.claim(&self.dequeue_pos.0, 1, 1) {
+            // SAFETY: the claim above holds ticket `pos`.
+            (pos, 1) => Some(unsafe { self.take(pos) }),
+            _ => None, // ring empty
         }
+    }
+
+    /// Dequeues up to `out.len()` published values in FIFO order, with
+    /// one ticket claim, into the front of `out`, and returns how many.
+    /// 0 means the ring was observed empty; a slot claimed but not yet
+    /// published by its producer ends the run.
+    pub fn pop_into(&self, out: &mut [T]) -> usize {
+        let (pos, n) = self.claim(&self.dequeue_pos.0, 1, out.len());
+        for (k, o) in out[..n].iter_mut().enumerate() {
+            // SAFETY: the claim above holds tickets `pos..pos + n`, each
+            // taken once.
+            *o = unsafe { self.take(pos.wrapping_add(k)) };
+        }
+        n
     }
 
     /// Approximate occupancy (exact when quiescent) — the queue-depth
@@ -166,13 +237,6 @@ impl<T> MpmcQueue<T> {
     /// True when [`MpmcQueue::len`] observes zero.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<T> Drop for MpmcQueue<T> {
-    fn drop(&mut self) {
-        // Drain so non-trivial payloads drop exactly once.
-        while self.pop().is_some() {}
     }
 }
 
@@ -311,6 +375,179 @@ mod tests {
             assert_eq!(q.pop(), Some(round + 100));
         }
         assert!(q.is_empty());
+    }
+
+    /// Bulk and single operations share one ticket sequence: any mix of
+    /// them drains in push order.
+    #[test]
+    fn fifo_across_mixed_single_and_bulk_ops() {
+        let q = MpmcQueue::with_capacity(16);
+        let mut next_in = 0u32;
+        let mut next_out = 0u32;
+        let mut out = [0u32; 10];
+        for round in 0..50 {
+            let burst: Vec<u32> = (next_in..next_in + 5).collect();
+            assert_eq!(q.push_slice(&burst), 5);
+            next_in += 5;
+            assert!(q.push(next_in).is_ok());
+            next_in += 1;
+            if round % 2 == 0 {
+                assert_eq!(q.pop(), Some(next_out));
+                next_out += 1;
+            }
+            let n = q.pop_into(&mut out[..(round % 7) + 4]);
+            for &v in &out[..n] {
+                assert_eq!(v, next_out, "bulk pop out of order");
+                next_out += 1;
+            }
+        }
+        let n = q.pop_into(&mut [0u32; 0]);
+        assert_eq!(n, 0, "an empty slice claims nothing");
+        while let Some(v) = q.pop() {
+            assert_eq!(v, next_out);
+            next_out += 1;
+        }
+        assert_eq!(next_out, next_in);
+        assert_eq!(q.push_slice(&[]), 0);
+        assert!(q.is_empty());
+    }
+
+    /// A burst larger than the free room claims only the room and says
+    /// so; the rest stays with the caller, and a bulk pop larger than
+    /// the occupancy takes only what is there.
+    #[test]
+    fn bulk_push_claims_only_the_free_run_on_a_nearly_full_ring() {
+        let q = MpmcQueue::with_capacity(8);
+        assert_eq!(q.push_slice(&[0u32, 1, 2, 3, 4, 5]), 6);
+        assert_eq!(q.push_slice(&[6, 7, 8, 9, 10]), 2, "two free slots");
+        assert_eq!(q.push_slice(&[8]), 0, "full ring claims nothing");
+        assert_eq!(q.push(8), Err(8));
+        let mut out = [0u32; 16];
+        assert_eq!(q.pop_into(&mut out[..3]), 3);
+        assert_eq!(&out[..3], &[0, 1, 2]);
+        assert_eq!(q.push_slice(&[8, 9, 10, 11]), 3, "three slots freed");
+        assert_eq!(q.pop_into(&mut out), 8);
+        assert_eq!(&out[..8], &[3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(q.pop_into(&mut out), 0);
+    }
+
+    /// A bulk pop stops at the first slot whose producer has claimed but
+    /// not yet published it, and picks the rest up once it is.
+    #[test]
+    fn bulk_pop_claims_only_the_published_run() {
+        let q = MpmcQueue::with_capacity(8);
+        // A producer claims tickets 0..4 and publishes 0, 1 and 3.
+        let (pos, n) = q.claim(&q.enqueue_pos.0, 0, 4);
+        assert_eq!((pos, n), (0, 4));
+        // SAFETY: this thread claimed tickets 0..4 just above and
+        // publishes each once.
+        unsafe {
+            q.publish(0, &[10u32, 11]);
+            q.publish(3, &[13]);
+        }
+        let mut out = [0u32; 8];
+        assert_eq!(q.pop_into(&mut out), 2, "ticket 2 is unpublished");
+        assert_eq!(&out[..2], &[10, 11]);
+        assert_eq!(q.pop_into(&mut out), 0, "the run starts unpublished");
+        assert_eq!(q.pop(), None);
+        // SAFETY: ticket 2 is the last claimed, unpublished one.
+        unsafe { q.publish(2, &[12]) };
+        assert_eq!(q.pop_into(&mut out), 2);
+        assert_eq!(&out[..2], &[12, 13]);
+        assert!(q.is_empty());
+    }
+
+    /// Bulk claims cross the `usize::MAX` ticket wrap like single ones:
+    /// the scanned run, the CAS and the slot release all wrap.
+    #[test]
+    fn bulk_tickets_wrap_across_usize_max() {
+        let q = MpmcQueue::with_capacity_at_base(8, usize::MAX - 3);
+        let vals: Vec<u64> = (0..10).collect();
+        assert_eq!(q.push_slice(&vals), 8, "burst across the wrap fills the ring");
+        assert_eq!(q.push(99), Err(99));
+        let mut out = [0u64; 5];
+        assert_eq!(q.pop_into(&mut out), 5);
+        assert_eq!(out, [0, 1, 2, 3, 4]);
+        assert_eq!(q.push_slice(&vals[8..]), 2);
+        let mut rest = [0u64; 16];
+        assert_eq!(q.pop_into(&mut rest), 5);
+        assert_eq!(&rest[..5], &[5, 6, 7, 8, 9]);
+        // More laps so every slot's seq marches through the wrap.
+        for round in 0..32u64 {
+            assert_eq!(q.push_slice(&[round, round + 100, round + 200]), 3);
+            assert_eq!(q.pop(), Some(round));
+            assert_eq!(q.pop_into(&mut rest), 2);
+            assert_eq!(&rest[..2], &[round + 100, round + 200]);
+        }
+        assert!(q.is_empty());
+    }
+
+    /// Bursts from two producers into two bulk consumers on a ring
+    /// smaller than a burst: partial claims on both sides, and every
+    /// value still arrives exactly once.
+    #[test]
+    fn contended_bursts_on_a_tiny_ring_deliver_exactly_once() {
+        const PER_PRODUCER: usize = 6_000;
+        const PRODUCERS: usize = 2;
+        const CONSUMERS: usize = 2;
+        const TOTAL: usize = PRODUCERS * PER_PRODUCER;
+        let q = MpmcQueue::with_capacity(4);
+        let seen: Vec<AtomicU64> = (0..TOTAL.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let popped_n = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let q = &q;
+                s.spawn(move || {
+                    let vals: Vec<u64> =
+                        (p * PER_PRODUCER..(p + 1) * PER_PRODUCER).map(|v| v as u64).collect();
+                    let mut sent = 0;
+                    let mut burst = 1;
+                    while sent < vals.len() {
+                        let end = (sent + burst).min(vals.len());
+                        let n = q.push_slice(&vals[sent..end]);
+                        sent += n;
+                        if n == 0 {
+                            std::thread::yield_now();
+                        }
+                        burst = burst % 7 + 1;
+                    }
+                });
+            }
+            for c in 0..CONSUMERS {
+                let q = &q;
+                let seen = &seen;
+                let popped_n = &popped_n;
+                s.spawn(move || {
+                    let mut out = [0u64; 6];
+                    let mut want = c + 1;
+                    loop {
+                        let n = q.pop_into(&mut out[..want]);
+                        for &v in &out[..n] {
+                            let prev = seen[(v / 64) as usize]
+                                .fetch_or(1u64 << (v % 64), Ordering::Relaxed);
+                            assert_eq!(prev & (1u64 << (v % 64)), 0, "value {v} popped twice");
+                        }
+                        let total = popped_n.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+                        if total >= TOTAL as u64 {
+                            break;
+                        }
+                        if n == 0 {
+                            std::thread::yield_now();
+                        }
+                        want = want % 6 + 1;
+                    }
+                });
+            }
+        });
+        assert_eq!(popped_n.load(Ordering::Relaxed), TOTAL as u64);
+        let full_words = TOTAL / 64;
+        assert!(seen[..full_words].iter().all(|w| w.load(Ordering::Relaxed) == u64::MAX));
+        if !TOTAL.is_multiple_of(64) {
+            assert_eq!(
+                seen[full_words].load(Ordering::Relaxed),
+                (1u64 << (TOTAL % 64)) - 1
+            );
+        }
     }
 
     /// High-contention exactly-once: more threads than capacity slots,

@@ -1,12 +1,14 @@
-//! The shard worker: drains its request ring, batches per function into
-//! 64-lane slice chunks, and resolves every dequeued request as exactly
-//! one of a bit-identical [`Completion`] or an explicit [`Shed`] record.
+//! The shard worker: drains its request ring in bursts, batches per
+//! function into 64-lane slice chunks, and resolves every dequeued
+//! request as exactly one of a bit-identical [`Completion`] or an
+//! explicit [`Shed`] record.
 //!
-//! Zero allocation per request: the per-function accumulators are fixed
-//! `[_; 64]` arrays owned by the worker, the slice staging buffers are
-//! stack arrays, and the completion/shed logs are `Vec`s pre-sized by
-//! the driver (pushes stay within capacity in the closed loop). The only
-//! heap traffic after startup is the final hand-off of those logs.
+//! Zero allocation per request: the inbox the ring is drained into and
+//! the per-function accumulators are fixed `[_; 64]` arrays owned by the
+//! worker, the slice staging buffers are stack arrays, and the
+//! completion/shed logs are `Vec`s pre-sized by the driver (pushes stay
+//! within capacity in the closed loop). The only heap traffic after
+//! startup is the final hand-off of those logs.
 //!
 //! Batching policy: a full 64-lane batch flushes immediately; any
 //! partially filled batches flush as soon as the ring runs dry, so an
@@ -24,8 +26,8 @@
 //!   [`ShedReason::Deadline`] at dequeue time (once admitted to a
 //!   batch, the shard commits to answering it);
 //! * the worker body ([`shard_pass`]) is run under `catch_unwind` by
-//!   the supervisor, with all logs and accumulators living *outside*
-//!   the unwind so a panic can salvage the in-flight work.
+//!   the supervisor, with all logs, accumulators and the inbox living
+//!   *outside* the unwind so a panic can salvage the in-flight work.
 
 use crate::chaos::ChaosState;
 use crate::flight::{self, FlightDump, FlightTrigger, StageAttribution};
@@ -188,6 +190,26 @@ impl Batch {
     }
 }
 
+/// Requests popped from the ring in one burst and not yet batched or
+/// shed: `reqs[next..len]`. Lives in [`ShardState`] so a panic mid-burst
+/// leaves them for the supervisor to salvage.
+pub(crate) struct Inbox {
+    pub reqs: [Request; BATCH],
+    pub next: usize,
+    pub len: usize,
+}
+
+impl Inbox {
+    pub fn new() -> Inbox {
+        Inbox { reqs: [Request::new(0, 0, 0, 0, NO_DEADLINE); BATCH], next: 0, len: 0 }
+    }
+
+    /// The popped requests not yet taken.
+    pub fn pending(&self) -> &[Request] {
+        &self.reqs[self.next..self.len]
+    }
+}
+
 /// Scratch for the slice staging buffers (stack arrays, reused across
 /// flushes).
 struct Scratch {
@@ -210,12 +232,13 @@ impl Scratch {
 
 /// Everything a shard accumulates across supervised passes. Lives in
 /// the supervisor's frame, *outside* `catch_unwind`, so a panicking
-/// pass cannot take the completion log or the in-flight batches with
-/// it.
+/// pass cannot take the completion log, the in-flight batches or the
+/// inbox with it.
 pub(crate) struct ShardState {
     pub completions: Vec<Completion>,
     pub sheds: Vec<Shed>,
     pub batches: Vec<Batch>,
+    pub inbox: Inbox,
     pub chaos: ChaosState,
     pub quiesce: ShardQuiesce,
     /// Exact per-function latency attribution of trace-sampled requests.
@@ -234,6 +257,7 @@ impl ShardState {
             completions: Vec::with_capacity(expected),
             sheds: Vec::new(),
             batches: (0..workload::NUM_FUNCS).map(|_| Batch::new()).collect(),
+            inbox: Inbox::new(),
             chaos: ChaosState::new(chaos_cfg, shard),
             quiesce: ShardQuiesce { shard, ..ShardQuiesce::default() },
             attribution: [StageAttribution::default(); workload::NUM_FUNCS],
@@ -331,7 +355,11 @@ fn flush(
     }
     metrics::batches(shard).add(1);
     metrics::batch_lanes(shard).add(n as u64);
-    metrics::queue_depth(shard).record(queue.len() as u64);
+    // Gated, not left to the no-op histogram: `len` reads both ticket
+    // counters, one of them on the producers' hot line.
+    if trace_on {
+        metrics::queue_depth(shard).record(queue.len() as u64);
+    }
     let lat = metrics::latency_ns(shard);
     for i in 0..n {
         let latency_ns = now.saturating_sub(batch.t_enq[i]);
@@ -371,8 +399,9 @@ fn flush(
     batch.len = 0;
 }
 
-/// One supervised pass of the shard: drain the ring, batch, flush.
-/// Returns normally only at quiesce — once the driver has raised `stop`
+/// One supervised pass of the shard: pop up to a batch of requests at a
+/// time into the inbox, batch them one by one, flush. Returns normally
+/// only at quiesce — once the driver has raised `stop`
 /// (admission closed, producers joined, so no push can race it) and the
 /// ring and every accumulator are empty. A panic (injected or real)
 /// unwinds into the supervisor with `state` intact.
@@ -386,61 +415,11 @@ pub(crate) fn shard_pass(
     let mut scratch = Scratch::new();
     let st = &mut *state;
     loop {
-        match queue.pop() {
-            Some(mut req) => {
-                metrics::requests(shard).add(1);
-                if ctrl.stopping() {
-                    st.quiesce.drained_requests += 1;
-                }
-                st.chaos.maybe_corrupt(&mut req);
-                if !req.verify() {
-                    st.shed(req.func, req.x_bits, req.tag, ShedReason::Corrupted);
-                    continue;
-                }
-                let f = workload::fold(req.func);
-                // Deterministic tag-hash sampling: every stage of the
-                // pipeline agrees on the sample set, so a sampled request
-                // yields a complete span. One clock read serves both the
-                // deadline check and the dequeue stamp.
-                let trace_on = rlibm_obs::enabled() && trace::sampled(req.tag);
-                let mut now = 0u64;
-                if req.deadline_ns != NO_DEADLINE || trace_on {
-                    now = epoch.elapsed().as_nanos() as u64;
-                }
-                if req.deadline_ns != NO_DEADLINE && now > req.deadline_ns {
-                    metrics::shed_overdue_ns().record(now - req.deadline_ns);
-                    st.shed(req.func, req.x_bits, req.tag, ShedReason::Deadline);
-                    continue;
-                }
-                let t_deq = if trace_on {
-                    let queue_wait = now.saturating_sub(req.t_enqueue_ns);
-                    trace::emit(
-                        TraceKind::Dequeue,
-                        f as u8,
-                        req.tag,
-                        queue_wait.min(u64::from(u32::MAX)) as u32,
-                    );
-                    // max(1): a zero stamp means "not sampled" in the
-                    // batch columns.
-                    now.max(1)
-                } else {
-                    0
-                };
-                if st.batches[f].push(&req, t_deq) {
-                    flush(
-                        shard,
-                        f as u8,
-                        &mut st.batches[f],
-                        &mut scratch,
-                        &mut st.chaos,
-                        queue,
-                        epoch,
-                        &mut st.completions,
-                        &mut st.attribution[f],
-                    );
-                }
-            }
-            None => {
+        if st.inbox.next == st.inbox.len {
+            let n = queue.pop_into(&mut st.inbox.reqs);
+            st.inbox.next = 0;
+            st.inbox.len = n;
+            if n == 0 {
                 let mut flushed_lanes = 0u64;
                 for f in 0..workload::NUM_FUNCS {
                     if st.batches[f].len > 0 {
@@ -468,7 +447,63 @@ pub(crate) fn shard_pass(
                 } else if ctrl.stopping() {
                     st.quiesce.trailing_flush_lanes += flushed_lanes;
                 }
+                continue;
             }
+            metrics::requests(shard).add(n as u64);
+            if ctrl.stopping() {
+                st.quiesce.drained_requests += n as u64;
+            }
+        }
+        // Taken before it is batched or shed, so salvage after a panic
+        // finds it in exactly one place.
+        let mut req = st.inbox.reqs[st.inbox.next];
+        st.inbox.next += 1;
+        st.chaos.maybe_corrupt(&mut req);
+        if !req.verify() {
+            st.shed(req.func, req.x_bits, req.tag, ShedReason::Corrupted);
+            continue;
+        }
+        let f = workload::fold(req.func);
+        // Deterministic tag-hash sampling: every stage of the pipeline
+        // agrees on the sample set, so a sampled request yields a
+        // complete span. One clock read serves both the deadline check
+        // and the dequeue stamp.
+        let trace_on = rlibm_obs::enabled() && trace::sampled(req.tag);
+        let mut now = 0u64;
+        if req.deadline_ns != NO_DEADLINE || trace_on {
+            now = epoch.elapsed().as_nanos() as u64;
+        }
+        if req.deadline_ns != NO_DEADLINE && now > req.deadline_ns {
+            metrics::shed_overdue_ns().record(now - req.deadline_ns);
+            st.shed(req.func, req.x_bits, req.tag, ShedReason::Deadline);
+            continue;
+        }
+        let t_deq = if trace_on {
+            let queue_wait = now.saturating_sub(req.t_enqueue_ns);
+            trace::emit(
+                TraceKind::Dequeue,
+                f as u8,
+                req.tag,
+                queue_wait.min(u64::from(u32::MAX)) as u32,
+            );
+            // max(1): a zero stamp means "not sampled" in the batch
+            // columns.
+            now.max(1)
+        } else {
+            0
+        };
+        if st.batches[f].push(&req, t_deq) {
+            flush(
+                shard,
+                f as u8,
+                &mut st.batches[f],
+                &mut scratch,
+                &mut st.chaos,
+                queue,
+                epoch,
+                &mut st.completions,
+                &mut st.attribution[f],
+            );
         }
     }
 }

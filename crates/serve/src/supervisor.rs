@@ -9,9 +9,9 @@
 //! can never take the completion log with it:
 //!
 //! 1. the panic is counted (`serve.shard<i>.panics`) and the in-flight
-//!    batches are **salvaged**: every buffered request is requeued onto
-//!    the shard's own ring (it will be served on the next pass), or, if
-//!    the ring is full, shed explicitly as
+//!    batches and inbox are **salvaged**: every buffered request is
+//!    requeued onto the shard's own ring (it will be served on the next
+//!    pass), or, if the ring is full, shed explicitly as
 //!    [`crate::ShedReason::Poisoned`] — never silently dropped;
 //! 2. the shard **restarts** (`serve.shard<i>.restarts`) after a capped
 //!    exponential backoff (`restart_backoff_ns << n`, capped at 64×);
@@ -34,7 +34,7 @@ use crate::chaos::{ChaosConfig, ChaosStats};
 use crate::flight::{self, FlightDump, FlightTrigger, StageAttribution};
 use crate::metrics;
 use crate::queue::MpmcQueue;
-use crate::shard::{shard_pass, Request, Shed, ShedReason, ShardState};
+use crate::shard::{shard_pass, Inbox, Request, Shed, ShedReason, ShardState};
 use crate::workload;
 use rlibm_obs::trace::{self, TraceKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,11 +86,14 @@ impl ServiceControl {
     }
 }
 
-/// Per-shard drain accounting, reported in `ServeReport::quiesce`.
+/// Per-shard completion and drain accounting, reported in
+/// `ServeReport::quiesce`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardQuiesce {
     /// Which shard this entry describes.
     pub shard: usize,
+    /// Requests this shard completed over the whole run.
+    pub completions: u64,
     /// Requests dequeued after the stop flag was observed — the ring
     /// backlog the drain retired.
     pub drained_requests: u64,
@@ -175,6 +178,7 @@ pub(crate) fn supervise_shard(
         }
     }
     state.chaos.disarm_kernel();
+    state.quiesce.completions = state.completions.len() as u64;
     ShardOutcome {
         completions: state.completions,
         sheds: state.sheds,
@@ -188,9 +192,10 @@ pub(crate) fn supervise_shard(
     }
 }
 
-/// Moves every request buffered in the in-flight batches back onto the
-/// ring (`requeue`), or straight into `Poisoned` shed records when
-/// requeueing is off or the ring is full. Fields were captured at
+/// Moves every request in flight on the shard — buffered in a batch, or
+/// popped into the inbox and not yet taken — back onto the ring
+/// (`requeue`), or straight into `Poisoned` shed records when
+/// requeueing is off or the ring is full. Batch lanes were captured at
 /// enqueue time, so the rebuilt request carries the original tag,
 /// timestamps and a valid checksum.
 fn salvage_batches(queue: &MpmcQueue<Request>, state: &mut ShardState, requeue: bool) {
@@ -203,6 +208,12 @@ fn salvage_batches(queue: &MpmcQueue<Request>, state: &mut ShardState, requeue: 
             }
         }
         state.batches[f].len = 0;
+    }
+    let inbox = std::mem::replace(&mut state.inbox, Inbox::new());
+    let pending = inbox.pending();
+    let requeued = if requeue { queue.push_slice(pending) } else { 0 };
+    for req in &pending[requeued..] {
+        state.shed(req.func, req.x_bits, req.tag, ShedReason::Poisoned);
     }
 }
 
@@ -239,6 +250,60 @@ mod tests {
         assert_eq!(restart_backoff(base, 1_000), Duration::from_nanos(64_000));
         // Saturating on absurd bases rather than overflowing.
         assert_eq!(restart_backoff(u64::MAX, 6), Duration::from_nanos(u64::MAX));
+    }
+
+    /// A panic on the first full-batch flush strikes while the inbox
+    /// still holds popped, unbatched requests. Salvage must requeue or
+    /// poison them like batch lanes: with every flush panicking, each
+    /// request ends as exactly one `Poisoned` shed, whether the shard
+    /// gives up at once or requeues first and gives up on the restart.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn salvage_covers_requests_still_in_the_inbox() {
+        use crate::shard::{make_tag, BATCH, NO_DEADLINE};
+        crate::tests::suppress_chaos_panic_output();
+        // 16 requests of function 1, then two batches of function 0. The
+        // first burst batches all 64; the second fills function 0's
+        // batch at its 16th request, whose flush panics with 48 requests
+        // still in the inbox.
+        let reqs: Vec<Request> = (0..16 + 2 * BATCH as u64)
+            .map(|j| {
+                let func = u8::from(j < 16);
+                Request::new(func, 0x3F80_0000 + j as u32, make_tag(0, j), 0, NO_DEADLINE)
+            })
+            .collect();
+        for max_restarts in [0, 1] {
+            let queue = MpmcQueue::with_capacity(256);
+            assert_eq!(queue.push_slice(&reqs), reqs.len());
+            let ctrl = ServiceControl::new();
+            ctrl.close_admission();
+            ctrl.raise_stop(); // nothing more is coming: quiesce when dry
+            let chaos =
+                ChaosConfig { seed: 7, panic_per_million: 1_000_000, ..ChaosConfig::default() };
+            let out = supervise_shard(
+                0,
+                &queue,
+                &ctrl,
+                Instant::now(),
+                reqs.len(),
+                max_restarts,
+                1_000,
+                Some(&chaos),
+            );
+            assert_eq!(out.panics, u64::from(max_restarts) + 1);
+            assert!(out.gave_up);
+            assert_eq!(
+                out.completions.len() + out.sheds.len(),
+                reqs.len(),
+                "unbalanced with {max_restarts} restarts: inbox requests were lost"
+            );
+            assert!(out.sheds.iter().all(|s| s.reason == ShedReason::Poisoned));
+            let mut tags: Vec<u64> = out.sheds.iter().map(|s| s.tag).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            assert_eq!(tags.len(), reqs.len(), "every tag exactly once");
+            assert!(queue.is_empty());
+        }
     }
 
     #[test]
