@@ -188,6 +188,12 @@ cargo test -q --offline --release -p rlibm-serve --features fault
 cargo clippy --offline --lib -p rlibm-serve --features fault \
     -- -D warnings \
     -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+# The workspace clippy run above never enables `fault`, so this lints
+# every fault-gated item, tests included: rlibm-math's injection hooks
+# (`fault.rs`, the batched driver's `perturb_prefix`) and rlibm-serve's
+# chaos code and supervision tests.
+cargo clippy --offline --all-targets -p rlibm-serve -p rlibm-math \
+    --features rlibm-serve/fault,rlibm-math/fault -- -D warnings
 
 echo "== serve fault+telemetry leg: flight recorder under chaos =="
 # The fault leg above runs with tracing compiled OUT (flight dumps must

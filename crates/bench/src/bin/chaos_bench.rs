@@ -314,8 +314,9 @@ fn main() {
 
     let results = vec![
     // 1. Panic storm: a few percent of flushes unwind the worker before
-    //    any completion is recorded; the supervisor must salvage,
-    //    requeue and restart without losing or duplicating a request.
+    //    any completion is recorded; the supervisor must restart the
+    //    shard into a pass that resumes the buffered work, without
+    //    losing or duplicating a request.
     run_scenario(
         "panic_storm",
         &ServeConfig {

@@ -8,7 +8,7 @@
 //! window). This module drives those hooks at scale: for each function it
 //! generates inputs biased toward the kernel-reaching domain, evaluates
 //! the *faulted* two-tier entry point, and compares bit-for-bit against
-//! the dd-only reference (`*_dd`), which has no injection site. The
+//! the dd-only reference (`*_dd_fn_by_name`), which has no injection site. The
 //! contract under test is the paper's central claim made adversarial:
 //!
 //! > No corruption of the fast-path value may ever escape as a

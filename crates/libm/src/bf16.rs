@@ -2,68 +2,47 @@
 //! target, kept because the full generation pipeline can be validated
 //! *exhaustively* against them — see the workspace integration tests).
 //!
-//! Every bfloat16 widens exactly to `f64`; the shared kernels do the work
-//! and one [`crate::round::round_dd`] rounding lands the result.
+//! Every bfloat16 widens exactly to `f64`; each function is its front end
+//! at bfloat16's cuts ([`crate::front`]), then the shared dd kernel and
+//! one [`crate::round::round_dd`] rounding.
 
 use rlibm_fp::BFloat16;
 
-use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
-use crate::float::hyper::{cosh_kernel, sinh_kernel};
-use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
-use crate::round::round_dd;
+use crate::front::reference;
+use crate::kernel;
 
-macro_rules! bf16_log {
-    ($(#[$doc:meta])* $name:ident, $kernel:ident) => {
-        $(#[$doc])*
-        pub fn $name(x: BFloat16) -> BFloat16 {
-            if x.is_nan() {
-                return BFloat16::NAN;
-            }
-            let xd = x.to_f64();
-            if xd < 0.0 {
-                return BFloat16::NAN;
-            }
-            if xd == 0.0 {
-                return BFloat16::NEG_INFINITY;
-            }
-            if xd.is_infinite() {
-                return BFloat16::INFINITY;
-            }
-            round_dd($kernel(xd))
-        }
-    };
+/// Correctly rounded natural logarithm for bfloat16.
+///
+/// ```
+/// use rlibm_fp::BFloat16;
+/// let y = rlibm_math::bf16::ln_bf16(BFloat16::from_f64(1.0));
+/// assert_eq!(y.to_f64(), 0.0);
+/// ```
+pub fn ln_bf16(x: BFloat16) -> BFloat16 {
+    reference::<BFloat16, kernel::Ln>(x)
 }
 
-bf16_log!(
-    /// Correctly rounded natural logarithm for bfloat16.
-    ///
-    /// ```
-    /// use rlibm_fp::BFloat16;
-    /// let y = rlibm_math::bf16::ln_bf16(BFloat16::from_f64(1.0));
-    /// assert_eq!(y.to_f64(), 0.0);
-    /// ```
-    ln_bf16, ln_kernel
-);
-bf16_log!(
-    /// Correctly rounded base-2 logarithm for bfloat16.
-    ///
-    /// ```
-    /// use rlibm_fp::BFloat16;
-    /// let y = rlibm_math::bf16::log2_bf16(BFloat16::from_f64(8.0));
-    /// assert_eq!(y.to_f64(), 3.0);
-    /// ```
-    log2_bf16, log2_kernel
-);
-bf16_log!(
-    /// Correctly rounded base-10 logarithm for bfloat16.
-    ///
-    /// ```
-    /// use rlibm_fp::BFloat16;
-    /// let y = rlibm_math::bf16::log10_bf16(BFloat16::from_f64(100.0));
-    /// assert_eq!(y.to_f64(), 2.0);
-    /// ```
-    log10_bf16, log10_kernel
-);
+/// Correctly rounded base-2 logarithm for bfloat16.
+///
+/// ```
+/// use rlibm_fp::BFloat16;
+/// let y = rlibm_math::bf16::log2_bf16(BFloat16::from_f64(8.0));
+/// assert_eq!(y.to_f64(), 3.0);
+/// ```
+pub fn log2_bf16(x: BFloat16) -> BFloat16 {
+    reference::<BFloat16, kernel::Log2>(x)
+}
+
+/// Correctly rounded base-10 logarithm for bfloat16.
+///
+/// ```
+/// use rlibm_fp::BFloat16;
+/// let y = rlibm_math::bf16::log10_bf16(BFloat16::from_f64(100.0));
+/// assert_eq!(y.to_f64(), 2.0);
+/// ```
+pub fn log10_bf16(x: BFloat16) -> BFloat16 {
+    reference::<BFloat16, kernel::Log10>(x)
+}
 
 /// Correctly rounded `e^x` for bfloat16.
 ///
@@ -73,18 +52,7 @@ bf16_log!(
 /// assert_eq!(y.to_f64(), 2.71875);
 /// ```
 pub fn exp_bf16(x: BFloat16) -> BFloat16 {
-    if x.is_nan() {
-        return BFloat16::NAN;
-    }
-    let xd = x.to_f64();
-    if xd > 89.0 {
-        return BFloat16::INFINITY;
-    }
-    if xd < -94.0 {
-        return BFloat16::ZERO; // exp(-94) < 2^-134.5: below half the
-                               // smallest bfloat16 subnormal (2^-133)
-    }
-    round_dd(exp_kernel(xd))
+    reference::<BFloat16, kernel::Exp>(x)
 }
 
 /// Correctly rounded `2^x` for bfloat16.
@@ -95,17 +63,7 @@ pub fn exp_bf16(x: BFloat16) -> BFloat16 {
 /// assert_eq!(y.to_f64(), 0.125);
 /// ```
 pub fn exp2_bf16(x: BFloat16) -> BFloat16 {
-    if x.is_nan() {
-        return BFloat16::NAN;
-    }
-    let xd = x.to_f64();
-    if xd >= 128.0 {
-        return BFloat16::INFINITY;
-    }
-    if xd < -135.0 {
-        return BFloat16::ZERO;
-    }
-    round_dd(exp2_kernel(xd))
+    reference::<BFloat16, kernel::Exp2>(x)
 }
 
 /// Correctly rounded `10^x` for bfloat16.
@@ -116,17 +74,7 @@ pub fn exp2_bf16(x: BFloat16) -> BFloat16 {
 /// assert_eq!(y.to_f64(), 100.0);
 /// ```
 pub fn exp10_bf16(x: BFloat16) -> BFloat16 {
-    if x.is_nan() {
-        return BFloat16::NAN;
-    }
-    let xd = x.to_f64();
-    if xd > 38.6 {
-        return BFloat16::INFINITY;
-    }
-    if xd < -40.6 {
-        return BFloat16::ZERO;
-    }
-    round_dd(exp10_kernel(xd))
+    reference::<BFloat16, kernel::Exp10>(x)
 }
 
 /// Correctly rounded hyperbolic sine for bfloat16.
@@ -137,20 +85,7 @@ pub fn exp10_bf16(x: BFloat16) -> BFloat16 {
 /// assert_eq!(z.to_f64(), 0.0);
 /// ```
 pub fn sinh_bf16(x: BFloat16) -> BFloat16 {
-    if x.is_nan() {
-        return BFloat16::NAN;
-    }
-    let xd = x.to_f64();
-    if xd == 0.0 {
-        return x;
-    }
-    if xd > 90.0 {
-        return BFloat16::INFINITY;
-    }
-    if xd < -90.0 {
-        return BFloat16::NEG_INFINITY;
-    }
-    round_dd(sinh_kernel(xd))
+    reference::<BFloat16, kernel::Sinh>(x)
 }
 
 /// Correctly rounded hyperbolic cosine for bfloat16.
@@ -161,14 +96,7 @@ pub fn sinh_bf16(x: BFloat16) -> BFloat16 {
 /// assert_eq!(y.to_f64(), 1.0);
 /// ```
 pub fn cosh_bf16(x: BFloat16) -> BFloat16 {
-    if x.is_nan() {
-        return BFloat16::NAN;
-    }
-    let xd = x.to_f64();
-    if xd.abs() > 90.0 {
-        return BFloat16::INFINITY;
-    }
-    round_dd(cosh_kernel(xd))
+    reference::<BFloat16, kernel::Cosh>(x)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use crate::dd::{two_prod, two_sum, Dd};
 use crate::lane::round_even_i64;
-use crate::registry::f32_ladder;
+use crate::registry::f32_entry;
 use crate::tables as t;
 
 /// `2^i` as a double, total over every integer: exact for
@@ -114,30 +114,7 @@ pub(crate) fn exp10_kernel(x: f64) -> Dd {
 /// assert_eq!(rlibm_math::exp(f32::NEG_INFINITY), 0.0);
 /// ```
 pub fn exp(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x > 89.0 {
-        return f32::INFINITY; // exp(89) > 2^128: past the overflow boundary
-    }
-    if x < -106.0 {
-        return 0.0; // exp(-106) < 2^-150: rounds to zero
-    }
-    f32_ladder::exp(x as f64)
-}
-
-/// `exp` through the double-double kernel only (no fast path).
-pub fn exp_dd(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x > 89.0 {
-        return f32::INFINITY;
-    }
-    if x < -106.0 {
-        return 0.0;
-    }
-    crate::round::round_dd_f32(exp_kernel(x as f64))
+    f32_entry::exp(x)
 }
 
 /// Correctly rounded `2^x` for `f32`.
@@ -149,30 +126,7 @@ pub fn exp_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::exp2(-1.5f32), 0.35355338f32);
 /// ```
 pub fn exp2(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x >= 128.0 {
-        return f32::INFINITY;
-    }
-    if x < -151.0 {
-        return 0.0;
-    }
-    f32_ladder::exp2(x as f64)
-}
-
-/// `exp2` through the double-double kernel only (no fast path).
-pub fn exp2_dd(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x >= 128.0 {
-        return f32::INFINITY;
-    }
-    if x < -151.0 {
-        return 0.0;
-    }
-    crate::round::round_dd_f32(exp2_kernel(x as f64))
+    f32_entry::exp2(x)
 }
 
 /// Correctly rounded `10^x` for `f32`.
@@ -184,30 +138,7 @@ pub fn exp2_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::exp10(-1.0f32), 0.1f32);
 /// ```
 pub fn exp10(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x > 38.6 {
-        return f32::INFINITY; // 10^38.6 > 2^128
-    }
-    if x < -45.5 {
-        return 0.0; // 10^-45.5 < 2^-150
-    }
-    f32_ladder::exp10(x as f64)
-}
-
-/// `exp10` through the double-double kernel only (no fast path).
-pub fn exp10_dd(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x > 38.6 {
-        return f32::INFINITY;
-    }
-    if x < -45.5 {
-        return 0.0;
-    }
-    crate::round::round_dd_f32(exp10_kernel(x as f64))
+    f32_entry::exp10(x)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use crate::dd::{two_prod, Dd};
 use crate::float::exp::exp_kernel;
-use crate::registry::f32_ladder;
+use crate::registry::f32_entry;
 
 /// Kernel: `sinh(x)` for finite `|x| <= 91`.
 pub(crate) fn sinh_kernel(x: f64) -> Dd {
@@ -58,44 +58,7 @@ pub(crate) fn cosh_kernel(x: f64) -> Dd {
 /// assert_eq!(rlibm_math::sinh(f32::INFINITY), f32::INFINITY);
 /// ```
 pub fn sinh(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return x; // preserves the zero's sign
-    }
-    if x > 90.0 {
-        return f32::INFINITY; // sinh(90) ~ e^90/2 > 2^128
-    }
-    if x < -90.0 {
-        return f32::NEG_INFINITY;
-    }
-    let xd = x as f64;
-    // |x| < 2^-12: sinh(x) - x = x³/6 + ... < (2/3)·halfulp(x) for every
-    // f32 here (x = m·2^e, e <= -13 gives x³/6 = m³·2^(3e)/6 and
-    // halfulp(x) = 2^(e-25) for normals, larger relatively for
-    // subnormals), so sinh(x) rounds to x itself.
-    if xd.abs() < 2f64.powi(-12) {
-        return x;
-    }
-    f32_ladder::sinh(xd)
-}
-
-/// `sinh` through the double-double kernel only (no fast path).
-pub fn sinh_dd(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return x;
-    }
-    if x > 90.0 {
-        return f32::INFINITY;
-    }
-    if x < -90.0 {
-        return f32::NEG_INFINITY;
-    }
-    crate::round::round_dd_f32(sinh_kernel(x as f64))
+    f32_entry::sinh(x)
 }
 
 /// Correctly rounded hyperbolic cosine for `f32`.
@@ -108,29 +71,7 @@ pub fn sinh_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::cosh(f32::NEG_INFINITY), f32::INFINITY);
 /// ```
 pub fn cosh(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x.abs() > 90.0 {
-        return f32::INFINITY;
-    }
-    let xd = x as f64;
-    // cosh(x) - 1 = x²/2 + ... < 2^-27 << halfulp(1) = 2^-24: rounds to 1.
-    if xd.abs() < 2f64.powi(-13) {
-        return 1.0;
-    }
-    f32_ladder::cosh(xd)
-}
-
-/// `cosh` through the double-double kernel only (no fast path).
-pub fn cosh_dd(x: f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x.abs() > 90.0 {
-        return f32::INFINITY;
-    }
-    crate::round::round_dd_f32(cosh_kernel(x as f64))
+    f32_entry::cosh(x)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use crate::dd::{two_prod, two_sum, Dd};
 use crate::lane::round_even_i64;
-use crate::registry::f32_ladder;
+use crate::registry::f32_entry;
 use crate::tables as t;
 
 /// Decomposes a positive finite double into `(e, z)` with `x = z * 2^e`,
@@ -94,44 +94,6 @@ pub(crate) fn log10_kernel(x: f64) -> Dd {
     Dd::new(s, se + el + fl + ef * t::LOG10_2_LO).add(scaled)
 }
 
-/// The logarithms' special cases (NaN and negatives give NaN, zeros
-/// `-inf`, `+inf` itself); every other input runs the row's `ladder`.
-#[inline(always)]
-fn log_entry(x: f32, ladder: impl FnOnce(f64) -> f32) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x < 0.0 {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return f32::NEG_INFINITY;
-    }
-    if x == f32::INFINITY {
-        return f32::INFINITY;
-    }
-    ladder(x as f64)
-}
-
-/// dd-only front end (tier 2 alone), kept for the `*_dd` reference
-/// entry points that the bit-identity tests and benches compare against.
-#[inline(always)]
-fn log_front_dd(x: f32, kernel: impl Fn(f64) -> Dd) -> f32 {
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    if x < 0.0 {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return f32::NEG_INFINITY;
-    }
-    if x == f32::INFINITY {
-        return f32::INFINITY;
-    }
-    crate::round::round_dd_f32(kernel(x as f64))
-}
-
 /// Correctly rounded natural logarithm for `f32`.
 ///
 /// # Example
@@ -143,12 +105,7 @@ fn log_front_dd(x: f32, kernel: impl Fn(f64) -> Dd) -> f32 {
 /// assert_eq!(rlibm_math::ln(0.1f32), -2.3025851f32);
 /// ```
 pub fn ln(x: f32) -> f32 {
-    log_entry(x, f32_ladder::ln)
-}
-
-/// `ln` through the double-double kernel only (no fast path).
-pub fn ln_dd(x: f32) -> f32 {
-    log_front_dd(x, ln_kernel)
+    f32_entry::ln(x)
 }
 
 /// Correctly rounded base-2 logarithm for `f32`.
@@ -161,12 +118,7 @@ pub fn ln_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log2(f32::from_bits(1)), -149.0);
 /// ```
 pub fn log2(x: f32) -> f32 {
-    log_entry(x, f32_ladder::log2)
-}
-
-/// `log2` through the double-double kernel only (no fast path).
-pub fn log2_dd(x: f32) -> f32 {
-    log_front_dd(x, log2_kernel)
+    f32_entry::log2(x)
 }
 
 /// Correctly rounded base-10 logarithm for `f32`.
@@ -178,12 +130,7 @@ pub fn log2_dd(x: f32) -> f32 {
 /// assert_eq!(rlibm_math::log10(1e10f32), 10.0);
 /// ```
 pub fn log10(x: f32) -> f32 {
-    log_entry(x, f32_ladder::log10)
-}
-
-/// `log10` through the double-double kernel only (no fast path).
-pub fn log10_dd(x: f32) -> f32 {
-    log_front_dd(x, log10_kernel)
+    f32_entry::log10(x)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! with its `-sinpi·sinpi` term.
 
 use crate::dd::{two_prod, Dd};
-use crate::registry::f32_ladder;
+use crate::registry::f32_entry;
 use crate::tables as t;
 
 /// `sin(pi R)` for exact `R in [0, 1/512]`, as a double-double.
@@ -52,13 +52,6 @@ fn mod2_split(a: f64) -> (bool, f64) {
     }
 }
 
-/// `a == trunc(a)` for non-negative `a < 2^53`, via the same exact
-/// integer-cast round trip (avoids the `trunc` libm call).
-#[inline(always)]
-pub(crate) fn is_int_pos(a: f64) -> bool {
-    a == ((a as u64) as f64)
-}
-
 /// Kernel: `sinpi(|x|)` with the sign of the half-period, for
 /// `0 < a < 2^23`, non-integer. Returns (negate, magnitude dd).
 pub(crate) fn sinpi_kernel(a: f64) -> (bool, Dd) {
@@ -86,50 +79,7 @@ pub(crate) fn sinpi_kernel(a: f64) -> (bool, Dd) {
 /// assert_eq!(rlibm_math::sinpi(-0.25f32), -0.70710677f32);
 /// ```
 pub fn sinpi(x: f32) -> f32 {
-    if x.is_nan() || x.is_infinite() {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return x;
-    }
-    let a = (x as f64).abs();
-    if a >= 8_388_608.0 {
-        return 0.0; // every |x| >= 2^23 is an integer
-    }
-    // Tiny inputs: sinpi(x) = pi*x to well below the rounding interval
-    // (the paper's first special class, |x| < 1.17e-7, and smaller).
-    if a < 2f64.powi(-36) {
-        let (p, e) = two_prod(t::PI_HI, x as f64);
-        return crate::round::round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
-    }
-    if is_int_pos(a) {
-        return 0.0;
-    }
-    f32_ladder::sinpi(x as f64)
-}
-
-/// `sinpi` through the double-double kernel only (no fast path).
-pub fn sinpi_dd(x: f32) -> f32 {
-    if x.is_nan() || x.is_infinite() {
-        return f32::NAN;
-    }
-    if x == 0.0 {
-        return x;
-    }
-    let a = (x as f64).abs();
-    if a >= 8_388_608.0 {
-        return 0.0;
-    }
-    if a < 2f64.powi(-36) {
-        let (p, e) = two_prod(t::PI_HI, x as f64);
-        return crate::round::round_dd_f32(Dd::new(p, e + t::PI_LO * x as f64));
-    }
-    if is_int_pos(a) {
-        return 0.0;
-    }
-    let (k, v) = sinpi_kernel(a);
-    let neg = (x < 0.0) ^ k;
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    f32_entry::sinpi(x)
 }
 
 /// Kernel: `cospi(|x|)` with the half-period sign, for non-integer,
@@ -154,8 +104,9 @@ pub(crate) fn cospi_kernel(a: f64) -> (bool, Dd) {
     (k ^ m, v)
 }
 
-/// The sinpi ladder's dd rung: [`sinpi_kernel`] with the sign applied,
-/// for signed in-domain `x`.
+/// The sinpi dd kernel (the ladder's dd rung and the dd reference's
+/// kernel): [`sinpi_kernel`] with the sign applied, for signed in-domain
+/// `x`.
 pub(crate) fn sinpi_kernel_signed(x: f64) -> Dd {
     let (k, v) = sinpi_kernel(x.abs());
     if (x < 0.0) ^ k {
@@ -165,7 +116,7 @@ pub(crate) fn sinpi_kernel_signed(x: f64) -> Dd {
     }
 }
 
-/// The cospi ladder's dd rung: [`cospi_kernel`] with the sign applied.
+/// The cospi dd kernel: [`cospi_kernel`] with the sign applied.
 pub(crate) fn cospi_kernel_signed(x: f64) -> Dd {
     let (neg, v) = cospi_kernel(x.abs());
     if neg {
@@ -186,55 +137,7 @@ pub(crate) fn cospi_kernel_signed(x: f64) -> Dd {
 /// assert_eq!(rlibm_math::cospi(0.75f32), -0.70710677f32);
 /// ```
 pub fn cospi(x: f32) -> f32 {
-    if x.is_nan() || x.is_infinite() {
-        return f32::NAN;
-    }
-    let a = (x as f64).abs(); // cospi is even
-    if a >= 16_777_216.0 {
-        return 1.0; // |x| >= 2^24: every value is an even integer
-    }
-    // Paper special class 1: |x| < 7.77e-5 rounds to 1.0. (The general
-    // path also gets this right; the early exit matches the paper.)
-    if a < 7.77e-5 {
-        return 1.0;
-    }
-    // Integers and half-integers (exact +/-1 and 0 results) share one
-    // exact test: `2a < 2^25` is exact, and `2a` is an integer iff `a`
-    // is a half-multiple. One integer-cast round trip replaces the two
-    // `trunc` libm calls and the dd `mod2_split` the old checks cost.
-    let a2 = a + a;
-    let h = a2 as u64;
-    if a2 == h as f64 {
-        if h & 1 == 1 {
-            return 0.0; // half-integers are exact zeros
-        }
-        return if h & 2 == 0 { 1.0 } else { -1.0 }; // even/odd integer
-    }
-    f32_ladder::cospi(x as f64)
-}
-
-/// `cospi` through the double-double kernel only (no fast path).
-pub fn cospi_dd(x: f32) -> f32 {
-    if x.is_nan() || x.is_infinite() {
-        return f32::NAN;
-    }
-    let a = (x as f64).abs();
-    if a >= 16_777_216.0 {
-        return 1.0;
-    }
-    if a < 7.77e-5 {
-        return 1.0;
-    }
-    let a2 = a + a;
-    let h = a2 as u64;
-    if a2 == h as f64 {
-        if h & 1 == 1 {
-            return 0.0;
-        }
-        return if h & 2 == 0 { 1.0 } else { -1.0 };
-    }
-    let (neg, v) = cospi_kernel(a);
-    crate::round::round_dd_f32(if neg { v.neg() } else { v })
+    f32_entry::cospi(x)
 }
 
 #[cfg(test)]

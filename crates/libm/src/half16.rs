@@ -1,67 +1,45 @@
 //! Correctly rounded IEEE binary16 ("half") functions. Like the bfloat16
 //! set, small enough for exhaustive validation; unlike bfloat16, the
 //! format has a narrow exponent range (±15) with a wide significand, so
-//! its special-case thresholds sit in very different places — a useful
-//! stress on the front-end logic.
+//! its special-case thresholds ([`crate::front`]'s binary16 cuts) sit in
+//! very different places — a useful stress on the front ends.
 
 use rlibm_fp::Half;
 
-use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
-use crate::float::hyper::{cosh_kernel, sinh_kernel};
-use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
-use crate::round::round_dd;
+use crate::front::reference;
+use crate::kernel;
 
-macro_rules! half_log {
-    ($(#[$doc:meta])* $name:ident, $kernel:ident) => {
-        $(#[$doc])*
-        pub fn $name(x: Half) -> Half {
-            if x.is_nan() {
-                return Half::NAN;
-            }
-            let xd = x.to_f64();
-            if xd < 0.0 {
-                return Half::NAN;
-            }
-            if xd == 0.0 {
-                return Half::NEG_INFINITY;
-            }
-            if xd.is_infinite() {
-                return Half::INFINITY;
-            }
-            round_dd($kernel(xd))
-        }
-    };
+/// Correctly rounded natural logarithm for binary16.
+///
+/// ```
+/// use rlibm_fp::Half;
+/// assert_eq!(rlibm_math::half16::ln_f16(Half::ONE).to_f64(), 0.0);
+/// ```
+pub fn ln_f16(x: Half) -> Half {
+    reference::<Half, kernel::Ln>(x)
 }
 
-half_log!(
-    /// Correctly rounded natural logarithm for binary16.
-    ///
-    /// ```
-    /// use rlibm_fp::Half;
-    /// assert_eq!(rlibm_math::half16::ln_f16(Half::ONE).to_f64(), 0.0);
-    /// ```
-    ln_f16, ln_kernel
-);
-half_log!(
-    /// Correctly rounded base-2 logarithm for binary16.
-    ///
-    /// ```
-    /// use rlibm_fp::Half;
-    /// let y = rlibm_math::half16::log2_f16(Half::from_f64(8.0));
-    /// assert_eq!(y.to_f64(), 3.0);
-    /// ```
-    log2_f16, log2_kernel
-);
-half_log!(
-    /// Correctly rounded base-10 logarithm for binary16.
-    ///
-    /// ```
-    /// use rlibm_fp::Half;
-    /// let y = rlibm_math::half16::log10_f16(Half::from_f64(100.0));
-    /// assert_eq!(y.to_f64(), 2.0);
-    /// ```
-    log10_f16, log10_kernel
-);
+/// Correctly rounded base-2 logarithm for binary16.
+///
+/// ```
+/// use rlibm_fp::Half;
+/// let y = rlibm_math::half16::log2_f16(Half::from_f64(8.0));
+/// assert_eq!(y.to_f64(), 3.0);
+/// ```
+pub fn log2_f16(x: Half) -> Half {
+    reference::<Half, kernel::Log2>(x)
+}
+
+/// Correctly rounded base-10 logarithm for binary16.
+///
+/// ```
+/// use rlibm_fp::Half;
+/// let y = rlibm_math::half16::log10_f16(Half::from_f64(100.0));
+/// assert_eq!(y.to_f64(), 2.0);
+/// ```
+pub fn log10_f16(x: Half) -> Half {
+    reference::<Half, kernel::Log10>(x)
+}
 
 /// Correctly rounded `e^x` for binary16 (overflows above `ln 65504+`).
 ///
@@ -71,17 +49,7 @@ half_log!(
 /// assert_eq!(rlibm_math::half16::exp_f16(Half::from_f64(12.0)).to_f64(), f64::INFINITY);
 /// ```
 pub fn exp_f16(x: Half) -> Half {
-    if x.is_nan() {
-        return Half::NAN;
-    }
-    let xd = x.to_f64();
-    if xd > 11.1 {
-        return Half::INFINITY; // exp(11.1) > 65520 (the overflow boundary)
-    }
-    if xd < -17.7 {
-        return Half::ZERO; // exp(-17.7) < 2^-25 (half the min subnormal)
-    }
-    round_dd(exp_kernel(xd))
+    reference::<Half, kernel::Exp>(x)
 }
 
 /// Correctly rounded `2^x` for binary16.
@@ -91,17 +59,7 @@ pub fn exp_f16(x: Half) -> Half {
 /// assert_eq!(rlibm_math::half16::exp2_f16(Half::from_f64(-3.0)).to_f64(), 0.125);
 /// ```
 pub fn exp2_f16(x: Half) -> Half {
-    if x.is_nan() {
-        return Half::NAN;
-    }
-    let xd = x.to_f64();
-    if xd >= 16.0 {
-        return Half::INFINITY;
-    }
-    if xd < -25.5 {
-        return Half::ZERO;
-    }
-    round_dd(exp2_kernel(xd))
+    reference::<Half, kernel::Exp2>(x)
 }
 
 /// Correctly rounded `10^x` for binary16.
@@ -111,17 +69,7 @@ pub fn exp2_f16(x: Half) -> Half {
 /// assert_eq!(rlibm_math::half16::exp10_f16(Half::from_f64(2.0)).to_f64(), 100.0);
 /// ```
 pub fn exp10_f16(x: Half) -> Half {
-    if x.is_nan() {
-        return Half::NAN;
-    }
-    let xd = x.to_f64();
-    if xd > 4.82 {
-        return Half::INFINITY;
-    }
-    if xd < -7.7 {
-        return Half::ZERO;
-    }
-    round_dd(exp10_kernel(xd))
+    reference::<Half, kernel::Exp10>(x)
 }
 
 /// Correctly rounded hyperbolic sine for binary16.
@@ -132,20 +80,7 @@ pub fn exp10_f16(x: Half) -> Half {
 /// assert_eq!(z.to_f64(), 0.0);
 /// ```
 pub fn sinh_f16(x: Half) -> Half {
-    if x.is_nan() {
-        return Half::NAN;
-    }
-    let xd = x.to_f64();
-    if xd == 0.0 {
-        return x;
-    }
-    if xd > 11.8 {
-        return Half::INFINITY;
-    }
-    if xd < -11.8 {
-        return Half::NEG_INFINITY;
-    }
-    round_dd(sinh_kernel(xd))
+    reference::<Half, kernel::Sinh>(x)
 }
 
 /// Correctly rounded hyperbolic cosine for binary16.
@@ -155,13 +90,7 @@ pub fn sinh_f16(x: Half) -> Half {
 /// assert_eq!(rlibm_math::half16::cosh_f16(Half::ZERO).to_f64(), 1.0);
 /// ```
 pub fn cosh_f16(x: Half) -> Half {
-    if x.is_nan() {
-        return Half::NAN;
-    }
-    if x.to_f64().abs() > 11.8 {
-        return Half::INFINITY;
-    }
-    round_dd(cosh_kernel(x.to_f64()))
+    reference::<Half, kernel::Cosh>(x)
 }
 
 #[cfg(test)]

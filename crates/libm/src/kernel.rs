@@ -29,8 +29,9 @@
 //!
 //! Each function is one type implementing [`Kernel`]: its reduce → table
 //! → polynomial → reconstruct as `eval<V: F64Lane, const PREFIX: bool>`,
-//! its f32 batched domain as `dom<V>`, its dd kernel, and its two tiers'
-//! Horner terms, bands and derived bounds. The scalar ladder
+//! its dd kernel, and its two tiers' Horner terms, bands and derived
+//! bounds. The same type carries the function's special-case front end
+//! for every format ([`crate::front`]), which decides what it is fed. The scalar ladder
 //! (`eval::<f64, _>`), the portable batched driver (the same, 64 lanes
 //! per chunk) and the AVX2 stages (`eval::<Avx2, _>`) are instantiations
 //! of that one function, so a band, prefix-length or constant change is
@@ -75,8 +76,9 @@
 //! routes every input with `|log(x)| < ~0.0015` through the pure-poly
 //! branch.
 //!
-//! All kernels require a **finite, in-domain** input (the front ends
-//! filter specials first; each kernel's docs state the domain it is fed)
+//! All kernels require a **finite, in-domain** input (the front ends in
+//! [`crate::front`] filter specials first; each kernel's docs state the
+//! domain it is fed, whose cuts are defined there once per format)
 //! and produce a finite double; out-of-range results (f32-subnormal,
 //! posit regime > 24) are rejected by the safety test itself, so the
 //! kernels never need to reason about them.
@@ -143,10 +145,6 @@ pub(crate) trait Kernel {
     /// in-domain lanes (or the batched placeholder `1.0`).
     fn eval<V: F64Lane, const PREFIX: bool>(x: V) -> V;
 
-    /// The f32 entry's fast-path domain on widened f32 lanes: the lanes
-    /// the f32 entry point sends to the ladder (NaN fails).
-    fn dom<V: F64Lane>(x: V) -> V::Mask;
-
     /// The dd kernel of the ladder's last rung.
     fn dd(x: f64) -> Dd;
 }
@@ -198,8 +196,8 @@ fn exp_combine<V: F64Lane, const PREFIX: bool>(k: V::Int, r: V) -> V {
     }
 }
 
-/// `e^x`. Fed `-106 <= x <= 90`: the f32 entry's `[-106, 89]`, the posit
-/// entry's `|x| <= LN_MAXPOS + 0.5`, and `|x| <= 90` from [`Sinh`] /
+/// `e^x`. Fed `-106 <= x <= 90`: every format's `Format::EXP` domain
+/// (f32's `[-106, 89]` is the widest) and `|x| <= 90` from [`Sinh`] /
 /// [`Cosh`]. There `|k| < 2^14`, which keeps `k·LN2_64_HI` exact
 /// (39-bit constant x 14-bit integer), and `pow2i`'s exponent stays
 /// within `[-154, 130]`.
@@ -220,18 +218,13 @@ impl Kernel for Exp {
         exp_combine::<V, PREFIX>(k, r)
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        x.ge(-106.0) & x.le(89.0)
-    }
-
     fn dd(x: f64) -> Dd {
         fexp::exp_kernel(x)
     }
 }
 
-/// `2^x`. Fed `-151 <= x < 128`: the f32 entry's domain (the posit
-/// entry's `|x| <= 120.5` lies inside it).
+/// `2^x`. Fed `-151 <= x < 128`: every format's `Format::EXP2` domain
+/// (f32's is the widest).
 pub(crate) struct Exp2;
 
 impl Kernel for Exp2 {
@@ -246,18 +239,13 @@ impl Kernel for Exp2 {
         exp_combine::<V, PREFIX>(k, r)
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        x.ge(-151.0) & x.lt(128.0)
-    }
-
     fn dd(x: f64) -> Dd {
         fexp::exp2_kernel(x)
     }
 }
 
-/// `10^x`. Fed `-45.5 <= x <= 38.6` (the f32 entry's domain; the posit
-/// entry's `|x| <= LOG10_MAXPOS + 0.5` lies inside it), so `|k| < 2^14`.
+/// `10^x`. Fed `-45.5 <= x <= 38.6`, every format's `Format::EXP10`
+/// domain (f32's is the widest), so `|k| < 2^14`.
 ///
 /// The reduced argument cancels ~7 bits of `x·ln10`, and `x·LN10_HI`
 /// rounds *before* the cancellation — the dominant ~2^-46 relative error
@@ -275,12 +263,6 @@ impl Kernel for Exp10 {
         let b = kf * t::LN2_64_HI; // exact (|k| < 2^14)
         let r = (x * t::LN10_HI - b) + (x * t::LN10_LO - kf * t::LN2_64_MID);
         exp_combine::<V, PREFIX>(k, r)
-    }
-
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        // 38.6 is the f32 literal the entry compares against, widened.
-        x.ge(-45.5) & x.le(f64::from(38.6f32))
     }
 
     fn dd(x: f64) -> Dd {
@@ -323,9 +305,8 @@ fn log1p<V: F64Lane, const PREFIX: bool>(u: V) -> V {
     u + (u * u) * q
 }
 
-/// Natural logarithm. Fed positive finite `x`: the f32 entry's
-/// `0 < x < inf` (subnormals widen to normal doubles) and the posit
-/// entry's `x > 0`.
+/// Natural logarithm. Fed positive finite `x`, the logarithms' front
+/// end in every format (f32 subnormals widen to normal doubles).
 pub(crate) struct Ln;
 
 impl Kernel for Ln {
@@ -350,12 +331,6 @@ impl Kernel for Ln {
             let lo = fl + e * t::LN2_MID;
             c + (p + lo)
         }
-    }
-
-    /// `0 < x < inf`, the domain of all three logarithms.
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        x.gt(0.0) & x.lt(f64::INFINITY)
     }
 
     fn dd(x: f64) -> Dd {
@@ -385,11 +360,6 @@ impl Kernel for Log2 {
         }
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        Ln::dom(x)
-    }
-
     fn dd(x: f64) -> Dd {
         log::log2_kernel(x)
     }
@@ -417,11 +387,6 @@ impl Kernel for Log10 {
         }
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        Ln::dom(x)
-    }
-
     fn dd(x: f64) -> Dd {
         log::log10_kernel(x)
     }
@@ -431,9 +396,10 @@ impl Kernel for Log10 {
 // hyperbolic family
 // ---------------------------------------------------------------------
 
-/// `sinh(x)`. Fed `2^-13 <= |x| <= 90`: the f32 entry cuts at `2^-12`
-/// and `90`, the posit entry at `2^-13` and `LN_MAXPOS + 1.5` (below the
-/// cuts both entries return `x` itself). Below `2^-4` the odd Taylor
+/// `sinh(x)`. Fed nonzero `|x| <= 90` (`Format::HYPER`); the fast tiers
+/// see only `|x| >= 2^-13`, since below `Format::SINH_TINY` (`2^-12` for
+/// f32, `2^-13` for posit32) the fast entries return `x` itself and only
+/// the dd references run the kernel. Below `2^-4` the odd Taylor
 /// series avoids the `A - 1/A` cancellation entirely, at full degree in
 /// both tiers (it is already cheap, and its error stays inside even the
 /// full band); above it the cancellation is bounded by `coth(1/16) ~ 16`,
@@ -464,19 +430,13 @@ impl Kernel for Sinh {
         signed(x.lt(0.0), v)
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        let a = x.abs();
-        a.le(90.0) & a.ge(1.0 / 4096.0)
-    }
-
     fn dd(x: f64) -> Dd {
         hyper::sinh_kernel(x)
     }
 }
 
-/// `cosh(x)`. Fed `|x| <= 90`: the f32 entry's `2^-13 <= |x| <= 90` and
-/// the posit entry's `|x| <= LN_MAXPOS + 1.5`, zero included. `A + 1/A`
+/// `cosh(x)`. Fed `|x| <= 90` (`Format::HYPER`), zero included; the
+/// fast f32 entry returns 1 below `Format::COSH_TINY` (`2^-13`). `A + 1/A`
 /// never cancels; the branches and tiers are as in [`Sinh`].
 pub(crate) struct Cosh;
 
@@ -498,12 +458,6 @@ impl Kernel for Cosh {
                 (big + big.splat(1.0) / big) * 0.5
             },
         )
-    }
-
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        let a = x.abs();
-        a.le(90.0) & a.ge(1.0 / 8192.0)
     }
 
     fn dd(x: f64) -> Dd {
@@ -544,7 +498,8 @@ fn mod2_split<V: F64Lane>(a: V) -> (V::Mask, V) {
     (k, V::blend(k, j - 1.0, j))
 }
 
-/// `sin(pi x)`. Fed non-integer `2^-36 <= |x| < 2^23` (f32 only).
+/// `sin(pi x)`. Fed non-integer `2^-36 <= |x| < 2^23` (f32 only, its
+/// front end in [`crate::front`]).
 /// Mirrors `sinpi_kernel`: the table's `lo` words are folded with two
 /// cheap products (`corr`), recovering the ~2^-54 they carry. On top of
 /// the truncated polynomials, the prefix tier drops the table `lo` words
@@ -583,20 +538,15 @@ impl Kernel for Sinpi {
         signed(x.lt(0.0) ^ k, v)
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        let a = x.abs();
-        a.lt(8_388_608.0) & a.ge(1.0 / 68_719_476_736.0) & !a.is_integral()
-    }
-
     fn dd(x: f64) -> Dd {
         trig::sinpi_kernel_signed(x)
     }
 }
 
 /// `cos(pi x)`. Fed `7.77e-5 <= |x| < 2^24` with `2|x|` non-integer
-/// (f32 only). Section 5's monotonic recombination (`L' = N'/512 - R`,
-/// both terms share a sign); `N' = 256` has table value 0 and
+/// (f32 only, its front end in [`crate::front`]). Section 5's monotonic
+/// recombination (`L' = N'/512 - R`, both terms share a sign);
+/// `N' = 256` has table value 0 and
 /// degenerates to the pure `sinpi` polynomial, keeping relative accuracy
 /// near the zeros at half-integers. The prefix tier reads hi words only,
 /// as [`Sinpi`]'s does.
@@ -638,14 +588,6 @@ impl Kernel for Cospi {
         signed(k ^ m, v)
     }
 
-    #[inline(always)]
-    fn dom<V: F64Lane>(x: V) -> V::Mask {
-        // An integral 2a catches integers AND half-integers (both
-        // handled by the scalar front's exact special cases).
-        let a = x.abs();
-        a.ge(7.77e-5) & a.lt(16_777_216.0) & !(a * 2.0).is_integral()
-    }
-
     fn dd(x: f64) -> Dd {
         trig::cospi_kernel_signed(x)
     }
@@ -654,19 +596,23 @@ impl Kernel for Cospi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::Front;
     use rlibm_fp::rng::XorShift64;
 
     /// Checks the kernel against its dd kernel on 20 000 inputs from
-    /// `draw` in its f32 domain: the observed relative error must stay
+    /// `draw` in its f32 fast domain: the observed relative error must stay
     /// within the tier's certified band (the dd kernel is ~2^-85
     /// accurate, so the difference is an excellent proxy for the fast
     /// kernel's true error).
-    fn assert_within_band<K: Kernel, const PREFIX: bool>(seed: u64, draw: impl Fn(&mut XorShift64) -> f64) {
+    fn assert_within_band<K: Kernel + Front<f32>, const PREFIX: bool>(
+        seed: u64,
+        draw: impl Fn(&mut XorShift64) -> f64,
+    ) {
         let band = if PREFIX { K::PREFIX.band } else { K::FULL.band };
         let mut rng = XorShift64::new(seed);
         for _ in 0..20_000 {
             let x = draw(&mut rng);
-            if !K::dom(x) {
+            if !K::fast_dom(x) {
                 continue;
             }
             let got = K::eval::<f64, PREFIX>(x);

@@ -8,27 +8,34 @@
 //!   [`cosh`], [`sinpi`], [`cospi`];
 //! * the **eight posit32 functions** of Table 2 in [`posit`] — the first
 //!   correctly rounded library for 32-bit posits;
-//! * **bfloat16 functions** in [`bf16`] (exhaustively validated in the
-//!   workspace tests);
+//! * the same eight functions for the **16-bit formats** of the original
+//!   RLIBM — bfloat16 in [`bf16`], IEEE binary16 in [`half16`] and
+//!   posit16 in [`p16`] — each exhaustively validated in the workspace
+//!   tests;
 //! * the **baseline models** in [`baselines`] used by the evaluation
 //!   harnesses to reproduce the paper's comparisons.
 //!
 //! Every function follows the paper's published structure: special-case
 //! filter, range reduction in double, table lookup, short polynomial,
-//! output compensation — evaluated in **two tiers**. Tier 1 (the
-//! private `kernel` module, one generic kernel per function) runs that
+//! output compensation. The filter is written once per function for
+//! every format (the private `front` module, generic over the output
+//! format). The rest is evaluated in **two tiers**. Tier 1 (the private
+//! `kernel` module, one generic kernel per function) runs that
 //! structure in plain double with a statically derived worst-case error
 //! band; a few integer ops on the result's bit pattern
 //! ([`round::f32_round_safe`], or [`round::posit32_safe_narrow`], which
 //! also encodes) certify the final cast is the correct rounding. The
-//! rare inputs landing inside an unsafe band re-run the double-double kernels
-//! ([`dd`]) with round-to-odd composition ([`round`]) — bit-identical
-//! results, constructive accuracy argument, no double rounding. The
-//! dd-only paths stay exported (`*_dd`) for certification sweeps, the
-//! [`slice`] module batches tier 1 over 64-lane chunks, four lanes at a
-//! time on AVX2 ([`eval_slice_f32`] / [`eval_slice_posit32`]), and the `telemetry`
-//! feature ([`stats`]) counts which tier shipped each call for the bench
-//! harnesses. Every per-function list — names, slots, tier parameters,
+//! rare inputs landing inside an unsafe band re-run the double-double
+//! kernels ([`dd`]) with round-to-odd composition ([`round`]) —
+//! bit-identical results, constructive accuracy argument, no double
+//! rounding. The dd-only references (the same front ends, then the dd
+//! kernel) stay reachable through [`f32_dd_fn_by_name`] /
+//! [`posit32_dd_fn_by_name`] for certification sweeps; the 16-bit
+//! functions are those references at their formats. The [`slice`]
+//! module batches tier 1 over 64-lane chunks, four lanes at a time on
+//! AVX2 ([`eval_slice_f32`] / [`eval_slice_posit32`]), and the
+//! `telemetry` feature ([`stats`]) counts which tier shipped each call
+//! for the bench harnesses. Every per-function list — names, slots, tier parameters,
 //! dispatch — comes from one table, [`registry`].
 //!
 //! # Quickstart
@@ -54,6 +61,7 @@ pub(crate) mod kernel;
 pub(crate) mod lane;
 pub mod fault;
 pub mod float;
+pub(crate) mod front;
 pub mod half16;
 pub mod p16;
 pub mod posit;

@@ -2,24 +2,13 @@
 //! target (the paper extends that work to 32 bits). With only 65 536
 //! patterns, every function is validated exhaustively in the workspace
 //! tests, the same end-to-end guarantee the 16-bit RLIBM paper made.
+//! Each is its front end at posit16's cuts ([`crate::front`]), then the
+//! shared dd kernel and one correct rounding.
 
 use rlibm_posit::Posit16;
 
-use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
-use crate::float::hyper::{cosh_kernel, sinh_kernel};
-use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
-use crate::round::round_dd;
-
-/// `ln(maxpos)` for posit16 (`maxpos = 2^28`).
-const LN_MAXPOS16: f64 = 19.408121055678468;
-
-#[inline]
-fn log_front(x: Posit16, kernel: fn(f64) -> crate::dd::Dd) -> Posit16 {
-    if x.is_nar() || x.is_zero() || x.is_negative() {
-        return Posit16::NAR;
-    }
-    round_dd(kernel(x.to_f64()))
-}
+use crate::front::reference;
+use crate::kernel;
 
 /// Correctly rounded natural logarithm for posit16.
 ///
@@ -29,7 +18,7 @@ fn log_front(x: Posit16, kernel: fn(f64) -> crate::dd::Dd) -> Posit16 {
 /// assert!(rlibm_math::p16::ln_p16(Posit16::ZERO).is_nar());
 /// ```
 pub fn ln_p16(x: Posit16) -> Posit16 {
-    log_front(x, ln_kernel)
+    reference::<Posit16, kernel::Ln>(x)
 }
 
 /// Correctly rounded base-2 logarithm for posit16.
@@ -40,7 +29,7 @@ pub fn ln_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(y.to_f64(), 3.0);
 /// ```
 pub fn log2_p16(x: Posit16) -> Posit16 {
-    log_front(x, log2_kernel)
+    reference::<Posit16, kernel::Log2>(x)
 }
 
 /// Correctly rounded base-10 logarithm for posit16.
@@ -51,7 +40,7 @@ pub fn log2_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(y.to_f64(), 2.0);
 /// ```
 pub fn log10_p16(x: Posit16) -> Posit16 {
-    log_front(x, log10_kernel)
+    reference::<Posit16, kernel::Log10>(x)
 }
 
 /// Correctly rounded `e^x` for posit16 (saturating).
@@ -63,17 +52,7 @@ pub fn log10_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(rlibm_math::p16::exp_p16(big), Posit16::MAXPOS);
 /// ```
 pub fn exp_p16(x: Posit16) -> Posit16 {
-    if x.is_nar() {
-        return Posit16::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS16 + 0.5 {
-        return Posit16::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS16 + 0.5) {
-        return Posit16::MINPOS;
-    }
-    round_dd(exp_kernel(xd))
+    reference::<Posit16, kernel::Exp>(x)
 }
 
 /// Correctly rounded `2^x` for posit16.
@@ -84,17 +63,7 @@ pub fn exp_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(y.to_f64(), 0.125);
 /// ```
 pub fn exp2_p16(x: Posit16) -> Posit16 {
-    if x.is_nar() {
-        return Posit16::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > 28.5 {
-        return Posit16::MAXPOS;
-    }
-    if xd < -28.5 {
-        return Posit16::MINPOS;
-    }
-    round_dd(exp2_kernel(xd))
+    reference::<Posit16, kernel::Exp2>(x)
 }
 
 /// Correctly rounded `10^x` for posit16.
@@ -105,17 +74,7 @@ pub fn exp2_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(y.to_f64(), 100.0);
 /// ```
 pub fn exp10_p16(x: Posit16) -> Posit16 {
-    if x.is_nar() {
-        return Posit16::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > 8.93 {
-        return Posit16::MAXPOS;
-    }
-    if xd < -8.93 {
-        return Posit16::MINPOS;
-    }
-    round_dd(exp10_kernel(xd))
+    reference::<Posit16, kernel::Exp10>(x)
 }
 
 /// Correctly rounded hyperbolic sine for posit16.
@@ -125,20 +84,7 @@ pub fn exp10_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(rlibm_math::p16::sinh_p16(Posit16::ZERO), Posit16::ZERO);
 /// ```
 pub fn sinh_p16(x: Posit16) -> Posit16 {
-    if x.is_nar() {
-        return Posit16::NAR;
-    }
-    if x.is_zero() {
-        return Posit16::ZERO;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS16 + 1.5 {
-        return Posit16::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS16 + 1.5) {
-        return -Posit16::MAXPOS;
-    }
-    round_dd(sinh_kernel(xd))
+    reference::<Posit16, kernel::Sinh>(x)
 }
 
 /// Correctly rounded hyperbolic cosine for posit16.
@@ -148,14 +94,7 @@ pub fn sinh_p16(x: Posit16) -> Posit16 {
 /// assert_eq!(rlibm_math::p16::cosh_p16(Posit16::ZERO), Posit16::ONE);
 /// ```
 pub fn cosh_p16(x: Posit16) -> Posit16 {
-    if x.is_nar() {
-        return Posit16::NAR;
-    }
-    let xd = x.to_f64();
-    if xd.abs() > LN_MAXPOS16 + 1.5 {
-        return Posit16::MAXPOS;
-    }
-    round_dd(cosh_kernel(xd))
+    reference::<Posit16, kernel::Cosh>(x)
 }
 
 #[cfg(test)]

@@ -1,47 +1,15 @@
 //! The eight correctly rounded posit32 functions (the paper's Table 2 —
 //! the first correctly rounded math library for 32-bit posits).
 //!
-//! Every posit32 widens exactly to `f64`; the shared double-double kernels
-//! evaluate there and [`crate::round::round_dd`] performs the single
-//! correct rounding back, honouring posit semantics: saturation at
-//! `maxpos`/`minpos` instead of overflow/underflow (the exact property the
-//! re-purposed double libraries get wrong in Table 2), and `NaR` for
-//! domain errors.
+//! Every posit32 widens exactly to `f64` and runs the f32 functions'
+//! kernels and front ends ([`crate::front`]), at posit32's own cuts and
+//! with posit semantics: saturation at `maxpos`/`minpos` instead of
+//! overflow/underflow (the exact property the re-purposed double
+//! libraries get wrong in Table 2), and `NaR` for domain errors.
 
 use rlibm_posit::Posit32;
 
-use crate::float::exp::{exp10_kernel, exp2_kernel, exp_kernel};
-use crate::float::hyper::{cosh_kernel, sinh_kernel};
-use crate::float::log::{ln_kernel, log10_kernel, log2_kernel};
-use crate::registry::posit32_ladder;
-use crate::round::round_dd;
-
-/// `ln 2^120` — results beyond this saturate posit32's `maxpos = 2^120`.
-/// The batched entries (the posit rows of [`crate::registry`]) filter on
-/// the same thresholds.
-pub(crate) const LN_MAXPOS: f64 = 83.17766166719343;
-/// `log10 2^120`.
-pub(crate) const LOG10_MAXPOS: f64 = 36.123599478912376;
-
-/// The logarithms' special cases (NaR, zero and negatives give NaR);
-/// every other input runs the row's `ladder`.
-#[inline(always)]
-fn log_entry(x: Posit32, ladder: impl FnOnce(f64) -> Posit32) -> Posit32 {
-    if x.is_nar() || x.is_zero() || x.is_negative() {
-        // ln(0) = -inf and ln(negative) = NaN both map to NaR in posits.
-        return Posit32::NAR;
-    }
-    ladder(x.to_f64())
-}
-
-/// dd-only front end for the logarithm family (tier 2 alone).
-#[inline(always)]
-fn log_front_dd(x: Posit32, kernel: impl Fn(f64) -> crate::dd::Dd) -> Posit32 {
-    if x.is_nar() || x.is_zero() || x.is_negative() {
-        return Posit32::NAR;
-    }
-    round_dd(kernel(x.to_f64()))
-}
+use crate::registry::posit32_entry;
 
 /// Correctly rounded natural logarithm for posit32.
 ///
@@ -55,12 +23,7 @@ fn log_front_dd(x: Posit32, kernel: impl Fn(f64) -> crate::dd::Dd) -> Posit32 {
 /// assert!(rlibm_math::posit::ln_p32(Posit32::ZERO).is_nar());
 /// ```
 pub fn ln_p32(x: Posit32) -> Posit32 {
-    log_entry(x, posit32_ladder::ln)
-}
-
-/// `ln_p32` through the double-double kernel only (no fast path).
-pub fn ln_p32_dd(x: Posit32) -> Posit32 {
-    log_front_dd(x, ln_kernel)
+    posit32_entry::ln(x)
 }
 
 /// Correctly rounded base-2 logarithm for posit32.
@@ -73,12 +36,7 @@ pub fn ln_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 3.0);
 /// ```
 pub fn log2_p32(x: Posit32) -> Posit32 {
-    log_entry(x, posit32_ladder::log2)
-}
-
-/// `log2_p32` through the double-double kernel only (no fast path).
-pub fn log2_p32_dd(x: Posit32) -> Posit32 {
-    log_front_dd(x, log2_kernel)
+    posit32_entry::log2(x)
 }
 
 /// Correctly rounded base-10 logarithm for posit32.
@@ -91,12 +49,7 @@ pub fn log2_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 3.0);
 /// ```
 pub fn log10_p32(x: Posit32) -> Posit32 {
-    log_entry(x, posit32_ladder::log10)
-}
-
-/// `log10_p32` through the double-double kernel only (no fast path).
-pub fn log10_p32_dd(x: Posit32) -> Posit32 {
-    log_front_dd(x, log10_kernel)
+    posit32_entry::log10(x)
 }
 
 /// Correctly rounded `e^x` for posit32 (saturating, never NaR for real
@@ -112,32 +65,7 @@ pub fn log10_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(rlibm_math::posit::exp_p32(big), Posit32::MAXPOS);
 /// ```
 pub fn exp_p32(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS + 0.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS + 0.5) {
-        return Posit32::MINPOS;
-    }
-    posit32_ladder::exp(xd)
-}
-
-/// `exp_p32` through the double-double kernel only (no fast path).
-pub fn exp_p32_dd(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS + 0.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS + 0.5) {
-        return Posit32::MINPOS;
-    }
-    round_dd(exp_kernel(xd))
+    posit32_entry::exp(x)
 }
 
 /// Correctly rounded `2^x` for posit32.
@@ -150,32 +78,7 @@ pub fn exp_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 1024.0);
 /// ```
 pub fn exp2_p32(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > 120.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -120.5 {
-        return Posit32::MINPOS;
-    }
-    posit32_ladder::exp2(xd)
-}
-
-/// `exp2_p32` through the double-double kernel only (no fast path).
-pub fn exp2_p32_dd(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > 120.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -120.5 {
-        return Posit32::MINPOS;
-    }
-    round_dd(exp2_kernel(xd))
+    posit32_entry::exp2(x)
 }
 
 /// Correctly rounded `10^x` for posit32.
@@ -188,32 +91,7 @@ pub fn exp2_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(y.to_f64(), 1000.0);
 /// ```
 pub fn exp10_p32(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > LOG10_MAXPOS + 0.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LOG10_MAXPOS + 0.5) {
-        return Posit32::MINPOS;
-    }
-    posit32_ladder::exp10(xd)
-}
-
-/// `exp10_p32` through the double-double kernel only (no fast path).
-pub fn exp10_p32_dd(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd > LOG10_MAXPOS + 0.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LOG10_MAXPOS + 0.5) {
-        return Posit32::MINPOS;
-    }
-    round_dd(exp10_kernel(xd))
+    posit32_entry::exp10(x)
 }
 
 /// Correctly rounded hyperbolic sine for posit32.
@@ -227,43 +105,7 @@ pub fn exp10_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(rlibm_math::posit::sinh_p32(big), Posit32::MAXPOS);
 /// ```
 pub fn sinh_p32(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    if x.is_zero() {
-        return Posit32::ZERO;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS + 1.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS + 1.5) {
-        return -Posit32::MAXPOS;
-    }
-    // |x| < 2^-13: sinh(x) - x = x³/6 + ... is below half the posit
-    // quantum (<= 24 fraction bits out here), so sinh(x) rounds to x.
-    if xd.abs() < 2f64.powi(-13) {
-        return x;
-    }
-    posit32_ladder::sinh(xd)
-}
-
-/// `sinh_p32` through the double-double kernel only (no fast path).
-pub fn sinh_p32_dd(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    if x.is_zero() {
-        return Posit32::ZERO;
-    }
-    let xd = x.to_f64();
-    if xd > LN_MAXPOS + 1.5 {
-        return Posit32::MAXPOS;
-    }
-    if xd < -(LN_MAXPOS + 1.5) {
-        return -Posit32::MAXPOS;
-    }
-    round_dd(sinh_kernel(xd))
+    posit32_entry::sinh(x)
 }
 
 /// Correctly rounded hyperbolic cosine for posit32.
@@ -275,26 +117,7 @@ pub fn sinh_p32_dd(x: Posit32) -> Posit32 {
 /// assert_eq!(rlibm_math::posit::cosh_p32(Posit32::ZERO), Posit32::ONE);
 /// ```
 pub fn cosh_p32(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd.abs() > LN_MAXPOS + 1.5 {
-        return Posit32::MAXPOS;
-    }
-    posit32_ladder::cosh(xd)
-}
-
-/// `cosh_p32` through the double-double kernel only (no fast path).
-pub fn cosh_p32_dd(x: Posit32) -> Posit32 {
-    if x.is_nar() {
-        return Posit32::NAR;
-    }
-    let xd = x.to_f64();
-    if xd.abs() > LN_MAXPOS + 1.5 {
-        return Posit32::MAXPOS;
-    }
-    round_dd(cosh_kernel(xd))
+    posit32_entry::cosh(x)
 }
 
 #[cfg(test)]

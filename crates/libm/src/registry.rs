@@ -6,25 +6,29 @@
 //! row's index is its counter slot ([`slot`]) and its fault-injection
 //! site. Each row names:
 //!
-//! * the scalar entry point and its dd-only reference (`*_dd`);
-//! * its fast kernel ([`crate::kernel`]): one type carrying the kernel's
-//!   math for every lane and tier, its tiers' Horner terms, bands and
-//!   derived bounds, its f32 batched domain and its dd kernel;
-//! * for f32 the float baseline; for posit32 the batched domain (a
-//!   `PositDomain` value, the posit entry's filter) and the posit16 /
-//!   binary16 / bfloat16 functions of the same name.
+//! * its public scalar entry point;
+//! * its kernel ([`crate::kernel`]): one type carrying the kernel's math
+//!   for every lane and tier, its tiers' Horner terms, bands and derived
+//!   bounds, its dd kernel, and the function's special-case front end for
+//!   every format ([`crate::front`]);
+//! * for f32 the float baseline.
 //!
 //! From the rows the `registry!` macro generates the [`slot`] constants,
 //! [`F32_NAMES`] / [`POSIT32_NAMES`], the tier specs ([`TIERS`]), the
 //! `runtime.tier.*` counters behind [`crate::stats`], the dispatch rows
 //! behind the crate's `*_by_name` functions and `eval_slice_*` entries,
-//! the batched entries, and one inlined `ladder` call per row. Adding a
-//! function means adding a kernel and a row here and writing its entry
-//! point's special-case filter; nothing else keeps a per-function list.
+//! one inlined fast `entry` per row (the public entry point's body), the
+//! batched entries, and the dd references: each row's `dd` and, for the
+//! posit rows, the posit16 / binary16 / bfloat16 functions of the same
+//! name are the kernel's front end and dd kernel at that format
+//! ([`crate::front::reference`]). Adding a function means writing its
+//! kernel and its front end, a one-line public entry point, and a row
+//! here; a new format is one [`crate::front::Format`] impl. Nothing else
+//! keeps a per-function list.
 //!
 //! # The ladder
 //!
-//! After its filter, every scalar entry point climbs the same three
+//! After its front end, every scalar entry point climbs the same three
 //! rungs: the kernel's truncated **prefix** polynomial tested against a
 //! wide round-safety band, the **full**-degree polynomial tested against
 //! the regular band, and the dd kernel with round-to-odd. Soundness,
@@ -35,17 +39,16 @@
 //! ladder also needs `prefix_derived + (full_band - full_derived) <=
 //! prefix_band`.
 
-use rlibm_fp::{BFloat16, Half, Representation};
+use rlibm_fp::{BFloat16, Half};
 use rlibm_obs::Counter;
 use rlibm_posit::{Posit16, Posit32};
 
 use crate::float::{exp as fexp, hyper, log, trig};
+use crate::front::{reference, Format, Front};
 use crate::kernel::{self, Kernel};
-use crate::lane::F64Lane;
-use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
-use crate::slice::{PositDomain, Tally};
+use crate::slice::Tally;
 use crate::stats::TierCounters;
-use crate::{baselines::float32 as base, bf16, half16, p16, posit, slice};
+use crate::{baselines::float32 as base, posit, slice};
 
 /// One tier of a ladder, in `2^-53` relative units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,38 +139,26 @@ impl Posit32Row {
 
 /// A 32-bit format the ladder and the batched driver round into. Every
 /// tier evaluates in f64 whatever the format, so a format only supplies
-/// its exact widening and correctly rounding narrowing
-/// ([`Representation`]), its round-safety test fused with the narrowing
-/// it certifies, its batched fast-path domain, and the counters its
-/// slices land in.
-pub(crate) trait Lane: Representation {
+/// its exact widening and correctly rounding narrowing and its front-end
+/// cuts ([`Format`]), its round-safety test fused with the narrowing it
+/// certifies, and the counters its slices land in.
+pub(crate) trait Lane: Format {
     /// Filler for a partial chunk's unused lanes (never read back).
     const PAD: Self;
-    /// A row's batched domain as data (f32 rows read theirs off the
-    /// kernel).
-    type Domain: Copy;
     /// The narrowing of `y` when it is the correct rounding of every
     /// value within `band · 2^-53` relative of `y`, else `None` (see
     /// [`crate::round`]).
     fn narrow_if_safe(y: f64, band: u64) -> Option<Self>;
-    /// The lanes of the widened `x` in kernel `K`'s batched domain.
-    fn in_domain<K: Kernel, V: F64Lane>(dom: Self::Domain, x: V) -> V::Mask;
     /// This format's `(chunks, rescalar lanes)` slice counters.
     fn counters() -> (&'static Counter, &'static Counter);
 }
 
 impl Lane for f32 {
     const PAD: f32 = 1.0;
-    type Domain = ();
 
     #[inline(always)]
     fn narrow_if_safe(y: f64, band: u64) -> Option<f32> {
         crate::round::f32_round_safe(y, band).then_some(y as f32)
-    }
-
-    #[inline(always)]
-    fn in_domain<K: Kernel, V: F64Lane>((): (), x: V) -> V::Mask {
-        K::dom(x)
     }
 
     fn counters() -> (&'static Counter, &'static Counter) {
@@ -177,16 +168,10 @@ impl Lane for f32 {
 
 impl Lane for Posit32 {
     const PAD: Posit32 = Posit32::ONE;
-    type Domain = PositDomain;
 
     #[inline(always)]
     fn narrow_if_safe(y: f64, band: u64) -> Option<Posit32> {
         crate::round::posit32_safe_narrow(y, band)
-    }
-
-    #[inline(always)]
-    fn in_domain<K: Kernel, V: F64Lane>(dom: PositDomain, x: V) -> V::Mask {
-        dom.mask(x)
     }
 
     fn counters() -> (&'static Counter, &'static Counter) {
@@ -194,13 +179,19 @@ impl Lane for Posit32 {
     }
 }
 
-/// The progressive-tier ladder of kernel `K`: the prefix result
+/// The fast scalar entry of kernel `K` in format `L`, registry row
+/// `slot`: the front end ([`Front::fast_dom`], with the fast-only
+/// shortcuts), then the progressive-tier ladder. The prefix result
 /// (through the fault hook of `slot`) ships if it is round-safe under the
 /// prefix band, else the full result if round-safe under the full band,
 /// else the dd kernel's round-to-odd composition. Each outcome bumps its
-/// tier counter. `xd` is the filtered input widened to f64.
+/// tier counter.
 #[inline(always)]
-pub(crate) fn ladder<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
+pub(crate) fn entry<L: Lane, K: Kernel + Front<L>>(slot: usize, x: L) -> L {
+    let xd = x.to_f64();
+    if !K::fast_dom(xd) {
+        return K::fast_special(x, xd);
+    }
     let y = crate::fault::perturb(slot, K::eval::<f64, true>(xd));
     if let Some(r) = L::narrow_if_safe(y, K::PREFIX.band) {
         crate::stats::record_tier_prefix(slot);
@@ -238,18 +229,11 @@ macro_rules! registry {
     (
         f32 {$(
             $f:ident => $fs:ident {
-                entry: $fentry:path, dd: $fdd:path,
-                kernel: $fk:ty,
-                baseline: $fbase:path $(,)?
+                entry: $fentry:path, kernel: $fk:ty, baseline: $fbase:path $(,)?
             }
         )*}
         posit32 {$(
-            $p:ident => $ps:ident {
-                entry: $pentry:path, dd: $pdd:path,
-                kernel: $pk:ty,
-                domain: $pdom:expr,
-                sixteen: [$p16:path, $half:path, $bf16:path] $(,)?
-            }
+            $p:ident => $ps:ident { entry: $pentry:path, kernel: $pk:ty $(,)? }
         )*}
     ) => {
         #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
@@ -303,7 +287,7 @@ macro_rules! registry {
         pub static F32_ROWS: [F32Row; F32_COUNT] = [$(F32Row {
             name: stringify!($f),
             scalar: $fentry,
-            dd: $fdd,
+            dd: reference::<f32, $fk>,
             slice: |xs, out| {
                 f32_batched::$f(xs, out, true);
             },
@@ -314,47 +298,46 @@ macro_rules! registry {
         pub static POSIT32_ROWS: [Posit32Row; slot::COUNT - F32_COUNT] = [$(Posit32Row {
             name: stringify!($p),
             scalar: $pentry,
-            dd: $pdd,
+            dd: reference::<Posit32, $pk>,
             slice: |xs, out| {
                 posit32_batched::$p(xs, out, true);
             },
-            p16: $p16,
-            half: $half,
-            bf16: $bf16,
+            p16: reference::<Posit16, $pk>,
+            half: reference::<Half, $pk>,
+            bf16: reference::<BFloat16, $pk>,
         },)*];
 
-        /// The f32 rows' ladders: each entry point's path after its
-        /// special-case filter.
-        pub(crate) mod f32_ladder {
+        /// The f32 rows' fast entries, behind the public entry points.
+        pub(crate) mod f32_entry {
             use super::*;
             $(
                 #[inline(always)]
-                pub(crate) fn $f(xd: f64) -> f32 {
-                    ladder::<f32, $fk>(slot::$fs, xd)
+                pub(crate) fn $f(x: f32) -> f32 {
+                    entry::<f32, $fk>(slot::$fs, x)
                 }
             )*
         }
 
-        /// The posit32 rows' ladders.
-        pub(crate) mod posit32_ladder {
+        /// The posit32 rows' fast entries.
+        pub(crate) mod posit32_entry {
             use super::*;
             $(
                 #[inline(always)]
-                pub(crate) fn $p(xd: f64) -> Posit32 {
-                    ladder::<Posit32, $pk>(slot::$ps, xd)
+                pub(crate) fn $p(x: Posit32) -> Posit32 {
+                    entry::<Posit32, $pk>(slot::$ps, x)
                 }
             )*
         }
 
         /// The f32 rows' batched entries: the batched driver over the
-        /// row's kernel and domain, on the widest lane the CPU runs when
+        /// row's kernel and front end, on the widest lane the CPU runs when
         /// `widest` is set and on `f64` otherwise; the scalar entry
         /// resolves special and twice-rejected lanes.
         mod f32_batched {
             use super::*;
             $(
                 pub(super) fn $f(xs: &[f32], out: &mut [f32], widest: bool) -> Tally {
-                    slice::dispatch::<f32, $fk>(xs, out, (), slot::$fs, $fentry, widest)
+                    slice::dispatch::<f32, $fk>(xs, out, slot::$fs, $fentry, widest)
                 }
             )*
         }
@@ -364,7 +347,7 @@ macro_rules! registry {
             use super::*;
             $(
                 pub(super) fn $p(xs: &[Posit32], out: &mut [Posit32], widest: bool) -> Tally {
-                    slice::dispatch::<Posit32, $pk>(xs, out, $pdom, slot::$ps, $pentry, widest)
+                    slice::dispatch::<Posit32, $pk>(xs, out, slot::$ps, $pentry, widest)
                 }
             )*
         }
@@ -383,82 +366,34 @@ macro_rules! registry {
     };
 }
 
-// Each row names its kernel, whose consts carry the bands, derived
-// bounds and term counts (derived in `crate::kernel`). The posit rows
-// run their f32 twins' kernels: the bands bound the kernel's error, not
-// the target's rounding. Each posit domain filter is its scalar entry's
-// filter; NaR widens to NaN, which every filter rejects.
+// Each row names its public entry point and its kernel, whose consts
+// carry the bands, derived bounds and term counts (derived in
+// `crate::kernel`) and whose front end (`crate::front`) filters the
+// specials for every format. The posit rows run their f32 twins'
+// kernels: the bands bound the kernel's error, not the target's
+// rounding.
 registry! {
     f32 {
-        ln => LN { entry: log::ln, dd: log::ln_dd, kernel: kernel::Ln, baseline: base::ln }
-        log2 => LOG2 {
-            entry: log::log2, dd: log::log2_dd, kernel: kernel::Log2, baseline: base::log2,
-        }
-        log10 => LOG10 {
-            entry: log::log10, dd: log::log10_dd, kernel: kernel::Log10, baseline: base::log10,
-        }
-        exp => EXP { entry: fexp::exp, dd: fexp::exp_dd, kernel: kernel::Exp, baseline: base::exp }
-        exp2 => EXP2 {
-            entry: fexp::exp2, dd: fexp::exp2_dd, kernel: kernel::Exp2, baseline: base::exp2,
-        }
-        exp10 => EXP10 {
-            entry: fexp::exp10, dd: fexp::exp10_dd, kernel: kernel::Exp10, baseline: base::exp10,
-        }
-        sinh => SINH {
-            entry: hyper::sinh, dd: hyper::sinh_dd, kernel: kernel::Sinh, baseline: base::sinh,
-        }
-        cosh => COSH {
-            entry: hyper::cosh, dd: hyper::cosh_dd, kernel: kernel::Cosh, baseline: base::cosh,
-        }
-        sinpi => SINPI {
-            entry: trig::sinpi, dd: trig::sinpi_dd, kernel: kernel::Sinpi, baseline: base::sinpi,
-        }
-        cospi => COSPI {
-            entry: trig::cospi, dd: trig::cospi_dd, kernel: kernel::Cospi, baseline: base::cospi,
-        }
+        ln => LN { entry: log::ln, kernel: kernel::Ln, baseline: base::ln }
+        log2 => LOG2 { entry: log::log2, kernel: kernel::Log2, baseline: base::log2 }
+        log10 => LOG10 { entry: log::log10, kernel: kernel::Log10, baseline: base::log10 }
+        exp => EXP { entry: fexp::exp, kernel: kernel::Exp, baseline: base::exp }
+        exp2 => EXP2 { entry: fexp::exp2, kernel: kernel::Exp2, baseline: base::exp2 }
+        exp10 => EXP10 { entry: fexp::exp10, kernel: kernel::Exp10, baseline: base::exp10 }
+        sinh => SINH { entry: hyper::sinh, kernel: kernel::Sinh, baseline: base::sinh }
+        cosh => COSH { entry: hyper::cosh, kernel: kernel::Cosh, baseline: base::cosh }
+        sinpi => SINPI { entry: trig::sinpi, kernel: kernel::Sinpi, baseline: base::sinpi }
+        cospi => COSPI { entry: trig::cospi, kernel: kernel::Cospi, baseline: base::cospi }
     }
     posit32 {
-        ln => P32_LN {
-            entry: posit::ln_p32, dd: posit::ln_p32_dd, kernel: kernel::Ln,
-            domain: PositDomain::Positive,
-            sixteen: [p16::ln_p16, half16::ln_f16, bf16::ln_bf16],
-        }
-        log2 => P32_LOG2 {
-            entry: posit::log2_p32, dd: posit::log2_p32_dd, kernel: kernel::Log2,
-            domain: PositDomain::Positive,
-            sixteen: [p16::log2_p16, half16::log2_f16, bf16::log2_bf16],
-        }
-        log10 => P32_LOG10 {
-            entry: posit::log10_p32, dd: posit::log10_p32_dd, kernel: kernel::Log10,
-            domain: PositDomain::Positive,
-            sixteen: [p16::log10_p16, half16::log10_f16, bf16::log10_bf16],
-        }
-        exp => P32_EXP {
-            entry: posit::exp_p32, dd: posit::exp_p32_dd, kernel: kernel::Exp,
-            domain: PositDomain::Abs(0.0, LN_MAXPOS + 0.5),
-            sixteen: [p16::exp_p16, half16::exp_f16, bf16::exp_bf16],
-        }
-        exp2 => P32_EXP2 {
-            entry: posit::exp2_p32, dd: posit::exp2_p32_dd, kernel: kernel::Exp2,
-            domain: PositDomain::Abs(0.0, 120.5),
-            sixteen: [p16::exp2_p16, half16::exp2_f16, bf16::exp2_bf16],
-        }
-        exp10 => P32_EXP10 {
-            entry: posit::exp10_p32, dd: posit::exp10_p32_dd, kernel: kernel::Exp10,
-            domain: PositDomain::Abs(0.0, LOG10_MAXPOS + 0.5),
-            sixteen: [p16::exp10_p16, half16::exp10_f16, bf16::exp10_bf16],
-        }
-        sinh => P32_SINH {
-            entry: posit::sinh_p32, dd: posit::sinh_p32_dd, kernel: kernel::Sinh,
-            // `sinh_p32` returns x itself below 2^-13.
-            domain: PositDomain::Abs(1.0 / 8192.0, LN_MAXPOS + 1.5),
-            sixteen: [p16::sinh_p16, half16::sinh_f16, bf16::sinh_bf16],
-        }
-        cosh => P32_COSH {
-            entry: posit::cosh_p32, dd: posit::cosh_p32_dd, kernel: kernel::Cosh,
-            domain: PositDomain::Abs(0.0, LN_MAXPOS + 1.5),
-            sixteen: [p16::cosh_p16, half16::cosh_f16, bf16::cosh_bf16],
-        }
+        ln => P32_LN { entry: posit::ln_p32, kernel: kernel::Ln }
+        log2 => P32_LOG2 { entry: posit::log2_p32, kernel: kernel::Log2 }
+        log10 => P32_LOG10 { entry: posit::log10_p32, kernel: kernel::Log10 }
+        exp => P32_EXP { entry: posit::exp_p32, kernel: kernel::Exp }
+        exp2 => P32_EXP2 { entry: posit::exp2_p32, kernel: kernel::Exp2 }
+        exp10 => P32_EXP10 { entry: posit::exp10_p32, kernel: kernel::Exp10 }
+        sinh => P32_SINH { entry: posit::sinh_p32, kernel: kernel::Sinh }
+        cosh => P32_COSH { entry: posit::cosh_p32, kernel: kernel::Cosh }
     }
 }
 

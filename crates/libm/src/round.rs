@@ -451,7 +451,7 @@ pub(crate) mod tests {
     /// so saturating exp-family results ship from the fast tiers.
     #[test]
     fn posit_saturation_zones_cover_the_kernels_reach() {
-        use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
+        use crate::front::{LN_MAXPOS, LOG10_MAXPOS};
         let (exp_c, hyp_c) = (LN_MAXPOS + 0.5, LN_MAXPOS + 1.5);
         let reach = [
             exp_c.exp(),

@@ -14,8 +14,9 @@
 //! Per chunk:
 //!
 //! 1. **prefix stage**: each group of lanes is widened (f32 cast or posit
-//!    decode), classified against the row's fast-path domain (out-of-domain
-//!    lanes get the placeholder `1.0`, so the arithmetic stays total), and
+//!    decode), classified against the row's fast-path domain (its front
+//!    end's `fast_dom`; out-of-domain lanes get the placeholder `1.0`, so
+//!    the arithmetic stays total), and
 //!    run through the kernel's prefix tier — the same `Kernel::eval` the
 //!    scalar ladder runs;
 //! 2. **safety mask**: the round-safety test against the wide prefix band,
@@ -33,10 +34,13 @@
 //! scalar front ends use — prefix and full acceptances batched per call,
 //! dd events recorded by the scalar entry the rescalar lanes fall into.
 //!
-//! The f32 domains are each kernel's `dom`; each posit row names its
-//! domain as data ([`PositDomain`], its scalar entry's filter in
-//! [`crate::posit`]). Special lanes resolve through the scalar entry.
+//! Each lane's domain is the mask half of its function's front end
+//! ([`crate::front::Front::fast_dom`]), the same definition the scalar
+//! entry tests, so a lane takes the staged path exactly when the scalar
+//! entry would climb the ladder. Special lanes resolve through the
+//! scalar entry.
 
+use crate::front::Front;
 use crate::kernel::Kernel;
 use crate::lane::F64Lane;
 use crate::registry::{F32Row, Lane, Posit32Row};
@@ -100,31 +104,6 @@ fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     scalar(x)
 }
 
-/// A posit32 row's batched fast-path domain, as data: each row's domain
-/// is its scalar entry's filter in [`crate::posit`]; NaR widens to NaN,
-/// which every variant rejects.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PositDomain {
-    /// `x > 0` (the logarithms).
-    Positive,
-    /// `lo <= |x| <= hi`.
-    Abs(f64, f64),
-}
-
-impl PositDomain {
-    /// The lanes of `x` that take the staged fast path.
-    #[inline(always)]
-    pub(crate) fn mask<V: F64Lane>(self, x: V) -> V::Mask {
-        match self {
-            PositDomain::Positive => x.gt(0.0),
-            PositDomain::Abs(lo, hi) => {
-                let a = x.abs();
-                a.ge(lo) & a.le(hi)
-            }
-        }
-    }
-}
-
 /// Routes the prefix results of the lanes set in `lanes` through the
 /// fault hook of the registry row `slot`, as the scalar ladder routes
 /// its prefix result, so `fault` builds also test the batched driver's
@@ -176,14 +155,14 @@ impl<L: Lane> Ends<f64> for L {
 /// A format the batched entries serve: its ends for every f64 lane the
 /// build has.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) trait Format: Ends<f64> + Ends<crate::lane::avx2::Avx2> {}
+pub(crate) trait SliceFormat: Ends<f64> + Ends<crate::lane::avx2::Avx2> {}
 /// A format the batched entries serve: its ends for every f64 lane the
 /// build has.
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub(crate) trait Format: Ends<f64> {}
+pub(crate) trait SliceFormat: Ends<f64> {}
 
-impl Format for f32 {}
-impl Format for Posit32 {}
+impl SliceFormat for f32 {}
+impl SliceFormat for Posit32 {}
 
 /// The groups (lanes `WIDTH·g ..`) holding one of `lanes`.
 #[inline(always)]
@@ -196,17 +175,16 @@ fn groups_of<V: F64Lane>(lanes: u64) -> impl Iterator<Item = usize> {
 /// (placeholder `1.0` outside the domain), eval, store to `y`. Returns
 /// the in-domain lanes of the staged groups.
 #[inline(always)]
-fn stage<L: Ends<V>, V: F64Lane, K: Kernel, const PREFIX: bool>(
+fn stage<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>, const PREFIX: bool>(
     isa: V::Isa,
     xs: &[L; LANES],
     y: &mut [f64; LANES],
     groups: impl Iterator<Item = usize>,
-    dom: L::Domain,
 ) -> u64 {
     let mut in_dom = 0u64;
     for g in groups {
         let x = L::widen(isa, xs, g);
-        let m = L::in_domain::<K, V>(dom, x);
+        let m = K::fast_dom(x);
         K::eval::<V, PREFIX>(V::blend(m, x, x.splat(1.0))).store(y, g);
         in_dom |= V::mask_bits(m) << (V::WIDTH * g);
     }
@@ -235,11 +213,10 @@ pub(crate) fn safe_narrow<L: Ends<V>, V: F64Lane>(
 /// wide prefix band, the full-tier re-run of the groups holding rejected
 /// lanes, and the rescalar resolve through `scalar` (the row's entry
 /// point), with the tier and slice counters of the registry row `slot`.
-pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel>(
+pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>>(
     isa: V::Isa,
     xs: &[L],
     out: &mut [L],
-    dom: L::Domain,
     slot: usize,
     scalar: fn(L) -> L,
 ) -> Tally {
@@ -269,7 +246,7 @@ pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel>(
         let in_dom = V::enter(
             isa,
             #[inline(always)]
-            || stage::<L, V, K, true>(isa, xfull, &mut y, 0..staged, dom),
+            || stage::<L, V, K, true>(isa, xfull, &mut y, 0..staged),
         ) & live;
         perturb_prefix(slot, &mut y, in_dom);
         let safe = V::enter(
@@ -296,7 +273,7 @@ pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel>(
             V::enter(
                 isa,
                 #[inline(always)]
-                || stage::<L, V, K, false>(isa, xfull, &mut y, groups_of::<V>(pending), dom),
+                || stage::<L, V, K, false>(isa, xfull, &mut y, groups_of::<V>(pending)),
             );
             let safe_full = V::enter(
                 isa,
@@ -341,20 +318,19 @@ pub(crate) struct Tally {
 /// [`drive`] on the widest lane the CPU runs when `widest` is set (AVX2
 /// when the `simd` feature is on and the CPU has it), else on `f64`.
 #[inline(always)]
-pub(crate) fn dispatch<L: Format, K: Kernel>(
+pub(crate) fn dispatch<L: SliceFormat, K: Kernel + Front<L>>(
     xs: &[L],
     out: &mut [L],
-    dom: L::Domain,
     slot: usize,
     scalar: fn(L) -> L,
     widest: bool,
 ) -> Tally {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if let Some(isa) = crate::lane::avx2::Avx2Isa::detect().filter(|_| widest) {
-        return drive::<L, crate::lane::avx2::Avx2, K>(isa, xs, out, dom, slot, scalar);
+        return drive::<L, crate::lane::avx2::Avx2, K>(isa, xs, out, slot, scalar);
     }
     let _ = widest;
-    drive::<L, f64, K>((), xs, out, dom, slot, scalar)
+    drive::<L, f64, K>((), xs, out, slot, scalar)
 }
 
 /// Error returned by the by-name slice entry points when the name is not
@@ -382,11 +358,12 @@ pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), Unk
 
 /// Batched evaluation of a posit32 function by name: `out[i] = f(xs[i])`,
 /// bit-identical to the scalar function. Lanes run the same kernels as
-/// [`eval_slice_f32`], behind the posit decode and encode; each function's domain filter is exactly its scalar entry's
-/// filter in [`crate::posit`], so NaR, zero and negative log inputs,
-/// saturating exp/sinh/cosh inputs and sinh's `|x| < 2^-13` lanes
-/// resolve per lane through that entry (NaR in, NaR out), as do the
-/// in-domain lanes both bands reject. Unknown names are a typed error.
+/// [`eval_slice_f32`], behind the posit decode and encode; each lane's
+/// domain mask is its scalar entry's front end, so NaR, zero and
+/// negative log inputs, saturating exp/sinh/cosh inputs and sinh's
+/// `|x| < 2^-13` lanes resolve per lane through that entry (NaR in, NaR
+/// out), as do the in-domain lanes both bands reject. Unknown names are
+/// a typed error.
 pub fn eval_slice_posit32(
     name: &str,
     xs: &[Posit32],
@@ -464,7 +441,7 @@ mod tests {
     /// patterns on and either side of each saturation threshold and of
     /// sinh's `|x| < 2^-13` cut, both signs.
     fn posit_edge_lanes() -> Vec<Posit32> {
-        use crate::posit::{LN_MAXPOS, LOG10_MAXPOS};
+        use crate::front::{LN_MAXPOS, LOG10_MAXPOS};
         let mut lanes = vec![
             Posit32::NAR,
             Posit32::ZERO,

@@ -9,7 +9,8 @@
 //! 1. **Shard panics** — [`fire_panic_if_armed`] unwinds the worker at
 //!    the top of a flush, before any completion is recorded, so the
 //!    whole batch is in flight when the supervisor catches the panic.
-//!    Exercises salvage, requeue and restart backoff.
+//!    Exercises resume after restart, restart backoff and, past the
+//!    restart budget, salvage.
 //! 2. **Delayed flushes** — a busy-wait of `delay_ns` before the slice
 //!    evaluation, backing the ring up so deadline shedding and producer
 //!    backpressure paths actually run.
@@ -163,8 +164,8 @@ mod imp {
         }
 
         /// Panics the worker when the panic draw fires. The count is
-        /// recorded *before* the unwind so it survives into the
-        /// supervisor's salvaged state.
+        /// recorded *before* the unwind so it survives in the shard state
+        /// the supervisor keeps.
         #[inline]
         pub fn fire_panic_if_armed(&mut self) {
             let per_million = self.plan.as_ref().map_or(0, |(c, _)| c.panic_per_million);

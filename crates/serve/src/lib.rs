@@ -18,9 +18,9 @@
 //!
 //! * **Panic-isolated shards** — each worker body runs under
 //!   `catch_unwind` in a per-shard supervisor ([`supervisor`]) that
-//!   salvages the in-flight completion log and batches, requeues or
-//!   sheds the poisoned work, and restarts the shard with capped
-//!   exponential backoff. A shard that exhausts its restart budget
+//!   keeps the completion log, batches and inbox outside the unwind and
+//!   restarts the shard with capped exponential backoff into a pass that
+//!   resumes that work. A shard that exhausts its restart budget
 //!   gives up *accountably*: its backlog becomes explicit
 //!   [`ShedReason::Poisoned`] records and the failure is surfaced in
 //!   [`ServeReport::failed_shards`].
@@ -829,7 +829,7 @@ mod tests {
     }
 
     /// Chaos-injected shard panics cannot shrink the completion log
-    /// unnoticed: the supervisor salvages in-flight work, restarts the
+    /// unnoticed: the supervisor keeps the in-flight work, restarts the
     /// shard, and the run still accounts for every request. This is the
     /// regression test for the old `if let Ok(log) = h.join()` silent
     /// loss.

@@ -19,10 +19,10 @@
 //!   panics caught by the supervisor and the restarts it performed
 //!   (panics == restarts unless a shard exhausted its budget).
 //!
-//! Note: `serve.shard<i>.requests` counts *dequeues*; a batch requeued
-//! after a salvaged panic is dequeued again, so under chaos the counter
-//! can exceed the number of distinct requests (the report's tag
-//! accounting, not this counter, is the exactly-once evidence).
+//! Note: `serve.shard<i>.requests` counts *dequeues*. A restarted shard
+//! resumes its buffered work instead of requeueing it, so each request
+//! is dequeued once, but the report's tag accounting, not this counter,
+//! is the exactly-once evidence.
 //!
 //! Service-wide (not per shard):
 //! * `serve.shed.{deadline,backpressure,admission,corrupted,poisoned}`

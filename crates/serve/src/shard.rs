@@ -27,7 +27,9 @@
 //!   batch, the shard commits to answering it);
 //! * the worker body ([`shard_pass`]) is run under `catch_unwind` by
 //!   the supervisor, with all logs, accumulators and the inbox living
-//!   *outside* the unwind so a panic can salvage the in-flight work.
+//!   *outside* the unwind so a restarted pass can resume the in-flight
+//!   work (or the supervisor salvage it once the restart budget is
+//!   spent).
 
 use crate::chaos::ChaosState;
 use crate::flight::{self, FlightDump, FlightTrigger, StageAttribution};
@@ -139,8 +141,8 @@ pub enum ShedReason {
     AdmissionClosed,
     /// The dequeued request failed its integrity checksum.
     Corrupted,
-    /// In flight on a shard that exhausted its restart budget (or could
-    /// not be requeued after a panic).
+    /// In flight on, or queued for, a shard that exhausted its restart
+    /// budget.
     Poisoned,
 }
 
@@ -192,7 +194,7 @@ impl Batch {
 
 /// Requests popped from the ring in one burst and not yet batched or
 /// shed: `reqs[next..len]`. Lives in [`ShardState`] so a panic mid-burst
-/// leaves them for the supervisor to salvage.
+/// leaves them for the restarted pass (or the supervisor's salvage).
 pub(crate) struct Inbox {
     pub reqs: [Request; BATCH],
     pub next: usize,
@@ -307,7 +309,7 @@ fn flush(
         return;
     }
     // Chaos hooks fire before any completion is recorded: a panic here
-    // leaves the whole batch in flight for the supervisor to salvage.
+    // leaves the whole batch in flight for the restarted pass to flush.
     chaos.fire_panic_if_armed();
     chaos.maybe_delay();
     // Kernel timing brackets only the slice eval (the chaos hooks above
@@ -404,7 +406,9 @@ fn flush(
 /// only at quiesce — once the driver has raised `stop`
 /// (admission closed, producers joined, so no push can race it) and the
 /// ring and every accumulator are empty. A panic (injected or real)
-/// unwinds into the supervisor with `state` intact.
+/// unwinds into the supervisor with `state` intact, and a restarted pass
+/// resumes that work: a batch whose flush the panic struck is still
+/// full, so it is flushed before any lane is added.
 pub(crate) fn shard_pass(
     shard: usize,
     queue: &MpmcQueue<Request>,
@@ -414,6 +418,21 @@ pub(crate) fn shard_pass(
 ) {
     let mut scratch = Scratch::new();
     let st = &mut *state;
+    for f in 0..workload::NUM_FUNCS {
+        if st.batches[f].len == BATCH {
+            flush(
+                shard,
+                f as u8,
+                &mut st.batches[f],
+                &mut scratch,
+                &mut st.chaos,
+                queue,
+                epoch,
+                &mut st.completions,
+                &mut st.attribution[f],
+            );
+        }
+    }
     loop {
         if st.inbox.next == st.inbox.len {
             let n = queue.pop_into(&mut st.inbox.reqs);
@@ -454,8 +473,8 @@ pub(crate) fn shard_pass(
                 st.quiesce.drained_requests += n as u64;
             }
         }
-        // Taken before it is batched or shed, so salvage after a panic
-        // finds it in exactly one place.
+        // Taken before it is batched or shed, so after a panic it sits in
+        // exactly one place.
         let mut req = st.inbox.reqs[st.inbox.next];
         st.inbox.next += 1;
         st.chaos.maybe_corrupt(&mut req);

@@ -9,16 +9,19 @@
 //! can never take the completion log with it:
 //!
 //! 1. the panic is counted (`serve.shard<i>.panics`) and the in-flight
-//!    batches and inbox are **salvaged**: every buffered request is
-//!    requeued onto the shard's own ring (it will be served on the next
-//!    pass), or, if the ring is full, shed explicitly as
-//!    [`crate::ShedReason::Poisoned`] — never silently dropped;
+//!    work is **left in place**: the batches and the inbox live in the
+//!    state, outside the unwind, and an injected panic fires at the top
+//!    of a flush before any completion is recorded, so nothing is half
+//!    served. The restarted pass resumes it (flushing first the batch
+//!    the panic struck), so a restartable panic sheds no request;
 //! 2. the shard **restarts** (`serve.shard<i>.restarts`) after a capped
 //!    exponential backoff (`restart_backoff_ns << n`, capped at 64×);
 //! 3. a shard that exhausts `max_restarts` **gives up deterministically**:
-//!    it stops serving and drains its ring into `Poisoned` shed records
-//!    until the stop flag is raised, so producers never wedge and the
-//!    exactly-once accounting still balances. The failure is reported in
+//!    its batches and inbox are **salvaged** into explicit
+//!    [`crate::ShedReason::Poisoned`] records, and it stops serving and
+//!    drains its ring into `Poisoned` shed records until the stop flag
+//!    is raised, so producers never wedge and the exactly-once
+//!    accounting still balances. The failure is reported in
 //!    `ServeReport::failed_shards`, not hidden.
 //!
 //! [`ServiceControl`] carries the two-phase shutdown protocol: closing
@@ -160,16 +163,15 @@ pub(crate) fn supervise_shard(
                 }
                 if restarts >= u64::from(max_restarts) {
                     // Budget exhausted: stop serving, but leave nothing
-                    // unaccounted — batches and ring drain into
+                    // unaccounted — batches, inbox and ring drain into
                     // explicit Poisoned sheds.
-                    salvage_batches(queue, &mut state, false);
+                    salvage_batches(&mut state);
                     drain_to_sheds(queue, ctrl, &mut state);
                     gave_up = true;
                     break;
                 }
-                // Salvage the in-flight batches (requeue, shed on a
-                // full ring), then restart after a capped backoff.
-                salvage_batches(queue, &mut state, true);
+                // The in-flight work stays in `state` for the restarted
+                // pass; restart after a capped backoff.
                 std::thread::sleep(restart_backoff(restart_backoff_ns, restarts));
                 restarts += 1;
                 metrics::restarts(shard).add(1);
@@ -192,27 +194,20 @@ pub(crate) fn supervise_shard(
     }
 }
 
-/// Moves every request in flight on the shard — buffered in a batch, or
-/// popped into the inbox and not yet taken — back onto the ring
-/// (`requeue`), or straight into `Poisoned` shed records when
-/// requeueing is off or the ring is full. Batch lanes were captured at
-/// enqueue time, so the rebuilt request carries the original tag,
-/// timestamps and a valid checksum.
-fn salvage_batches(queue: &MpmcQueue<Request>, state: &mut ShardState, requeue: bool) {
+/// Sheds every request in flight on a shard that gave up — buffered in
+/// a batch, or popped into the inbox and not yet taken — as an explicit
+/// `Poisoned` record carrying its original tag.
+fn salvage_batches(state: &mut ShardState) {
     for f in 0..workload::NUM_FUNCS {
         for i in 0..state.batches[f].len {
             let b = &state.batches[f];
-            let req = Request::new(f as u8, b.x_bits[i], b.tag[i], b.t_enq[i], b.deadline[i]);
-            if !requeue || queue.push(req).is_err() {
-                state.shed(req.func, req.x_bits, req.tag, ShedReason::Poisoned);
-            }
+            let (x_bits, tag) = (b.x_bits[i], b.tag[i]);
+            state.shed(f as u8, x_bits, tag, ShedReason::Poisoned);
         }
         state.batches[f].len = 0;
     }
     let inbox = std::mem::replace(&mut state.inbox, Inbox::new());
-    let pending = inbox.pending();
-    let requeued = if requeue { queue.push_slice(pending) } else { 0 };
-    for req in &pending[requeued..] {
+    for req in inbox.pending() {
         state.shed(req.func, req.x_bits, req.tag, ShedReason::Poisoned);
     }
 }
@@ -304,6 +299,64 @@ mod tests {
             assert_eq!(tags.len(), reqs.len(), "every tag exactly once");
             assert!(queue.is_empty());
         }
+    }
+
+    /// One restartable panic under a closed-loop producer that keeps the
+    /// ring full must shed nothing: the restarted pass resumes the batch
+    /// the panic struck. Requests alternate two functions, so the second
+    /// burst fills function 0's batch one request before function 1's.
+    /// Function 0's flush busy-waits 1 ms (every flush is delayed), in
+    /// which the producer refills the ring; function 1's flush then
+    /// panics with the ring full. Seed 384348's panic stream fires on
+    /// exactly that second flush and on none of the next 4096. The
+    /// assertions hold for any interleaving; the delay only makes the
+    /// ring reliably full when the panic strikes, where requeueing the
+    /// batch instead would have to shed it.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn restartable_panic_on_a_full_ring_sheds_nothing() {
+        use crate::shard::{make_tag, NO_DEADLINE};
+        crate::tests::suppress_chaos_panic_output();
+        const CAP: usize = 128;
+        let reqs: Vec<Request> = (0..1024u64)
+            .map(|j| {
+                let func = (j % 2) as u8;
+                Request::new(func, 0x3F80_0000 + j as u32, make_tag(0, j), 0, NO_DEADLINE)
+            })
+            .collect();
+        let queue = MpmcQueue::with_capacity(CAP);
+        assert_eq!(queue.push_slice(&reqs), CAP, "the ring starts full");
+        let ctrl = ServiceControl::new();
+        let chaos = ChaosConfig {
+            seed: 384_348,
+            panic_per_million: 1_000,
+            delay_per_million: 1_000_000,
+            delay_ns: 1_000_000,
+            ..ChaosConfig::default()
+        };
+        let out = std::thread::scope(|s| {
+            let shard = s.spawn(|| {
+                let chaos = Some(&chaos);
+                supervise_shard(0, &queue, &ctrl, Instant::now(), reqs.len(), 1, 1_000, chaos)
+            });
+            for &req in &reqs[CAP..] {
+                while queue.push(req).is_err() {
+                    std::thread::yield_now();
+                }
+            }
+            ctrl.close_admission();
+            ctrl.raise_stop();
+            shard.join().expect("the supervisor never unwinds")
+        });
+        assert_eq!((out.panics, out.restarts, out.gave_up), (1, 1, false));
+        let poisoned = out.sheds.iter().filter(|s| s.reason == ShedReason::Poisoned).count();
+        assert_eq!(poisoned, 0, "a restartable panic poisoned servable requests");
+        assert_eq!(out.completions.len() + out.sheds.len(), reqs.len(), "unbalanced");
+        let mut tags: Vec<u64> = out.completions.iter().map(|c| c.tag).collect();
+        tags.extend(out.sheds.iter().map(|s| s.tag));
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), reqs.len(), "every tag exactly once");
     }
 
     #[test]

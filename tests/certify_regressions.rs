@@ -58,9 +58,10 @@ const F32_UNIVERSAL: &[u32] = &[
     0xFFFF_FFFF,
 ];
 
-/// Function-specific boundary centers: the special-case filter and
-/// overflow/underflow thresholds of each front end (`crates/libm/src/
-/// float/*.rs`), probed a few ulps on both sides by the test below.
+/// Function-specific boundary centers: the mathematical overflow and
+/// underflow boundaries of each function, and the cuts its front end
+/// (`crates/libm/src/front.rs`) actually compares against, probed a few
+/// ulps on both sides (and at the negated center) by the test below.
 fn f32_centers(f: Func) -> Vec<f32> {
     let common: Vec<f32> = vec![0.5, 1.0, 2.0];
     let mut v = match f {
@@ -68,20 +69,33 @@ fn f32_centers(f: Func) -> Vec<f32> {
         Func::Ln | Func::Log2 | Func::Log10 => {
             vec![1e-44, 1e-38, 4.0, 10.0, 1024.0, 3.4e38, -1.0]
         }
-        // exp overflow ~ 88.72, flush-to-zero ~ -103.97.
-        Func::Exp => vec![88.72284, -87.33655, -103.97208, 100.0, -200.0],
-        // exp2 overflows at 128, subnormal results below -126, zero below -150.
-        Func::Exp2 => vec![127.999_99, 128.0, -125.999_99, -126.0, -149.0, -150.0, 150.0],
-        // exp10 overflows ~ 38.53, zero ~ -45.5.
-        Func::Exp10 => vec![38.531_84, -37.929_78, -44.853_626, -45.5, 40.0, -50.0],
-        // sinh/cosh overflow just past 89.41.
-        Func::Sinh => vec![89.415_985, -89.415_985, 90.0, 2.44e-4, -2.44e-4],
-        Func::Cosh => vec![89.415_985, -89.415_985, 90.0, 1.22e-4, -1.22e-4],
-        // pi-trig: integer/half-integer thresholds at 2^22..2^24 and the
-        // tiny-argument linear path near 2^-36.
-        Func::SinPi | Func::CosPi => {
-            vec![0.25, 1.5, 4194304.0, 8388607.5, 8388608.0, 16777216.0, 1.5e-11, -8388607.5]
-        }
+        // exp overflow ~ 88.72, flush-to-zero ~ -103.97; the front end
+        // cuts at 89 and -106.
+        Func::Exp => vec![88.72284, -87.33655, -103.97208, 100.0, -200.0, 89.0, -106.0],
+        // exp2 overflows at 128, subnormal results below -126, zero below
+        // -150; the front end cuts at -151.
+        Func::Exp2 => vec![127.999_99, 128.0, -125.999_99, -126.0, -149.0, -150.0, 150.0, -151.0],
+        // exp10 overflows ~ 38.53, zero ~ -45.5; the front end cuts at 38.6.
+        Func::Exp10 => vec![38.531_84, -37.929_78, -44.853_626, -45.5, 40.0, -50.0, 38.6],
+        // sinh/cosh overflow just past 89.41; the fast entries return x
+        // (sinh) or 1 (cosh) below 2^-12 and 2^-13.
+        Func::Sinh => vec![89.415_985, -89.415_985, 90.0, 2.44e-4, -2.44e-4, 1.0 / 4096.0],
+        Func::Cosh => vec![89.415_985, -89.415_985, 90.0, 1.22e-4, -1.22e-4, 1.0 / 8192.0],
+        // pi-trig: integer/half-integer thresholds at 2^22..2^24, the
+        // tiny-argument linear path near 2^-36 (sinpi's cut) and cospi's
+        // cut at 7.77e-5.
+        Func::SinPi | Func::CosPi => vec![
+            0.25,
+            1.5,
+            4194304.0,
+            8388607.5,
+            8388608.0,
+            16777216.0,
+            1.5e-11,
+            -8388607.5,
+            1.0 / 68_719_476_736.0,
+            7.77e-5,
+        ],
     };
     v.extend(common);
     v
@@ -97,8 +111,11 @@ fn f32_boundary_patterns_fast_dd_oracle_agree() {
             patterns.extend(ulp_walk(c, 4));
             patterns.extend(ulp_walk(-c, 4));
         }
-        for bits in patterns {
-            let x = f32::from_bits(bits);
+        let xs: Vec<f32> = patterns.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut batched = vec![0.0f32; xs.len()];
+        rlibm_math::eval_slice_f32(f.name(), &xs, &mut batched).expect("registry");
+        for (&x, &yb) in xs.iter().zip(&batched) {
+            let bits = x.to_bits();
             let yf = canon_f32(fast(x));
             let yd = canon_f32(dd(x));
             let yo = canon_f32(correctly_rounded::<f32>(f, x));
@@ -110,6 +127,12 @@ fn f32_boundary_patterns_fast_dd_oracle_agree() {
             assert_eq!(
                 yd, yo,
                 "{} dd vs oracle mismatch at bit pattern {bits:#010x} (x = {x:e})",
+                f.name()
+            );
+            assert_eq!(
+                canon_f32(yb),
+                yo,
+                "{} batched vs oracle mismatch at bit pattern {bits:#010x} (x = {x:e})",
                 f.name()
             );
         }
@@ -143,16 +166,31 @@ fn posit_patterns() -> Vec<u32> {
         v.push(1u32 << (30 - k) | 1);
         v.push((1u32 << (30 - k) | 1).wrapping_neg()); // two's complement negation
     }
+    // The front ends' own cuts, 4 patterns either side, both signs: the
+    // exp saturation cut `ln(maxpos) + 0.5` (maxpos = 2^120), exp2's
+    // 120.5, exp10's `log10(maxpos) + 0.5`, sinh/cosh's `ln(maxpos) + 1.5`
+    // and the fast sinh's 2^-13.
+    const LN_MAXPOS: f64 = 83.17766166719343;
+    const LOG10_MAXPOS: f64 = 36.123599478912376;
+    for t in [LN_MAXPOS + 0.5, 120.5, LOG10_MAXPOS + 0.5, LN_MAXPOS + 1.5, 1.0 / 8192.0] {
+        for c in [t, -t] {
+            let p = Posit32::from_f64(c).to_bits();
+            v.extend((-4..=4).map(|d: i32| p.wrapping_add(d as u32)));
+        }
+    }
     v
 }
 
 #[test]
 fn posit32_boundary_patterns_fast_dd_oracle_agree() {
+    let xs: Vec<Posit32> = posit_patterns().into_iter().map(Posit32::from_bits).collect();
+    let mut batched = vec![Posit32::ZERO; xs.len()];
     for f in Func::POSIT {
         let fast = rlibm_math::posit32_fn_by_name(f.name()).expect("registry");
         let dd = rlibm_math::posit32_dd_fn_by_name(f.name()).expect("registry");
-        for bits in posit_patterns() {
-            let x = Posit32::from_bits(bits);
+        rlibm_math::eval_slice_posit32(f.name(), &xs, &mut batched).expect("registry");
+        for (&x, &yb) in xs.iter().zip(&batched) {
+            let bits = x.to_bits();
             let yf = fast(x).to_bits();
             let yd = dd(x).to_bits();
             let yo = correctly_rounded::<Posit32>(f, x).to_bits();
@@ -164,6 +202,12 @@ fn posit32_boundary_patterns_fast_dd_oracle_agree() {
             assert_eq!(
                 yd, yo,
                 "{} dd vs oracle mismatch at posit pattern {bits:#010x}",
+                f.name()
+            );
+            assert_eq!(
+                yb.to_bits(),
+                yo,
+                "{} batched vs oracle mismatch at posit pattern {bits:#010x}",
                 f.name()
             );
         }

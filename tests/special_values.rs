@@ -1,5 +1,5 @@
 //! Satellite: the full special-value matrix through every public entry
-//! point — scalar two-tier (`fast`), dd-only (`*_dd`), and the batched
+//! point — scalar two-tier (`fast`), dd-only (`*_dd_fn_by_name`), and the batched
 //! slice API — asserting no panic and correct special semantics.
 //!
 //! The three entry points must agree bit-for-bit on every special (they

@@ -1,6 +1,6 @@
 //! Certification sweep for the two-tier kernels: the fast-path +
 //! fallback composition must be **bit-identical** to the pure
-//! double-double reference (`*_dd` entry points) for every function.
+//! double-double reference (`*_dd_fn_by_name`) for every function.
 //!
 //! The dd kernels are validated against the multi-precision oracle by
 //! `correctness_f32.rs` / `correctness_posit.rs`; bit agreement here
@@ -184,4 +184,137 @@ fn batched_matches_scalar_on_stratified_sweep() {
             );
         }
     }
+}
+
+/// FNV-1a state over the little-endian bytes of a stream of `u32`s.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, bits: u32) {
+        for b in bits.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// The stride sample: every `x = i·127` bit pattern with `i·127 <= u32::MAX`.
+const STRIDE: u32 = 127;
+
+/// Each row's scalar, dd and batched FNV-1a over `f` of the stride
+/// sample, in input order. `bits` canonicalizes an output.
+fn stride_hashes<T: Copy>(
+    decode: fn(u32) -> T,
+    bits: fn(T) -> u32,
+    scalar: fn(T) -> T,
+    dd: fn(T) -> T,
+    batched: &dyn Fn(&[T], &mut [T]),
+) -> [u64; 3] {
+    const BLOCK: u32 = 1 << 14;
+    let (mut hs, mut hd, mut hb) = (Fnv::new(), Fnv::new(), Fnv::new());
+    let count = u32::MAX / STRIDE + 1;
+    let mut xs = Vec::with_capacity(BLOCK as usize);
+    let mut out = vec![decode(0); BLOCK as usize];
+    for start in (0..count).step_by(BLOCK as usize) {
+        xs.clear();
+        xs.extend((start..count.min(start + BLOCK)).map(|i| decode(i * STRIDE)));
+        let out = &mut out[..xs.len()];
+        batched(&xs, out);
+        for (&x, &y) in xs.iter().zip(out.iter()) {
+            hs.mix(bits(scalar(x)));
+            hd.mix(bits(dd(x)));
+            hb.mix(bits(y));
+        }
+    }
+    [hs.0, hd.0, hb.0]
+}
+
+/// Every row's outputs on the stride sample (33 818 641 inputs per row),
+/// pinned through all three paths: the scalar entry, the dd reference
+/// and the batched entry must each hash to the row's constant (f32 NaNs
+/// canonicalized to `0x7FC00000`). The constants were computed before the
+/// special-case filters were merged into one front end per function, so
+/// this sweep holds every row's filter, ladder and batched mask to those
+/// bits. With the `telemetry` feature it also prints each row's tier
+/// totals and the two slice rescalar counters, the record of which path
+/// every input took.
+///
+/// Ignored by default: about 45 s of a release build on two Xeon cores
+/// (80 s with `telemetry`, which times every rescalar lane). Run it with
+/// `cargo test --release --test two_tier_identity -- --ignored stride_sample`.
+#[test]
+#[ignore]
+fn stride_sample_outputs_are_pinned() {
+    use rlibm::math::stats;
+    use rlibm::posit::Posit32;
+    const PINS: [(&str, u64); 18] = [
+        ("f32.ln", 0x476c_51da_3bfa_b75b),
+        ("f32.log2", 0x4abe_9798_862c_d98c),
+        ("f32.log10", 0xc3b3_14fe_854b_8f94),
+        ("f32.exp", 0xcbf3_6e81_f2e0_eefd),
+        ("f32.exp2", 0x7b42_bf71_5a73_71ef),
+        ("f32.exp10", 0x71fd_246d_5d18_ee57),
+        ("f32.sinh", 0x84b2_c749_a280_508b),
+        ("f32.cosh", 0x10e7_a706_f7d7_6cc1),
+        ("f32.sinpi", 0x8942_8e24_2a3b_faf5),
+        ("f32.cospi", 0x92f9_05ae_ac8d_3046),
+        ("posit32.ln", 0xbe55_b540_68f0_2630),
+        ("posit32.log2", 0x3034_0dae_87eb_d671),
+        ("posit32.log10", 0x1912_2b4c_e04d_3b39),
+        ("posit32.exp", 0x4e30_024e_941d_7fd8),
+        ("posit32.exp2", 0x2fb0_ab55_d06a_e34a),
+        ("posit32.exp10", 0x332e_6040_2adc_bc7c),
+        ("posit32.sinh", 0x53c1_82ec_2bad_a283),
+        ("posit32.cosh", 0x7e20_8d1e_03d4_6ac7),
+    ];
+    let canon = |y: f32| if y.is_nan() { 0x7FC0_0000 } else { y.to_bits() };
+    let hashes = par::par_map(&PINS, par::num_threads(), |&(row, _)| {
+        let (kind, name) = row.split_once('.').expect("kind.name");
+        if kind == "f32" {
+            stride_hashes(
+                f32::from_bits,
+                canon,
+                rlibm::math::f32_fn_by_name(name).expect("known name"),
+                rlibm::math::f32_dd_fn_by_name(name).expect("known name"),
+                &|xs, out| rlibm::math::eval_slice_f32(name, xs, out).expect("known name"),
+            )
+        } else {
+            stride_hashes(
+                Posit32::from_bits,
+                Posit32::to_bits,
+                rlibm::math::posit32_fn_by_name(name).expect("known name"),
+                rlibm::math::posit32_dd_fn_by_name(name).expect("known name"),
+                &|xs, out| rlibm::math::eval_slice_posit32(name, xs, out).expect("known name"),
+            )
+        }
+    });
+    if stats::enabled() {
+        for (slot, &(row, _)) in PINS.iter().enumerate() {
+            eprintln!(
+                "stride {row}: prefix {} full {} dd {}",
+                stats::tier_prefix(slot),
+                stats::tier_full(slot),
+                stats::tier_dd(slot)
+            );
+        }
+        let snap = rlibm::obs::snapshot();
+        for kind in ["f32", "posit32"] {
+            let name = format!("runtime.slice.{kind}.rescalar_lanes");
+            eprintln!("stride {name}: {}", snap.counter(&name).unwrap_or(0));
+        }
+    }
+    let mut wrong = Vec::new();
+    for (&(row, pin), got) in PINS.iter().zip(&hashes) {
+        eprintln!("stride {row}: {:#018x} {:#018x} {:#018x}", got[0], got[1], got[2]);
+        for (path, h) in ["scalar", "dd", "batched"].into_iter().zip(got) {
+            if *h != pin {
+                wrong.push(format!("{row} {path}: {h:#018x} != pinned {pin:#018x}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "stride-sample outputs moved:\n{}", wrong.join("\n"));
 }
