@@ -18,6 +18,13 @@ echo "== cargo test --workspace --release -q --offline =="
 # workspace's only default member).
 cargo test --workspace --release -q --offline
 
+echo "== oracle pin: every oracle result stays bit-identical =="
+# Correct rounding is unique, so a change to how rlibm-mp's elem.rs
+# evaluates a function must move no oracle result. The ignored test
+# hashes all 2^16 binary16 patterns x 10 functions through both Ziv
+# entries plus seeded f32 and posit32 samples (~10 s in release).
+cargo test -q --offline --release -p rlibm-mp --test oracle_pin -- --ignored
+
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -14,8 +14,10 @@
 //!
 //! Four paths read that one definition:
 //!
-//! 1. the fast scalar entry ([`crate::registry`]'s `entry`): `fast_dom`
-//!    climbs the ladder, anything else is `fast_special`;
+//! 1. the fast scalar entry ([`crate::registry`]'s `entry`) through
+//!    `fast_front`: `fast_dom` climbs the ladder, anything else is
+//!    `fast_special` (the posit32 logarithms decide on the bit pattern,
+//!    [`Format::log_front`]);
 //! 2. the dd reference ([`reference`]): `dom` runs the dd kernel and
 //!    rounds with [`round_dd`], anything else is `special`;
 //! 3. the 24 posit16, binary16 and bfloat16 functions, which are the dd
@@ -87,6 +89,18 @@ pub(crate) trait Format: Representation {
     const SINH_TINY: f64 = 0.0;
     /// Fast entries only: below this `|x|` the fast `cosh` returns 1.
     const COSH_TINY: f64 = 0.0;
+
+    /// The logarithms' [`Front::fast_front`]: the widened input when it is
+    /// positive and finite, else [`log_special`].
+    #[inline(always)]
+    fn log_front(x: Self) -> Result<f64, Self> {
+        let xd = x.to_f64();
+        if xd > 0.0 && xd < f64::INFINITY {
+            Ok(xd)
+        } else {
+            Err(log_special(x, xd))
+        }
+    }
 }
 
 impl Format for f32 {
@@ -115,6 +129,18 @@ impl Format for Posit32 {
     // sinh(x) - x = x^3/6 + ... is below half the posit quantum (at
     // most 24 fraction bits out here), so sinh(x) rounds to x.
     const SINH_TINY: f64 = 1.0 / 8192.0;
+
+    // Posit patterns order like i32: the positives are the patterns
+    // above zero, and the log of zero, NaR or a negative is NaR. One
+    // integer compare, before the input is widened.
+    #[inline(always)]
+    fn log_front(x: Self) -> Result<f64, Self> {
+        if x.to_bits() as i32 > 0 {
+            Ok(x.to_f64())
+        } else {
+            Err(Posit32::NAR)
+        }
+    }
 }
 
 impl Format for Posit16 {
@@ -164,6 +190,19 @@ pub(crate) trait Front<T: Format> {
     fn fast_special(x: T, xd: f64) -> T {
         Self::special(x, xd)
     }
+
+    /// The fast scalar entry's front end: `Ok` with `x` widened for the
+    /// inputs `fast_dom` sends to the ladder, `Err` with the result of
+    /// the rest.
+    #[inline(always)]
+    fn fast_front(x: T) -> Result<f64, T> {
+        let xd = x.to_f64();
+        if Self::fast_dom(xd) {
+            Ok(xd)
+        } else {
+            Err(Self::fast_special(x, xd))
+        }
+    }
 }
 
 /// The dd reference of function `K` in format `T`: the front end, then
@@ -177,10 +216,22 @@ pub(crate) fn reference<T: Format, K: Kernel + Front<T>>(x: T) -> T {
     }
 }
 
+/// The logarithms' result outside their domain: NaN and negatives give
+/// NaN, zeros `-inf`, `+inf` itself (posits: NaR for all but positives).
+#[inline(always)]
+fn log_special<T: Format>(x: T, xd: f64) -> T {
+    if xd > 0.0 {
+        x
+    } else if xd == 0.0 {
+        T::round_from_f64(f64::NEG_INFINITY)
+    } else {
+        T::round_from_f64(f64::NAN)
+    }
+}
+
 macro_rules! log_front {
     ($($k:ty),*) => {$(
-        /// Positive finite inputs; NaN and negatives give NaN, zeros
-        /// `-inf`, `+inf` itself (posits: NaR for all but positives).
+        /// Positive finite inputs; the rest is [`log_special`].
         impl<T: Format> Front<T> for $k {
             #[inline(always)]
             fn dom<V: F64Lane>(x: V) -> V::Mask {
@@ -189,13 +240,12 @@ macro_rules! log_front {
 
             #[inline(always)]
             fn special(x: T, xd: f64) -> T {
-                if xd > 0.0 {
-                    x
-                } else if xd == 0.0 {
-                    T::round_from_f64(f64::NEG_INFINITY)
-                } else {
-                    T::round_from_f64(f64::NAN)
-                }
+                log_special(x, xd)
+            }
+
+            #[inline(always)]
+            fn fast_front(x: T) -> Result<f64, T> {
+                T::log_front(x)
             }
         }
     )*};
@@ -388,5 +438,22 @@ mod tests {
         assert_eq!(Half::round_from_f64(f64::NAN).to_bits(), Half::NAN.to_bits());
         assert_eq!(BFloat16::round_from_f64(TINY).to_bits(), 0);
         assert_eq!(BFloat16::round_from_f64(f64::NAN).to_bits(), BFloat16::NAN.to_bits());
+    }
+
+    /// posit32's bit-pattern log cut agrees with widening first, on the
+    /// edge patterns and a stride through all 2^32.
+    #[test]
+    fn posit32_log_cut_matches_the_widened_cut() {
+        let edges = [0, 1, 0x4000_0000, 0x7FFF_FFFF, 0x8000_0000, 0x8000_0001, u32::MAX];
+        for bits in edges.into_iter().chain((0..=u32::MAX).step_by(4099)) {
+            let x = Posit32::from_bits(bits);
+            let xd = x.to_f64();
+            let want = if <Ln as Front<Posit32>>::dom(xd) {
+                Ok(xd)
+            } else {
+                Err(log_special(x, xd))
+            };
+            assert_eq!(Posit32::log_front(x), want, "{bits:#x}");
+        }
     }
 }

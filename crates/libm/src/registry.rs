@@ -180,7 +180,7 @@ impl Lane for Posit32 {
 }
 
 /// The fast scalar entry of kernel `K` in format `L`, registry row
-/// `slot`: the front end ([`Front::fast_dom`], with the fast-only
+/// `slot`: the front end ([`Front::fast_front`], with the fast-only
 /// shortcuts), then the progressive-tier ladder. The prefix result
 /// (through the fault hook of `slot`) ships if it is round-safe under the
 /// prefix band, else the full result if round-safe under the full band,
@@ -188,10 +188,10 @@ impl Lane for Posit32 {
 /// tier counter.
 #[inline(always)]
 pub(crate) fn entry<L: Lane, K: Kernel + Front<L>>(slot: usize, x: L) -> L {
-    let xd = x.to_f64();
-    if !K::fast_dom(xd) {
-        return K::fast_special(x, xd);
-    }
+    let xd = match K::fast_front(x) {
+        Ok(xd) => xd,
+        Err(special) => return special,
+    };
     let y = crate::fault::perturb(slot, K::eval::<f64, true>(xd));
     if let Some(r) = L::narrow_if_safe(y, K::PREFIX.band) {
         crate::stats::record_tier_prefix(slot);

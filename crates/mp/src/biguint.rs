@@ -503,6 +503,20 @@ impl BigUint {
         Self::from_norm_vec(mul_limbs(a, b))
     }
 
+    /// `floor(self · other / 2^n)`, the fixed-point product: inline
+    /// operands multiply and shift in stack scratch, with no heap buffer.
+    pub(crate) fn mul_shr(&self, other: &BigUint, n: u64) -> BigUint {
+        let (a, b) = (self.limbs(), other.limbs());
+        let (len, skip) = (a.len() + b.len(), (n / 64) as usize);
+        if len > 2 * INLINE_LIMBS || skip >= len {
+            return self.mul(other).shr(n);
+        }
+        let (mut prod, mut out) = ([0u64; 2 * INLINE_LIMBS], [0u64; 2 * INLINE_LIMBS]);
+        mul_schoolbook_into(&mut prod[..len], a, b);
+        shr_into(&mut out[..len - skip], &prod[skip..len], (n % 64) as u32);
+        Self::from_limb_array(&out[..len - skip])
+    }
+
     /// Multiplication by a `u64`.
     pub fn mul_u64(&self, m: u64) -> BigUint {
         if m == 0 || self.is_zero() {
@@ -1045,6 +1059,27 @@ mod tests {
             let kara = BigUint::from_norm_vec(mul_limbs(&a, &b));
             let school = BigUint::from_norm_vec(mul_schoolbook(&a, &b));
             assert_eq!(kara, school, "sizes {la}x{lb}");
+        }
+    }
+
+    /// The stack-scratch fixed-point product agrees with `mul` then `shr`
+    /// for operands on both sides of the inline bound and shifts that
+    /// keep or drop every limb.
+    #[test]
+    fn mul_shr_matches_mul_then_shr() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (la, lb) in [(1, 1), (2, 3), (4, 4), (3, 5), (5, 5)] {
+            let a = BigUint::from_norm_vec((0..la).map(|_| next()).collect());
+            let b = BigUint::from_norm_vec((0..lb).map(|_| next()).collect());
+            for n in [0, 1, 63, 64, 127, 200, 255, 64 * (la + lb) as u64, 1000] {
+                assert_eq!(a.mul_shr(&b, n), a.mul(&b).shr(n), "{la}x{lb} >> {n}");
+            }
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Arbitrary-precision mathematical constants.
 //!
-//! Computed on demand with integer (fixed-point) series and cached per
-//! precision. Each constant is returned correctly rounded to the requested
-//! precision with at most 1 ulp of error (the fixed-point computation
-//! carries 64 guard bits).
+//! Computed on demand with integer (fixed-point) series, or one division
+//! for the reciprocals, and cached per precision. Each constant is
+//! returned correctly rounded to the requested precision with at most
+//! 1 ulp of error (the computation carries 64 guard bits).
 
 use crate::biguint::BigUint;
 use crate::float::MpFloat;
@@ -17,6 +17,8 @@ enum Which {
     Ln2,
     Ln10,
     Pi,
+    Log2E,
+    Log10E,
 }
 
 fn cache() -> &'static Mutex<HashMap<(Which, u32), MpFloat>> {
@@ -100,6 +102,17 @@ pub fn pi(prec: u32) -> MpFloat {
         
         a5.mul_u64(16, prec + GUARD).sub(&a239.mul_u64(4, prec + GUARD), prec)
     })
+}
+
+/// `log2 e = 1 / ln 2` to `prec` bits (error < 1 ulp): one division at
+/// `prec + 64` bits, cached, so `log2` multiplies where it would divide.
+pub(crate) fn log2_e(prec: u32) -> MpFloat {
+    cached(Which::Log2E, prec, |p| MpFloat::from_u64(1, 2).div(&ln2(p + GUARD), p))
+}
+
+/// `log10 e = 1 / ln 10` to `prec` bits (error < 1 ulp), as [`log2_e`].
+pub(crate) fn log10_e(prec: u32) -> MpFloat {
+    cached(Which::Log10E, prec, |p| MpFloat::from_u64(1, 2).div(&ln10(p + GUARD), p))
 }
 
 /// `atan(1/x)` as an `MpFloat`, computed in fixed point with `f` fraction

@@ -7,11 +7,19 @@
 //! widens the result by ±`ERR_ULPS` ulps and retries at doubled precision
 //! until both ends round identically in the target representation.
 //!
-//! Internally everything is evaluated with 64 guard bits; argument
-//! reductions are chosen so that cancellation never exceeds a handful of
-//! bits (the analysis is in the comments of each routine), leaving orders
-//! of magnitude of slack against the claimed bound.
+//! Each function reduces its argument with a few [`MpFloat`] operations
+//! at the working precision `w = prec + 64` (64 guard bits), then sums
+//! one power series in fixed point on [`BigUint`], as [`crate::consts`]
+//! does: a term is one integer product and shift and at most one
+//! division by a machine word, not three renormalizing `MpFloat` ops.
+//! The argument enters the series once, truncated to a scale `w + 16`
+//! bits below the leading term's top bit (so tiny arguments keep their
+//! relative accuracy), and the sum leaves through one rounding; the
+//! private `series` helper carries the error argument. The reductions
+//! keep cancellation to a few bits (see each routine), which leaves the
+//! claimed bound 2^60 times the error.
 
+use crate::biguint::BigUint;
 use crate::consts;
 use crate::float::MpFloat;
 
@@ -26,8 +34,8 @@ const GUARD: u32 = 64;
 /// `e^x` to `prec` bits.
 pub fn exp(x: f64, prec: u32) -> MpFloat {
     let w = prec + GUARD;
-    let (e, k) = exp_core_f64(x, w);
-    e.mul_pow2(k).round(prec)
+    let (k, r) = reduce_ln2(x, w);
+    exp_taylor(&r, w).0.mul_pow2(k).round(prec)
 }
 
 /// `2^x` to `prec` bits.
@@ -39,8 +47,7 @@ pub fn exp2(x: f64, prec: u32) -> MpFloat {
     let i = x.round_ties_even();
     let t = x - i; // exact (Sterbenz range)
     let u = MpFloat::from_f64(t, w).mul(&consts::ln2(w + 16), w);
-    let e = exp_taylor(&u, w);
-    e.mul_pow2(i as i64).round(prec)
+    exp_taylor(&u, w).0.mul_pow2(i as i64).round(prec)
 }
 
 /// `10^x` to `prec` bits.
@@ -55,8 +62,7 @@ pub fn exp10(x: f64, prec: u32) -> MpFloat {
     let a = MpFloat::from_f64(x, wx).mul(&consts::ln10(wx), wx);
     let b = MpFloat::from_f64(i, wx).mul(&consts::ln2(wx), wx);
     let u = a.sub(&b, w);
-    let e = exp_taylor(&u, w);
-    e.mul_pow2(i as i64).round(prec)
+    exp_taylor(&u, w).0.mul_pow2(i as i64).round(prec)
 }
 
 /// `ln x` to `prec` bits (`x > 0`).
@@ -65,42 +71,28 @@ pub fn exp10(x: f64, prec: u32) -> MpFloat {
 ///
 /// Panics if `x <= 0` or non-finite.
 pub fn ln(x: f64, prec: u32) -> MpFloat {
-    let w = prec + GUARD;
-    let (e, lnm) = ln_reduced(x, w);
-    // ln x = e ln2 + ln m with m in [0.75, 1.5): |ln m| <= 0.41 while
-    // |e ln2| >= 0.69 whenever e != 0, so at most ~2 bits cancel.
-    let eln2 = consts::ln2(w + 8).mul_i64(e, w + 8);
-    eln2.add(&lnm, prec)
+    ln_w(x, prec + GUARD).round(prec)
 }
 
-/// `log2 x` to `prec` bits (`x > 0`).
+/// `log2 x` to `prec` bits (`x > 0`): `ln x · log2 e`, one rounding
+/// against the cached constant's 1-ulp error at `w`.
 ///
 /// # Panics
 ///
 /// Panics if `x <= 0` or non-finite.
 pub fn log2(x: f64, prec: u32) -> MpFloat {
     let w = prec + GUARD;
-    let (e, lnm) = ln_reduced(x, w);
-    // log2 x = e + ln m / ln 2; |ln m / ln 2| <= 0.59 < 1 so at most one
-    // bit cancels against the exact integer e.
-    let log2m = lnm.div(&consts::ln2(w + 8), w);
-    MpFloat::from_i64(e, w).add(&log2m, prec)
+    ln_w(x, w).mul(&consts::log2_e(w), prec)
 }
 
-/// `log10 x` to `prec` bits (`x > 0`).
+/// `log10 x` to `prec` bits (`x > 0`): `ln x · log10 e`, as `log2`.
 ///
 /// # Panics
 ///
 /// Panics if `x <= 0` or non-finite.
 pub fn log10(x: f64, prec: u32) -> MpFloat {
     let w = prec + GUARD;
-    let (e, lnm) = ln_reduced(x, w);
-    // log10 x = e log10(2) + ln m / ln 10. |ln m / ln10| <= 0.18 while
-    // |e log10 2| >= 0.301 for e != 0: bounded cancellation again.
-    let ln10 = consts::ln10(w + 8);
-    let log10_2 = consts::ln2(w + 8).div(&ln10, w + 8);
-    let term = lnm.div(&ln10, w + 8);
-    log10_2.mul_i64(e, w + 8).add(&term, prec)
+    ln_w(x, w).mul(&consts::log10_e(w), prec)
 }
 
 /// `sinh x` to `prec` bits.
@@ -110,30 +102,24 @@ pub fn sinh(x: f64, prec: u32) -> MpFloat {
     let v = if a < 0.25 {
         // Direct odd Taylor series: no cancellation, relative error
         // preserved down to the tiniest inputs.
-        sinh_taylor(&MpFloat::from_f64(a, w), w)
+        sin_cos_taylor(&MpFloat::from_f64(a, w), w, false, true)
     } else {
         // (A - 1/A)/2 with A = e^a >= e^0.25: |A - 1/A| >= 0.39 A, so the
         // subtraction loses at most ~1.4 bits.
-        let (ea, k) = exp_core_f64(a, w + 8);
-        let a_full = ea.mul_pow2(k);
-        let inv = MpFloat::from_u64(1, w + 8).div(&a_full, w + 8);
-        a_full.sub(&inv, w).mul_pow2(-1)
+        let (k, r) = reduce_ln2(a, w + 8);
+        let (er, inv) = exp_taylor(&r, w + 8);
+        er.mul_pow2(k).sub(&inv.mul_pow2(-k), w).mul_pow2(-1)
     };
-    if x < 0.0 {
-        v.neg().round(prec)
-    } else {
-        v.round(prec)
-    }
+    round_signed(v, x < 0.0, prec)
 }
 
 /// `cosh x` to `prec` bits.
 pub fn cosh(x: f64, prec: u32) -> MpFloat {
     let w = prec + GUARD;
-    let a = x.abs();
-    let (ea, k) = exp_core_f64(a, w + 8);
-    let a_full = ea.mul_pow2(k);
-    let inv = MpFloat::from_u64(1, w + 8).div(&a_full, w + 8);
-    a_full.add(&inv, w).mul_pow2(-1).round(prec)
+    // (A + 1/A)/2 with A = e^|x|: a sum of positives, no cancellation.
+    let (k, r) = reduce_ln2(x.abs(), w + 8);
+    let (er, inv) = exp_taylor(&r, w + 8);
+    er.mul_pow2(k).add(&inv.mul_pow2(-k), w).mul_pow2(-1).round(prec)
 }
 
 /// `sin(pi x)` to `prec` bits.
@@ -143,26 +129,9 @@ pub fn cosh(x: f64, prec: u32) -> MpFloat {
 /// Panics if `|x| >= 2^53` (integral inputs of that size are exact zeros
 /// and must be special-cased by the caller) or `x` is non-finite.
 pub fn sinpi(x: f64, prec: u32) -> MpFloat {
-    assert!(x.is_finite() && x.abs() < 2f64.powi(53));
-    let w = prec + GUARD;
-    let neg_in = x < 0.0;
-    let a = x.abs();
-    // Exact binary reduction: j = a mod 2 in [0, 2).
-    let j = a - 2.0 * (a / 2.0).floor();
-    let (k, l) = if j >= 1.0 { (true, j - 1.0) } else { (false, j) };
-    // sinpi(l) for l in [0,1) is >= 0 and symmetric about 1/2.
-    let lp = if l > 0.5 { 1.0 - l } else { l }; // exact (Sterbenz)
-    let v = if lp <= 0.25 {
-        sin_pi_t(lp, w)
-    } else {
-        cos_pi_t(0.5 - lp, w) // 0.5 - lp exact
-    };
-    let neg = neg_in ^ k;
-    if neg {
-        v.neg().round(prec)
-    } else {
-        v.round(prec)
-    }
+    // sinpi(k + l) = ±sinpi(l), and sinpi(1 - l) = sinpi(l).
+    let (k, _, l) = half_turn(x);
+    round_signed(pi_series(l, prec + GUARD, false), (x < 0.0) ^ k, prec)
 }
 
 /// `cos(pi x)` to `prec` bits.
@@ -171,29 +140,38 @@ pub fn sinpi(x: f64, prec: u32) -> MpFloat {
 ///
 /// Panics if `|x| >= 2^53` or `x` is non-finite.
 pub fn cospi(x: f64, prec: u32) -> MpFloat {
+    // cospi is even; cospi(k + l) = ±cospi(l), cospi(1 - l) = -cospi(l).
+    let (k, m, l) = half_turn(x);
+    round_signed(pi_series(l, prec + GUARD, true), k ^ m, prec)
+}
+
+/// `v` with the sign flipped when `neg`, rounded to `prec` bits.
+fn round_signed(v: MpFloat, neg: bool, prec: u32) -> MpFloat {
+    if neg { v.neg() } else { v }.round(prec)
+}
+
+/// The exact binary reduction of `|x|` for `sinpi` and `cospi`:
+/// `|x| mod 2 = k + l` with `k` in {0, 1} and `l` in [0, 1), then `m`
+/// set when `l > 1/2` and `l` replaced by `1 - l` (exact, Sterbenz).
+///
+/// # Panics
+///
+/// Panics if `|x| >= 2^53` or `x` is non-finite.
+fn half_turn(x: f64) -> (bool, bool, f64) {
     assert!(x.is_finite() && x.abs() < 2f64.powi(53));
-    let w = prec + GUARD;
-    let a = x.abs(); // cospi is even
+    let a = x.abs();
     let j = a - 2.0 * (a / 2.0).floor();
     let (k, l) = if j >= 1.0 { (true, j - 1.0) } else { (false, j) };
-    // cospi(l) for l in [0,1): positive on [0, 1/2), negative mirror after.
-    let (m, lpp) = if l > 0.5 { (true, 1.0 - l) } else { (false, l) };
-    let v = if lpp <= 0.25 {
-        cos_pi_t(lpp, w)
+    if l > 0.5 {
+        (k, true, 1.0 - l)
     } else {
-        sin_pi_t(0.5 - lpp, w)
-    };
-    let neg = k ^ m;
-    if neg {
-        v.neg().round(prec)
-    } else {
-        v.round(prec)
+        (k, false, l)
     }
 }
 
-/// Shared `e^x` core: returns `(e^r, k)` with `x = k ln2 + r`, so the full
-/// value is `e^r * 2^k`. The result is at the given working precision.
-fn exp_core_f64(x: f64, w: u32) -> (MpFloat, i64) {
+/// `x = k ln2 + r`: returns `(k, r)` with `r` at working precision `w`,
+/// so `e^x = 2^k e^r`.
+fn reduce_ln2(x: f64, w: u32) -> (i64, MpFloat) {
     // k from a double estimate: being off by one only widens |r| to ~1.04,
     // which the Taylor series absorbs.
     let k = (x / core::f64::consts::LN_2).round_ties_even() as i64;
@@ -202,129 +180,130 @@ fn exp_core_f64(x: f64, w: u32) -> (MpFloat, i64) {
     // error near 2^-w.
     let wx = w + 48;
     let kln2 = consts::ln2(wx).mul_i64(k, wx);
-    let r = MpFloat::from_f64(x, wx).sub(&kln2, w);
-    (exp_taylor(&r, w), k)
+    (k, MpFloat::from_f64(x, wx).sub(&kln2, w))
 }
 
-/// Taylor series for `e^u`, `|u| <= ~1.05`.
-fn exp_taylor(u: &MpFloat, w: u32) -> MpFloat {
-    let one = MpFloat::from_u64(1, w);
-    if u.is_zero() {
-        return one;
-    }
-    let mut sum = one.clone();
-    let mut term = one;
-    let mut n = 1u64;
-    loop {
-        term = term.mul(u, w).div_u64(n, w);
-        if term.is_zero() || term.msb_pos() < sum.msb_pos() - w as i64 - 4 {
+/// Fraction bits for a series whose leading term has its top bit at
+/// `msb`: `w + 16` bits below that bit, and never fewer than `w + 16`.
+fn frac_bits(w: u32, msb: i64) -> u64 {
+    (i64::from(w) + 16 + (-msb).max(0)) as u64
+}
+
+/// A fixed-point value with `f` fraction bits, rounded to `w` bits.
+fn from_fixed(neg: bool, v: BigUint, f: u64, w: u32) -> MpFloat {
+    MpFloat::normalize_round(neg, -(f as i64), v, w, false)
+}
+
+/// A power series in fixed point with `f` fraction bits: `t_0 = lead`,
+/// `t_k = t_(k-1) · y / d(k)`, and term `k` contributes `t_k / c(k)`.
+/// Returns the sums of the even-`k` and of the odd-`k` contributions:
+/// their sum is the series with positive terms, their difference the
+/// alternating one. The loop stops at the first zero contribution.
+///
+/// Error, in units of `2^-f`. Each product and quotient truncates once,
+/// and nested truncations compose (`⌊⌊a/2^f⌋/d⌋ = ⌊a/(2^f d)⌋`), so a
+/// term is short by under 1 unit, plus `y/d(k)` times its predecessor's
+/// shortfall, plus `t_(k-1)/d(k)` times that of `y` (under 3: `y` is the
+/// truncated argument or its square). Every caller has `y, t_k <= 1.1`
+/// and `y/d(k) <= 0.55` from `k = 2` on, so each contribution is short
+/// by under 6 and the tail after the first zero is under 16. Below the
+/// Ziv ceiling no series reaches 2^12 terms, so each sum is short by
+/// under 2^15. Each caller's combination is at least a quarter of its
+/// leading term, which [`frac_bits`] puts at `2^(w+16)` or more: its
+/// relative error is below `2^(2-w)`, a few ulps at `w`.
+fn series(
+    lead: BigUint,
+    y: &BigUint,
+    f: u64,
+    d: impl Fn(u64) -> u64,
+    c: impl Fn(u64) -> u64,
+) -> (BigUint, BigUint) {
+    let div = |v: BigUint, d: u64| if d == 1 { v } else { v.div_rem_u64(d).0 };
+    let mut sums = [lead.clone(), BigUint::zero()];
+    let mut t = lead;
+    for k in 1.. {
+        t = div(t.mul_shr(y, f), d(k));
+        let term = div(t.clone(), c(k));
+        if term.is_zero() {
             break;
         }
-        sum = sum.add(&term, w);
-        n += 1;
+        let s = &mut sums[(k % 2) as usize];
+        *s = s.add(&term);
     }
-    sum
+    let [even, odd] = sums;
+    (even, odd)
 }
 
-/// `sin(pi t)` for exact `t in [0, 0.25 + eps]`.
-fn sin_pi_t(t: f64, w: u32) -> MpFloat {
-    if t == 0.0 {
-        return MpFloat::zero(w);
-    }
+/// `(e^u, e^-u)` at `w` bits for `|u| <= ~1.05`, from one Taylor series
+/// (`t_k = t_(k-1) |u| / k`, leading term 1): with `E` and `O` the sums
+/// of its even and odd terms, `e^|u| = E + O` and `e^-|u| = E - O`. The
+/// difference is at least `e^-1.05 > 1/4` of the leading term (the
+/// bound `series` needs), and its ~2 bits of cancellation against
+/// `E` are inside that bound.
+fn exp_taylor(u: &MpFloat, w: u32) -> (MpFloat, MpFloat) {
+    let f = frac_bits(w, 0);
+    let (even, odd) = series(BigUint::one().shl(f), &u.to_fixed(f), f, |k| k, |_| 1);
+    let (up, down) = (even.add(&odd), even.sub(&odd));
+    let (pos, neg) = if u.is_negative() { (down, up) } else { (up, down) };
+    (from_fixed(false, pos, f, w), from_fixed(false, neg, f, w))
+}
+
+/// `sin u`, `cos u` (`cos`) or, with `hyperbolic`, `sinh u`, for
+/// `0 <= u <= ~0.8`: the Taylor series `t_k = t_(k-1) u^2 / d(k)` with
+/// `d(k) = (2k)(2k+1)` and leading term `u`, or `(2k-1)(2k)` and 1.
+/// The leading term sets the scale, so tiny `u` keep relative accuracy;
+/// `sin u >= 0.89 u`, `cos u >= 0.7`, `sinh u >= u`.
+fn sin_cos_taylor(u: &MpFloat, w: u32, cos: bool, hyperbolic: bool) -> MpFloat {
+    let f = frac_bits(w, if cos || u.is_zero() { 0 } else { u.msb_pos() });
+    let x = u.to_fixed(f);
+    let y = x.mul_shr(&x, f);
+    let (lead, o) = if cos { (BigUint::one().shl(f), 1) } else { (x, 0) };
+    let (even, odd) = series(lead, &y, f, |k| (2 * k - o) * (2 * k + 1 - o), |_| 1);
+    from_fixed(false, if hyperbolic { even.add(&odd) } else { even.sub(&odd) }, f, w)
+}
+
+/// `sin(pi l)`, or `cos(pi l)` when `cos`, for exact `l in [0, 1/2]`:
+/// past 1/4 it is the other one at `t = 1/2 - l` (exact), and `u = pi t`
+/// rounds once against `pi` at `w + 8` bits.
+fn pi_series(l: f64, w: u32, cos: bool) -> MpFloat {
+    let (t, cos) = if l <= 0.25 { (l, cos) } else { (0.5 - l, !cos) };
     let u = MpFloat::from_f64(t, w + 8).mul(&consts::pi(w + 8), w);
-    // sin u = u - u^3/3! + ... ; |u| <= pi/4, terms decay fast and the
-    // first term dominates, so relative error is preserved for tiny t.
-    let u2 = u.mul(&u, w);
-    let mut term = u.clone();
-    let mut sum = u;
-    let mut k = 1u64;
-    loop {
-        term = term.mul(&u2, w).div_u64((2 * k) * (2 * k + 1), w).neg();
-        if term.is_zero() || term.msb_pos() < sum.msb_pos() - w as i64 - 4 {
-            break;
-        }
-        sum = sum.add(&term, w);
-        k += 1;
-    }
-    sum
+    sin_cos_taylor(&u, w, cos, false)
 }
 
-/// `cos(pi t)` for exact `t in [0, 0.25 + eps]`.
-fn cos_pi_t(t: f64, w: u32) -> MpFloat {
-    let one = MpFloat::from_u64(1, w);
-    if t == 0.0 {
-        return one;
-    }
-    let u = MpFloat::from_f64(t, w + 8).mul(&consts::pi(w + 8), w);
-    let u2 = u.mul(&u, w);
-    let mut term = one.clone();
-    let mut sum = one;
-    let mut k = 1u64;
-    loop {
-        term = term.mul(&u2, w).div_u64((2 * k - 1) * (2 * k), w).neg();
-        if term.is_zero() || term.msb_pos() < sum.msb_pos() - w as i64 - 4 {
-            break;
-        }
-        sum = sum.add(&term, w);
-        k += 1;
-    }
-    sum
-}
-
-/// Odd Taylor series for `sinh`, `0 <= x < 0.25`.
-fn sinh_taylor(x: &MpFloat, w: u32) -> MpFloat {
-    if x.is_zero() {
-        return MpFloat::zero(w);
-    }
-    let x2 = x.mul(x, w);
-    let mut term = x.clone();
-    let mut sum = x.clone();
-    let mut k = 1u64;
-    loop {
-        term = term.mul(&x2, w).div_u64((2 * k) * (2 * k + 1), w);
-        if term.is_zero() || term.msb_pos() < sum.msb_pos() - w as i64 - 4 {
-            break;
-        }
-        sum = sum.add(&term, w);
-        k += 1;
-    }
-    sum
-}
-
-/// Common log reduction: `x = m * 2^e` with `m in [0.75, 1.5)`; returns
-/// `(e, ln m)` with `ln m` at working precision.
-fn ln_reduced(x: f64, w: u32) -> (i64, MpFloat) {
+/// `ln x` at working precision `w`, from `x = m · 2^e` with `m` in
+/// `[0.75, 1.5)`: `ln x = e ln2 + ln m`, where `|ln m| <= 0.41` while
+/// `|e ln2| >= 0.69` whenever `e != 0`, so at most ~2 bits cancel.
+///
+/// `m = mant / 2^q` for the odd integer significand `mant` of `x`, so
+/// `s = (m - 1)/(m + 1) = (mant - 2^q)/(mant + 2^q)`, in `[-1/7, 1/5]`,
+/// is one integer division, truncated at the series' scale. Then
+/// `ln m = 2 atanh s = 2 sum_k s^(2k+1)/(2k+1)`: `t_k = t_(k-1) s^2`
+/// with leading term `|s|`, contributing `t_k / (2k+1)`, every term of
+/// the sign of `s`; `atanh |s| >= |s|`.
+///
+/// # Panics
+///
+/// Panics if `x <= 0` or non-finite.
+fn ln_w(x: f64, w: u32) -> MpFloat {
     assert!(x.is_finite() && x > 0.0, "log of non-positive value");
     let (_, mant, exp2) = rlibm_fp::bits::decompose_f64(x);
-    // Normalize mant (odd integer) to m in [1, 2).
-    let bits = 64 - mant.leading_zeros() as i64;
-    let mut e = exp2 as i64 + bits - 1;
-    // m = mant / 2^(bits-1) in [1, 2); fold into [0.75, 1.5).
-    let mut m = MpFloat::from_u64(mant, w).mul_pow2(-(bits - 1));
-    if m.cmp(&MpFloat::from_f64(1.5, w)) != core::cmp::Ordering::Less {
-        m = m.mul_pow2(-1);
-        e += 1;
+    let bits = 64 - mant.leading_zeros();
+    // mant / 2^(bits-1) is in [1, 2); fold [1.5, 2) down to [0.75, 1).
+    let q = if 2 * mant >= 3 << (bits - 1) { bits } else { bits - 1 };
+    let eln2 = consts::ln2(w + 8).mul_i64(exp2 as i64 + i64::from(q), w + 8);
+    let one = 1u64 << q;
+    let (neg, num) = if mant < one { (true, one - mant) } else { (false, mant - one) };
+    if num == 0 {
+        return eln2.round(w);
     }
-    // ln m = 2 atanh(s), s = (m-1)/(m+1) in [-1/7, 1/5].
-    let one = MpFloat::from_u64(1, w);
-    let s = m.sub(&one, w).div(&m.add(&one, w), w);
-    if s.is_zero() {
-        return (e, MpFloat::zero(w));
-    }
-    let s2 = s.mul(&s, w);
-    let mut term = s.clone();
-    let mut sum = s;
-    let mut k = 1u64;
-    loop {
-        term = term.mul(&s2, w);
-        let contrib = term.div_u64(2 * k + 1, w);
-        if contrib.is_zero() || contrib.msb_pos() < sum.msb_pos() - w as i64 - 4 {
-            break;
-        }
-        sum = sum.add(&contrib, w);
-        k += 1;
-    }
-    (e, sum.mul_pow2(1))
+    let den = mant + one;
+    // |s| >= 2^(bits(num) - bits(den) - 1).
+    let f = frac_bits(w, i64::from(num.ilog2()) - i64::from(den.ilog2()) - 1);
+    let s = BigUint::from_u64(num).shl(f).div_rem_u64(den).0;
+    let y = s.mul_shr(&s, f);
+    let (even, odd) = series(s, &y, f, |_| 1, |k| 2 * k + 1);
+    eln2.add(&from_fixed(neg, even.add(&odd), f - 1, w + 8), w)
 }
 
 #[cfg(test)]
@@ -423,19 +402,40 @@ mod tests {
         }
     }
 
+    /// Quadrupling the precision must agree with the coarser result to
+    /// within ERR_ULPS of its ulps: the empirical check of the error
+    /// bound, for every function at 32 to 256 bits, on ordinary arguments
+    /// and on the edges of the fixed-point series (tiny leading terms,
+    /// the ends of each reduced range, `m` next to 1 in the logs).
     #[test]
     fn precision_escalation_is_consistent() {
-        // Doubling the precision must agree to within ERR_ULPS of the
-        // coarser result: this is the empirical check of the error bound.
-        for &x in &[0.7, 3.3, -2.6, 55.1] {
-            let lo = exp(x, 128);
-            let hi = exp(x, 512);
-            let diff = lo.sub(&hi, 128).abs();
-            if !diff.is_zero() {
-                assert!(
-                    diff.msb_pos() <= lo.msb_pos() - 128 + 5,
-                    "exp({x}) differs too much across precisions"
-                );
+        type Elem = fn(f64, u32) -> MpFloat;
+        let tiny = 2f64.powi(-52);
+        let cases: [(&str, Elem, &[f64]); 10] = [
+            ("ln", ln, &[0.7, 3.3, 1.0 + tiny, 1.0 - tiny, 0.75, 1.5, 1e-30]),
+            ("log2", log2, &[0.7, 3.3, 1.0 + tiny, 1.0 - tiny, 1.4999, 1e30]),
+            ("log10", log10, &[0.7, 3.3, 1.0 + tiny, 1.0 - tiny, 0.75, 7e-42]),
+            ("exp", exp, &[0.7, 3.3, -2.6, 55.1, 1e-30, -1e-30, 88.7, -103.2]),
+            ("exp2", exp2, &[0.7, -2.6, 0.5, -0.5, 1e-30, 127.9, -149.5]),
+            ("exp10", exp10, &[0.7, -2.6, 1e-30, -45.0, 38.5]),
+            ("sinh", sinh, &[2f64.powi(-140), 0.2499, 0.25, -0.7, 3.3, 89.5]),
+            ("cosh", cosh, &[2f64.powi(-30), 0.2499, -0.7, 3.3, 89.5]),
+            ("sinpi", sinpi, &[2f64.powi(-60), 0.25, 0.26, 0.3, -1.7, 8388607.3]),
+            ("cospi", cospi, &[2f64.powi(-60), 0.25, 0.26, 0.3, -1.7, 8388607.3]),
+        ];
+        for (name, f, xs) in cases {
+            for &x in xs {
+                for p in [32u32, 64, 128, 256] {
+                    let lo = f(x, p);
+                    let hi = f(x, 4 * p);
+                    let diff = lo.sub(&hi, 4 * p);
+                    let bound = MpFloat::from_u64(ERR_ULPS as u64, 8).mul_pow2(lo.ulp_exp());
+                    assert!(
+                        diff.cmp_abs(&bound) != core::cmp::Ordering::Greater,
+                        "{name}({x:e}) at {p} bits differs from {} bits by more than {ERR_ULPS} ulps",
+                        4 * p
+                    );
+                }
             }
         }
     }

@@ -327,6 +327,13 @@ impl MpFloat {
         Self::normalize_round(self.sign, self.exp - k as i64, q, prec, r != 0)
     }
 
+    /// `floor(|self| · 2^f)`: the magnitude in fixed point with `f`
+    /// fraction bits, truncated (how [`crate::elem`]'s series take it).
+    pub(crate) fn to_fixed(&self, f: u64) -> BigUint {
+        let s = self.exp + f as i64;
+        self.mant.shl(s.max(0) as u64).shr((-s).max(0) as u64)
+    }
+
     /// The value shifted by `n` of its own ulps: `self + n * 2^exp`,
     /// computed exactly (the result's precision may grow by one bit).
     ///

@@ -27,6 +27,8 @@ use rlibm_fp::Representation;
 use rlibm_obs::{Counter, Histogram};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::thread::LocalKey;
 
 // The oracle entry points are plain functions over value types; parallel
 // validation hands them to worker threads by shared reference, so the
@@ -502,42 +504,8 @@ pub fn try_correctly_rounded<T: Representation>(
         Filtered::Exact(v) => Ok(round_mp(&v)),
         Filtered::Continue => {
             let key = (f, TypeId::of::<T>(), x.to_bits_u32());
-            if let Some(bits) = ZIV_CACHE_T.with(|c| c.borrow().get(&key).copied()) {
-                ZIV_CACHE_HITS.add(1);
-                return Ok(T::from_bits_u32(bits));
-            }
-            let mut prec = 128u32.min(max_prec).max(MIN_ZIV_PREC);
-            let mut escalations = 0u64;
-            loop {
-                ZIV_MP_EVALS.add(1);
-                let v = f.eval_mp(xf, prec);
-                if v.is_zero() {
-                    return Err(OracleError::UnexpectedZero { func: f, input: xf, prec });
-                }
-                let lo = v.offset_ulps(-elem::ERR_ULPS);
-                let hi = v.offset_ulps(elem::ERR_ULPS);
-                let rl: T = round_mp(&lo);
-                let rh: T = round_mp(&hi);
-                if rl.to_bits_u32() == rh.to_bits_u32() {
-                    ZIV_FINAL_PREC[f.index()].record(u64::from(prec));
-                    ZIV_ESCALATIONS[f.index()].add(escalations);
-                    ZIV_CACHE_T.with(|c| {
-                        let mut c = c.borrow_mut();
-                        if c.len() >= ZIV_CACHE_CAP {
-                            ZIV_CACHE_CLEARS.add(1);
-                            c.clear();
-                        }
-                        c.insert(key, rl.to_bits_u32());
-                    });
-                    return Ok(rl);
-                }
-                let next = prec.saturating_mul(2);
-                if next > max_prec {
-                    return Err(OracleError::PrecisionExhausted { func: f, input: xf, max_prec });
-                }
-                prec = next;
-                escalations += 1;
-            }
+            ziv(f, xf, max_prec, &ZIV_CACHE_T, key, |v| round_mp::<T>(v).to_bits_u32())
+                .map(T::from_bits_u32)
         }
     }
 }
@@ -564,42 +532,56 @@ pub fn try_correctly_rounded_f64(f: Func, x: f64, max_prec: u32) -> Result<f64, 
         Filtered::Exact(v) => Ok(v.to_f64()),
         Filtered::Continue => {
             let key = (f, x.to_bits());
-            if let Some(bits) = ZIV_CACHE_F64.with(|c| c.borrow().get(&key).copied()) {
-                ZIV_CACHE_HITS.add(1);
-                return Ok(f64::from_bits(bits));
-            }
-            let mut prec = 128u32.min(max_prec).max(MIN_ZIV_PREC);
-            let mut escalations = 0u64;
-            loop {
-                ZIV_MP_EVALS.add(1);
-                let v = f.eval_mp(x, prec);
-                if v.is_zero() {
-                    return Err(OracleError::UnexpectedZero { func: f, input: x, prec });
-                }
-                let lo = v.offset_ulps(-elem::ERR_ULPS);
-                let hi = v.offset_ulps(elem::ERR_ULPS);
-                let (rl, rh) = (lo.to_f64(), hi.to_f64());
-                if rl.to_bits() == rh.to_bits() {
-                    ZIV_FINAL_PREC[f.index()].record(u64::from(prec));
-                    ZIV_ESCALATIONS[f.index()].add(escalations);
-                    ZIV_CACHE_F64.with(|c| {
-                        let mut c = c.borrow_mut();
-                        if c.len() >= ZIV_CACHE_CAP {
-                            ZIV_CACHE_CLEARS.add(1);
-                            c.clear();
-                        }
-                        c.insert(key, rl.to_bits());
-                    });
-                    return Ok(rl);
-                }
-                let next = prec.saturating_mul(2);
-                if next > max_prec {
-                    return Err(OracleError::PrecisionExhausted { func: f, input: x, max_prec });
-                }
-                prec = next;
-                escalations += 1;
-            }
+            ziv(f, x, max_prec, &ZIV_CACHE_F64, key, |v| v.to_f64().to_bits()).map(f64::from_bits)
         }
+    }
+}
+
+/// The Ziv loop behind both entries: evaluate `f(x)` at 128 bits (within
+/// `[MIN_ZIV_PREC, max_prec]`), widen by ±[`elem::ERR_ULPS`] ulps, and
+/// return the common `round` of both ends, doubling the precision until
+/// they agree. `round` maps a value to the target's bits; results are
+/// cached under `key` in the entry's thread-local `cache`.
+fn ziv<K: Eq + Hash, V: Copy + Eq>(
+    f: Func,
+    x: f64,
+    max_prec: u32,
+    cache: &'static LocalKey<RefCell<HashMap<K, V>>>,
+    key: K,
+    round: impl Fn(&MpFloat) -> V,
+) -> Result<V, OracleError> {
+    if let Some(bits) = cache.with(|c| c.borrow().get(&key).copied()) {
+        ZIV_CACHE_HITS.add(1);
+        return Ok(bits);
+    }
+    let mut prec = 128u32.min(max_prec).max(MIN_ZIV_PREC);
+    let mut escalations = 0u64;
+    loop {
+        ZIV_MP_EVALS.add(1);
+        let v = f.eval_mp(x, prec);
+        if v.is_zero() {
+            return Err(OracleError::UnexpectedZero { func: f, input: x, prec });
+        }
+        let rl = round(&v.offset_ulps(-elem::ERR_ULPS));
+        if rl == round(&v.offset_ulps(elem::ERR_ULPS)) {
+            ZIV_FINAL_PREC[f.index()].record(u64::from(prec));
+            ZIV_ESCALATIONS[f.index()].add(escalations);
+            cache.with(|c| {
+                let mut c = c.borrow_mut();
+                if c.len() >= ZIV_CACHE_CAP {
+                    ZIV_CACHE_CLEARS.add(1);
+                    c.clear();
+                }
+                c.insert(key, rl);
+            });
+            return Ok(rl);
+        }
+        let next = prec.saturating_mul(2);
+        if next > max_prec {
+            return Err(OracleError::PrecisionExhausted { func: f, input: x, max_prec });
+        }
+        prec = next;
+        escalations += 1;
     }
 }
 
