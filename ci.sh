@@ -201,6 +201,9 @@ cargo clippy --offline --lib -p rlibm-serve --features fault \
 # chaos code and supervision tests.
 cargo clippy --offline --all-targets -p rlibm-serve -p rlibm-math \
     --features rlibm-serve/fault,rlibm-math/fault -- -D warnings
+# The bench crate's fault build: serve_report's fault scenarios and its
+# kernel-injection count compile only here.
+cargo clippy --offline --all-targets -p rlibm-bench --features fault,simd -- -D warnings
 
 echo "== serve fault+telemetry leg: flight recorder under chaos =="
 # The fault leg above runs with tracing compiled OUT (flight dumps must
@@ -209,21 +212,6 @@ echo "== serve fault+telemetry leg: flight recorder under chaos =="
 # recorder — and that the pinned serve output checksum still holds, the
 # bit-identity half of the tracing contract.
 cargo test -q --offline --release -p rlibm-serve --features fault,telemetry
-
-echo "== chaos smoke: chaos_bench --quick + committed manifest check =="
-# Six adversarial scenarios against the supervised serving layer (shard
-# panic storms, deadline pressure, ring corruption, backpressure, drain
-# under load, kernel faults composed with panics); the bin asserts on
-# every scenario that each request ends as exactly one of a bit-identical
-# completion or an explicitly-reasoned shed record, with zero mis-rounded
-# outputs. --check re-validates the committed full-run manifest: schema,
-# per-row balance, zero mismatches, and the 100k-injection floor.
-mkdir -p target/bench-smoke
-cargo run --release --offline -p rlibm-bench --features fault --bin chaos_bench -- \
-    --quick --out target/bench-smoke/CHAOS_manifest.quick.json
-grep -q '"schema": "rlibm-chaos/v1"' target/bench-smoke/CHAOS_manifest.quick.json
-cargo run --release --offline -p rlibm-bench --features fault --bin chaos_bench -- \
-    --check CHAOS_manifest.json
 
 echo "== bench smoke: gen_bench --quick + JSON schema =="
 # Quick-mode harness run, fully offline, writing under target/ so the
@@ -236,13 +224,25 @@ cargo run --release --offline -p rlibm-bench --bin gen_bench -- \
     --quick --out target/bench-smoke/BENCH_gen.quick.json
 grep -q '"schema": "rlibm-bench/gen/v1"' target/bench-smoke/BENCH_gen.quick.json
 
-echo "== serve smoke: serve_bench --quick + JSON schema =="
-# Closed-loop sharded serving over the slice kernels (simd config, like
-# the committed full run): the bin itself asserts every served response
-# is bit-identical to the scalar functions before writing the document.
-cargo run --release --offline -p rlibm-bench --features simd --bin serve_bench -- \
+echo "== serve report: serve_report --quick in both builds + committed report check =="
+# One scenario table over the supervised serving layer: healthy,
+# rescalar harvest, deadline and drain in every build, plus the chaos
+# scenarios under `fault` (panic storms with and without restart budget,
+# injected stalls, ring corruption, backpressure, kernel faults). Every
+# scenario asserts that each request ends as exactly one bit-identical
+# completion or one explicitly-reasoned shed, that no tag ends twice and
+# that every caught panic was injected, then its own obligations; the bin
+# validates its own emission. --check re-validates the committed full
+# fault,simd run (balance, zero mismatches, injection total and its 100k
+# floor, an exemplar for every shed reason, attribution of every
+# workload, flight dumps), so a stale or hand-edited BENCH_serve.json
+# fails CI.
+cargo run --release --offline -p rlibm-bench --bin serve_report -- \
     --quick --out target/bench-smoke/BENCH_serve.quick.json
-grep -q '"schema": "rlibm-bench/serve/v1"' target/bench-smoke/BENCH_serve.quick.json
+cargo run --release --offline -p rlibm-bench --features fault,simd --bin serve_report -- \
+    --quick --out target/bench-smoke/BENCH_serve.fault.quick.json
+grep -q '"fault": true' target/bench-smoke/BENCH_serve.fault.quick.json
+cargo run --release --offline -p rlibm-bench --bin serve_report -- --check BENCH_serve.json
 
 echo "== timing regression gate: committed BENCH_timing vs quick simd run =="
 # One timing run (Figures 3-5 and the §4.3 harness) in the configuration
@@ -270,26 +270,6 @@ cargo run --release --offline -p rlibm-bench --bin telemetry_report -- \
     --quick --out target/bench-smoke/TELEM_report.quick.json
 grep -q '"schema": "rlibm-telem/v1"' target/bench-smoke/TELEM_report.quick.json
 
-echo "== trace smoke: trace_report --quick + committed report check =="
-# Latency attribution across the serving stack: the harness drives the
-# traced closed loop (healthy, rescalar-harvest, deadline, drain legs —
-# plus the chaos legs under `fault`), asserts every served bit matches
-# the scalar functions, and schema-checks its own emission. The default
-# build exercises the no-chaos path; the fault build must additionally
-# produce an exemplar for every shed reason and at least one flight
-# dump. --check re-validates the committed full-run report in both
-# configurations, so a stale or hand-edited TRACE_report.json fails CI.
-cargo run --release --offline -p rlibm-bench --bin trace_report -- \
-    --quick --out target/bench-smoke/TRACE_report.quick.json
-grep -q '"schema": "rlibm-trace/v1"' target/bench-smoke/TRACE_report.quick.json
-cargo run --release --offline -p rlibm-bench --bin trace_report -- \
-    --check TRACE_report.json
-cargo run --release --offline -p rlibm-bench --features fault --bin trace_report -- \
-    --quick --out target/bench-smoke/TRACE_report.fault.quick.json
-grep -q '"fault": true' target/bench-smoke/TRACE_report.fault.quick.json
-cargo run --release --offline -p rlibm-bench --features fault --bin trace_report -- \
-    --check TRACE_report.json
-
 echo "== certification smoke: special-region shards certify clean =="
 # Five special-region shards per (kind, function) at 2^16 geometry —
 # signed zeros/subnormals, the 1.0 neighborhood, inf/NaN and the posit
@@ -311,8 +291,7 @@ cargo run --release --offline -p rlibm-bench --bin certify -- \
 echo "== bench_compare smoke: committed BENCH files self-diff clean =="
 # A file diffed against itself must report all-1.0 ratios and exit 0;
 # nonzero means the comparator (or a committed artifact) broke.
-for doc in BENCH_timing.json BENCH_gen.json BENCH_serve.json \
-    CHAOS_manifest.json TRACE_report.json; do
+for doc in BENCH_timing.json BENCH_gen.json BENCH_serve.json; do
     cargo run --release --offline -p rlibm-bench --bin bench_compare -- "$doc" "$doc"
 done
 

@@ -34,12 +34,9 @@ use rlibm_bench::timing::geomean;
 const KNOWN_SCHEMAS: &[&str] = &[
     "rlibm-bench/timing/v1",
     "rlibm-bench/gen/v1",
-    "rlibm-bench/serve/v1",
-    // chaos_bench rows are scenarios, not functions, but carry ns_p50 /
-    // ns_p99 per scenario — comparable between runs of the same harness.
-    "rlibm-chaos/v1",
-    // trace_report rows carry ns_* stage-attribution means per workload.
-    "rlibm-trace/v1",
+    // serve_report rows are scenarios plus the healthy scenario's
+    // per-function rows; only the latter carry the ns_* attribution.
+    "rlibm-bench/serve/v2",
 ];
 
 struct Cli {
@@ -152,15 +149,17 @@ fn main() {
 
     let old_fns = functions(&old_doc, &cli.old);
     let new_fns = functions(&new_doc, &cli.new);
-    // Fields shared by both files' first entries: a harness that grew a
-    // new measurement still diffs cleanly against an older emission.
-    let fields: Vec<String> = old_fns
-        .first()
-        .map(|(_, e)| prefixed_fields(e, &cli.fields))
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|f| new_fns.first().is_some_and(|(_, e)| e.get(f).is_some()))
-        .collect();
+    // Fields some entry of each file carries: rows may differ in their
+    // fields, and a harness that grew a new measurement still diffs
+    // cleanly against an older emission.
+    let mut fields: Vec<String> = Vec::new();
+    for (_, e) in &old_fns {
+        for f in prefixed_fields(e, &cli.fields) {
+            if !fields.contains(&f) && new_fns.iter().any(|(_, n)| n.get(&f).is_some()) {
+                fields.push(f);
+            }
+        }
+    }
     if fields.is_empty() {
         usage(&format!("no shared {}* fields to compare", cli.fields));
     }

@@ -467,7 +467,7 @@ fn main() {
             std::fs::create_dir_all(parent).expect("create output dir");
         }
     }
-    write_validated(&cli.out, &doc, SCHEMA, PER_FN_FIELDS).expect("write manifest");
+    write_validated(&cli.out, &doc, |d| check_bench_schema(d, SCHEMA, PER_FN_FIELDS)).expect("write manifest");
     println!("\nwrote {}", cli.out);
 
     let total_mismatches: u64 =

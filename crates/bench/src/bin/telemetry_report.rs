@@ -30,7 +30,8 @@
 //! Usage: `cargo run -p rlibm-bench --release --bin telemetry_report -- \
 //!             [seed] [--quick] [--out PATH]`
 
-use rlibm_bench::telem::{telem_to_json, write_validated_telem, TELEM_SCHEMA};
+use rlibm_bench::json::write_validated;
+use rlibm_bench::telem::{check_telem_schema, telem_to_json, TELEM_SCHEMA};
 use rlibm_core::pipeline::{generate, GeneratorSpec};
 use rlibm_core::validate::{all_16bit, validate};
 use rlibm_fp::rng::{draw_biased_f32, XorShift64};
@@ -299,7 +300,7 @@ fn main() {
     }
 
     let doc = telem_to_json(&snap, cli.quick, cli.seed);
-    write_validated_telem(&cli.out, &doc).expect("write TELEM json");
+    write_validated(&cli.out, &doc, check_telem_schema).expect("write TELEM json");
     println!("\nwrote {} (schema {TELEM_SCHEMA}, parsed + validated)", cli.out);
 
     if !missing.is_empty() {

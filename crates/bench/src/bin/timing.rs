@@ -23,7 +23,7 @@
 
 use std::hint::black_box;
 
-use rlibm_bench::json::{write_validated, Json};
+use rlibm_bench::json::{check_bench_schema, write_validated, Json};
 use rlibm_bench::sweep::{Base, SweepLog};
 use rlibm_bench::timing::{self, fmt_speedup, geomeans, ns_per_input, Format, Row};
 use rlibm_bench::timing::{BATCH, SCHEMA, SEED};
@@ -227,6 +227,6 @@ fn main() {
 
     let doc = timing::document(quick, reps, &rows, subdomains);
     let fields = [&timing::NS_FIELDS[..], &timing::RATE_FIELDS].concat();
-    write_validated(&out_path, &doc, SCHEMA, &fields).expect("write BENCH json");
+    write_validated(&out_path, &doc, |d| check_bench_schema(d, SCHEMA, &fields)).expect("write BENCH json");
     println!("\nwrote {out_path} (schema {SCHEMA}, parsed + validated)");
 }

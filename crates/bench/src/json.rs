@@ -391,20 +391,19 @@ pub fn check_bench_schema(
     Ok(())
 }
 
-/// Writes `doc` to `path`, then re-reads and re-validates it — harnesses
-/// call this so a malformed emission fails loudly at generation time.
+/// Writes `doc` to `path`, then re-reads, re-parses and re-validates it
+/// with the document's own `check` — harnesses call this so a malformed
+/// emission fails loudly at generation time.
 pub fn write_validated(
     path: &str,
     doc: &Json,
-    expected_schema: &str,
-    per_fn_fields: &[&str],
+    check: impl Fn(&Json) -> Result<(), String>,
 ) -> std::io::Result<()> {
     std::fs::write(path, doc.to_pretty())?;
     let text = std::fs::read_to_string(path)?;
     let parsed = parse(&text).unwrap_or_else(|e| panic!("{path}: emitted invalid JSON: {e}"));
     assert_eq!(&parsed, doc, "{path}: JSON did not round-trip");
-    check_bench_schema(&parsed, expected_schema, per_fn_fields)
-        .unwrap_or_else(|e| panic!("{path}: schema violation: {e}"));
+    check(&parsed).unwrap_or_else(|e| panic!("{path}: schema violation: {e}"));
     Ok(())
 }
 

@@ -10,8 +10,10 @@
 //! | Table 2 (posit32 correctness)| `table2` | — |
 //! | Table 3 (generator stats)    | `table3` | — |
 //! | Figures 3–5, §4.3 harness  | `timing` | `BENCH_timing.json` |
+//! | Generator cost               | `gen_bench` | `BENCH_gen.json` |
+//! | Certification sweep          | `certify` | `CERT_manifest.json` |
 //! | Telemetry snapshot           | `telemetry_report` | `TELEM_report.json` |
-//! | Trace latency attribution    | `trace_report` | `TRACE_report.json` |
+//! | Serving scenarios (throughput, attribution, chaos) | `serve_report` | `BENCH_serve.json` |
 //! | Bench regression diff        | `bench_compare` | — (reads two BENCH files) |
 //!
 //! The `timing` harness measures the two-tier runtime three ways per
@@ -28,7 +30,7 @@
 
 pub mod json;
 pub mod sweep;
+pub mod serve;
 pub mod telem;
 pub mod timing;
-pub mod trace;
 pub mod workloads;

@@ -8,11 +8,12 @@
 //! Span entries are histograms of elapsed nanoseconds, so their `sum`
 //! is total time spent inside the span.
 //!
-//! Like the `BENCH_*.json` emitters, the writer re-parses and
-//! schema-checks its own output before returning so a malformed
-//! emission fails at generation time, not at first consumption.
+//! Like the `BENCH_*.json` emitters, `telemetry_report` writes through
+//! [`crate::json::write_validated`] with [`check_telem_schema`], so a
+//! malformed emission fails at generation time, not at first
+//! consumption.
 
-use crate::json::{parse, Json};
+use crate::json::Json;
 use rlibm_obs::{HistogramSnapshot, TelemetrySnapshot};
 
 /// Schema tag carried by every telemetry document.
@@ -122,21 +123,10 @@ pub fn check_telem_schema(doc: &Json) -> Result<(), String> {
     check_histogram_section(doc, "spans")
 }
 
-/// Writes a telemetry document to `path`, then re-reads, re-parses and
-/// re-validates it — mirrors [`crate::json::write_validated`] for the
-/// telemetry schema.
-pub fn write_validated_telem(path: &str, doc: &Json) -> std::io::Result<()> {
-    std::fs::write(path, doc.to_pretty())?;
-    let text = std::fs::read_to_string(path)?;
-    let parsed = parse(&text).unwrap_or_else(|e| panic!("{path}: emitted invalid JSON: {e}"));
-    assert_eq!(&parsed, doc, "{path}: JSON did not round-trip");
-    check_telem_schema(&parsed).unwrap_or_else(|e| panic!("{path}: schema violation: {e}"));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use rlibm_obs::{CounterSnapshot, HistogramSnapshot};
 
     fn sample_snapshot() -> TelemetrySnapshot {

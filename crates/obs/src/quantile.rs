@@ -1,9 +1,9 @@
 //! Shared quantile estimation: exact nearest-rank over sorted samples,
 //! and bucket-interpolated estimates over the log2 histograms this
 //! crate records. Pure functions, independent of the `telemetry`
-//! feature — harnesses use them on both raw latency vectors
-//! (`serve_bench`, `chaos_bench`) and snapshot bucket lists
-//! (`trace_report`).
+//! feature — the `serve_report` harness uses them on both raw latency
+//! vectors (per-scenario p50/p99/p999) and snapshot bucket lists (the
+//! stage quantiles).
 
 use crate::metric::bucket_lo;
 

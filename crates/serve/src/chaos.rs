@@ -217,3 +217,24 @@ pub(crate) use imp::ChaosState;
 pub const fn injection_compiled_in() -> bool {
     cfg!(feature = "fault")
 }
+
+/// Installs (once per process) a panic hook that keeps injected shard
+/// panics, whose static payload starts with `"chaos:"`, out of stderr —
+/// a chaos run unwinds thousands of times on purpose and would drown a
+/// real failure — while every other panic still reaches the previous
+/// hook.
+#[cfg(feature = "fault")]
+pub fn install_panic_filter() {
+    use std::sync::Once;
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected =
+                info.payload().downcast_ref::<&str>().is_some_and(|s| s.starts_with("chaos:"));
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
+}

@@ -42,7 +42,8 @@
 //!   [`ShedReason::Corrupted`], never served with a wrong argument.
 //! * **Chaos injection** (feature `fault`, [`chaos`]) — seeded shard
 //!   panics, delayed flushes, request corruption and kernel-level fault
-//!   arming, driven at scale by the `chaos_bench` harness.
+//!   arming, driven at scale by the fault scenarios of the
+//!   `serve_report` harness.
 //!
 //! There is no per-request allocation anywhere on the serve path: rings
 //! and accumulators are fixed arrays, staging buffers live on the worker
@@ -53,8 +54,8 @@
 //! queue-depth histogram and a per-request latency log2 histogram, all
 //! no-ops unless built with the `telemetry` feature.
 //!
-//! [`serve_closed_loop`] is the in-process driver used by `serve_bench`
-//! and `chaos_bench`: it spawns the supervised shards and a set of
+//! [`serve_closed_loop`] is the in-process driver that every
+//! `serve_report` scenario runs: it spawns the supervised shards and a set of
 //! synthetic-workload producers (XorShift64-seeded, domain-biased — see
 //! [`workload`]), runs the closed loop to completion through the drain
 //! protocol, and returns every completion and shed record.
@@ -836,7 +837,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn panicking_shard_cannot_shrink_completions_unnoticed() {
-        suppress_chaos_panic_output();
+        crate::chaos::install_panic_filter();
         let cfg = ServeConfig {
             requests: 30_000,
             restart_backoff_ns: 1_000,
@@ -872,7 +873,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn restart_budget_exhaustion_degrades_without_losing_requests() {
-        suppress_chaos_panic_output();
+        crate::chaos::install_panic_filter();
         let report = run(&ServeConfig {
             requests: 20_000,
             restart_backoff_ns: 1_000,
@@ -897,7 +898,7 @@ mod tests {
     #[cfg(feature = "fault")]
     #[test]
     fn corruption_is_always_detected_and_shed() {
-        suppress_chaos_panic_output();
+        crate::chaos::install_panic_filter();
         let report = run(&ServeConfig {
             requests: 30_000,
             chaos: Some(ChaosConfig {
@@ -916,26 +917,5 @@ mod tests {
         );
         assert!(report.balanced());
         assert_eq!(workload::count_mismatches(&report.completions), 0);
-    }
-
-    /// Replaces the default panic hook with one that stays quiet for
-    /// injected chaos panics (they are expected by the supervisor) but
-    /// still reports everything else.
-    #[cfg(feature = "fault")]
-    pub(crate) fn suppress_chaos_panic_output() {
-        use std::sync::Once;
-        static HOOK: Once = Once::new();
-        HOOK.call_once(|| {
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|s| s.starts_with("chaos:"));
-                if !injected {
-                    default_hook(info);
-                }
-            }));
-        });
     }
 }

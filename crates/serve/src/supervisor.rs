@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn salvage_covers_requests_still_in_the_inbox() {
         use crate::shard::{make_tag, BATCH, NO_DEADLINE};
-        crate::tests::suppress_chaos_panic_output();
+        crate::chaos::install_panic_filter();
         // 16 requests of function 1, then two batches of function 0. The
         // first burst batches all 64; the second fills function 0's
         // batch at its 16th request, whose flush panics with 48 requests
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn restartable_panic_on_a_full_ring_sheds_nothing() {
         use crate::shard::{make_tag, NO_DEADLINE};
-        crate::tests::suppress_chaos_panic_output();
+        crate::chaos::install_panic_filter();
         const CAP: usize = 128;
         let reqs: Vec<Request> = (0..1024u64)
             .map(|j| {

@@ -4,8 +4,8 @@
 //! the `rlibm_math::registry` table: `0..10` are the f32 tier-1 functions
 //! (batched through the staged slice kernels), `10..18` are the posit32
 //! functions (batched through the same staged chunk kernels behind the
-//! posit codec). Ids are stable — they appear in `BENCH_serve.json` rows
-//! via [`func_name`].
+//! posit codec). Ids are stable — they appear in `BENCH_serve.json`'s
+//! `healthy.<label>` rows via [`func_label`].
 //!
 //! Traffic synthesis reuses the workspace PRNG ([`XorShift64`]) and the
 //! domain-biased f32 sampler shared with the fault and telemetry sweeps
@@ -86,8 +86,8 @@ pub fn scalar_eval_bits(func: u8, x_bits: u32) -> u32 {
 
 /// Counts completions whose served bits differ from the scalar two-tier
 /// reference — the harnesses' shared "zero mis-rounded outputs escape"
-/// check (serve_bench asserts it on every run, chaos_bench under
-/// injection).
+/// check (`serve_report` asserts it on every scenario, healthy and
+/// injected alike).
 pub fn count_mismatches(completions: &[crate::Completion]) -> u64 {
     completions
         .iter()

@@ -102,7 +102,7 @@ fn attribution_is_exhaustive_when_enabled_and_zero_otherwise() {
 #[cfg(feature = "fault")]
 #[test]
 fn chaos_failures_dump_the_flight_recorder() {
-    suppress_chaos_panic_output();
+    rlibm_serve::chaos::install_panic_filter();
     let report = serve_closed_loop(&ServeConfig {
         shards: 2,
         producers: 2,
@@ -162,20 +162,4 @@ fn chaos_failures_dump_the_flight_recorder() {
         let n = report.flight.iter().filter(|d| d.shard == shard).count();
         assert!(n <= rlibm_serve::FLIGHT_DUMPS_PER_SHARD, "shard {shard} exceeded the dump cap");
     }
-}
-
-#[cfg(feature = "fault")]
-fn suppress_chaos_panic_output() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected =
-                info.payload().downcast_ref::<&str>().is_some_and(|s| s.starts_with("chaos:"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-    });
 }
