@@ -25,6 +25,16 @@ echo "== oracle pin: every oracle result stays bit-identical =="
 # entries plus seeded f32 and posit32 samples (~10 s in release).
 cargo test -q --offline --release -p rlibm-mp --test oracle_pin -- --ignored
 
+echo "== stride-sample pin: no output bit moves, scalar and simd =="
+# The ignored stride sample hashes every registry row's scalar, dd and
+# batched outputs over a stride of the whole input domain (~45 s per
+# build in release): the evidence behind every "no output bit moved"
+# claim. Run it with the portable slice path and with the AVX2 stages.
+cargo test -q --offline --release -p rlibm --test two_tier_identity \
+    -- --ignored stride_sample_outputs_are_pinned
+cargo test -q --offline --release -p rlibm --features simd --test two_tier_identity \
+    -- --ignored stride_sample_outputs_are_pinned
+
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

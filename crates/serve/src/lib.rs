@@ -47,7 +47,11 @@
 //!
 //! There is no per-request allocation anywhere on the serve path: rings
 //! and accumulators are fixed arrays, staging buffers live on the worker
-//! stack, and the completion logs are pre-sized by the driver.
+//! stack, and each shard fills a completion log sized for its share from
+//! a process-wide pool, which dropping a [`ServeReport`] refills. Once
+//! the last report drops, the pool retains at most
+//! [`metrics::MAX_SHARDS`] logs, none larger than the largest log a run
+//! handed back (64 MB for a 2M-request one-shard run).
 //!
 //! Per-shard observability rides on `rlibm-obs` ([`metrics`]): request,
 //! batch, panic and restart counters, shed counters by reason, a
@@ -276,6 +280,13 @@ pub struct ServeReport {
     /// first-corruption), in shard order. Empty on healthy runs and
     /// without the `telemetry` feature.
     pub flight: Vec<FlightDump>,
+}
+
+impl Drop for ServeReport {
+    /// Hands the completion log back for the next run's shards.
+    fn drop(&mut self) {
+        shard::recycle_completion_log(std::mem::take(&mut self.completions));
+    }
 }
 
 impl ServeReport {
@@ -533,7 +544,8 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
         return Err(ServeError::ShardLost { shard: i });
     }
     // The first shard's log becomes the merged log and the others are
-    // appended to it, so no second copy of a full log is ever resident.
+    // appended to it, so no second copy of a full log is ever resident;
+    // the drained logs go back to the pool.
     let mut completions = Vec::new();
     let mut sheds = Vec::new();
     let mut panics = 0u64;
@@ -549,6 +561,7 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
             completions = std::mem::take(&mut o.completions);
         } else {
             completions.append(&mut o.completions);
+            shard::recycle_completion_log(o.completions);
         }
         sheds.extend_from_slice(&o.sheds);
         panics += o.panics;
@@ -595,18 +608,55 @@ mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// Serve runs record into the process-global metrics registry, and
-    /// `metrics_observe_the_run_when_enabled` asserts an exact delta of
-    /// it, so the tests that drive a run take turns.
-    static SERVE_RUNS: Mutex<()> = Mutex::new(());
-
-    fn serve_turn() -> MutexGuard<'static, ()> {
+    /// Serve runs record into the process-global metrics registry and
+    /// share the completion-log pool, and tests assert exact deltas of
+    /// both, so the tests that drive a shard take turns, each holding its
+    /// turn until its reports have dropped.
+    pub(crate) fn serve_turn() -> MutexGuard<'static, ()> {
+        static SERVE_RUNS: Mutex<()> = Mutex::new(());
         SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
-        let _turn = serve_turn();
-        serve_closed_loop(cfg)
+    /// A report that keeps the serve turn until it drops. Fields drop in
+    /// order, so the report's log is back in the pool before the next
+    /// test's run can look there.
+    struct Turn {
+        report: ServeReport,
+        _turn: MutexGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for Turn {
+        type Target = ServeReport;
+        fn deref(&self) -> &ServeReport {
+            &self.report
+        }
+    }
+
+    fn run(cfg: &ServeConfig) -> Result<Turn, ServeError> {
+        let turn = serve_turn();
+        serve_closed_loop(cfg).map(|report| Turn { report, _turn: turn })
+    }
+
+    /// The pooled completion logs, as (address, capacity). Call with the
+    /// serve turn held.
+    fn pooled_logs() -> Vec<(*const Completion, usize)> {
+        let pool = shard::COMPLETION_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        pool.iter().map(|log| (log.as_ptr(), log.capacity())).collect()
+    }
+
+    /// Frees every pooled log, so a test starts from a known pool. Call
+    /// with the serve turn held.
+    fn empty_pool() {
+        shard::COMPLETION_POOL.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    }
+
+    /// What a run computed: (tag, function, input, output) per
+    /// completion, in tag order.
+    fn served_set(report: &ServeReport) -> Vec<(u64, u8, u32, u32)> {
+        let mut v: Vec<_> =
+            report.completions.iter().map(|c| (c.tag, c.func, c.x_bits, c.y_bits)).collect();
+        v.sort_unstable();
+        v
     }
 
     fn small_cfg() -> ServeConfig {
@@ -917,5 +967,126 @@ mod tests {
         );
         assert!(report.balanced());
         assert_eq!(workload::count_mismatches(&report.completions), 0);
+    }
+
+    /// A second run with the same seed refills the first run's log: the
+    /// served set is the same, both runs balance, and no fresh log is
+    /// allocated.
+    #[test]
+    fn back_to_back_runs_recycle_the_completion_log() {
+        let _turn = serve_turn();
+        empty_pool();
+        let cfg = ServeConfig { shards: 1, ..small_cfg() };
+        let first = serve_closed_loop(&cfg).expect("healthy run");
+        assert!(first.balanced());
+        let (log, served) = (first.completions.as_ptr(), served_set(&first));
+        drop(first);
+        assert_eq!(pooled_logs().len(), 1, "dropping the report pools its log");
+        let second = serve_closed_loop(&cfg).expect("healthy run");
+        assert!(second.balanced());
+        assert_eq!(second.completions.as_ptr(), log, "the second run refills the first run's log");
+        assert_eq!(served_set(&second), served);
+        assert_eq!(workload::count_mismatches(&second.completions), 0);
+    }
+
+    /// A pooled log too small for the next run is left in the pool, and
+    /// the run gets a log with room for every completion, which it never
+    /// outgrows: growing would have at least doubled its capacity.
+    #[test]
+    fn a_larger_run_never_refills_a_too_small_log() {
+        let _turn = serve_turn();
+        empty_pool();
+        let small = serve_closed_loop(&ServeConfig { shards: 1, requests: 1_000, ..small_cfg() })
+            .expect("healthy run");
+        let small_log = (small.completions.as_ptr(), small.completions.capacity());
+        drop(small);
+        let cfg = ServeConfig { shards: 1, requests: 20_000, ..small_cfg() };
+        let need = completion_log_capacity(cfg.requests, 1, cfg.producers);
+        assert!(small_log.1 < need);
+        let large = serve_closed_loop(&cfg).expect("healthy run");
+        assert!(large.balanced());
+        assert_eq!(large.completions.len() as u64, cfg.requests);
+        assert_ne!(large.completions.as_ptr(), small_log.0);
+        let cap = large.completions.capacity();
+        assert!(need <= cap && cap < 2 * need, "log capacity {cap} for {need} completions");
+        assert_eq!(pooled_logs(), vec![small_log], "the small log stays pooled, untouched");
+    }
+
+    /// The logs of a 3-shard run (two handed back at merge time, the
+    /// merged one when the report drops) serve a 1-shard run after it.
+    #[test]
+    fn a_three_shard_run_then_a_one_shard_run() {
+        let _turn = serve_turn();
+        empty_pool();
+        let three =
+            serve_closed_loop(&ServeConfig { shards: 3, ..small_cfg() }).expect("healthy run");
+        assert!(three.balanced());
+        assert_eq!(pooled_logs().len(), 2, "shards 1 and 2 hand their drained logs back");
+        let merged = (three.completions.as_ptr(), three.completions.capacity());
+        let served = served_set(&three);
+        drop(three);
+        assert_eq!(pooled_logs().len(), 3);
+        let cfg = ServeConfig { shards: 1, ..small_cfg() };
+        // The merged log grew (by doubling) past all 10 000 completions,
+        // so it is the one pooled log a 1-shard run fits in.
+        assert!(merged.1 >= completion_log_capacity(cfg.requests, 1, cfg.producers));
+        let one = serve_closed_loop(&cfg).expect("healthy run");
+        assert!(one.balanced());
+        assert_eq!(one.completions.as_ptr(), merged.0);
+        assert_eq!(served_set(&one), served);
+    }
+
+    /// The pool keeps at most `MAX_SHARDS` logs, freeing the smallest.
+    #[test]
+    fn the_pool_keeps_the_largest_logs_and_no_more() {
+        let _turn = serve_turn();
+        empty_pool();
+        for cap in 1..=metrics::MAX_SHARDS + 2 {
+            shard::recycle_completion_log(Vec::with_capacity(cap));
+        }
+        let mut caps: Vec<usize> = pooled_logs().iter().map(|&(_, cap)| cap).collect();
+        caps.sort_unstable();
+        assert_eq!(caps, (3..=metrics::MAX_SHARDS + 2).collect::<Vec<_>>());
+        empty_pool();
+    }
+
+    /// A panic/restart run right after a healthy run refills that run's
+    /// log, and none of the old entries survives: the log holds exactly
+    /// what the shard served, each tag once.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn a_restarted_run_on_a_recycled_log_keeps_no_stale_entry() {
+        crate::chaos::install_panic_filter();
+        let _turn = serve_turn();
+        empty_pool();
+        let cfg = ServeConfig {
+            shards: 1,
+            requests: 30_000,
+            restart_backoff_ns: 1_000,
+            max_restarts: u32::MAX,
+            ..small_cfg()
+        };
+        let healthy = serve_closed_loop(&cfg).expect("healthy run");
+        let log = healthy.completions.as_ptr();
+        drop(healthy);
+        let chaos =
+            Some(ChaosConfig { seed: 0xC405, panic_per_million: 50_000, ..ChaosConfig::default() });
+        let report =
+            serve_closed_loop(&ServeConfig { chaos, ..cfg.clone() }).expect("supervised run");
+        assert_eq!(report.completions.as_ptr(), log, "the chaos run refills the healthy log");
+        assert!(report.panics > 0 && report.restarts == report.panics);
+        let served: u64 = report.quiesce.iter().map(|q| q.completions).sum();
+        assert_eq!(report.completions.len() as u64, served);
+        assert!(report.balanced());
+        assert_eq!(workload::count_mismatches(&report.completions), 0);
+        let mut tags: Vec<u64> = report
+            .completions
+            .iter()
+            .map(|c| c.tag)
+            .chain(report.sheds.iter().map(|s| s.tag))
+            .collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len() as u64, cfg.requests, "exactly once on a recycled log");
     }
 }

@@ -240,26 +240,6 @@ pub fn total_requests() -> u64 {
     REQUESTS.iter().map(|c| c.get()).sum()
 }
 
-/// Total caught panics across every shard slot (0 without telemetry).
-pub fn total_panics() -> u64 {
-    PANICS.iter().map(|c| c.get()).sum()
-}
-
-/// Total supervisor restarts across every shard slot (0 without
-/// telemetry).
-pub fn total_restarts() -> u64 {
-    RESTARTS.iter().map(|c| c.get()).sum()
-}
-
-/// Total explicit sheds across every reason (0 without telemetry).
-pub fn total_sheds() -> u64 {
-    SHED_DEADLINE.get()
-        + SHED_BACKPRESSURE.get()
-        + SHED_ADMISSION.get()
-        + SHED_CORRUPTED.get()
-        + SHED_POISONED.get()
-}
-
 /// Forces every per-shard metric into the snapshot registry at zero, so
 /// TELEM readers see idle shards as zeros rather than missing names.
 pub fn register_metrics() {

@@ -6,9 +6,9 @@
 //! Zero allocation per request: the inbox the ring is drained into and
 //! the per-function accumulators are fixed `[_; 64]` arrays owned by the
 //! worker, the slice staging buffers are stack arrays, and the
-//! completion/shed logs are `Vec`s pre-sized by the driver (pushes stay
-//! within capacity in the closed loop). The only heap traffic after
-//! startup is the final hand-off of those logs.
+//! completion log is a pooled one ([`take_completion_log`]) with room
+//! for every completion the shard can receive. The only heap traffic
+//! after startup is the final hand-off of the logs.
 //!
 //! Batching policy: a full 64-lane batch flushes immediately; any
 //! partially filled batches flush as soon as the ring runs dry, so an
@@ -39,6 +39,7 @@ use crate::supervisor::{ServiceControl, ShardQuiesce};
 use crate::workload;
 use rlibm_obs::trace::{self, TraceKind};
 use rlibm_posit::Posit32;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Lanes per flush — the slice kernels' chunk width.
@@ -128,6 +129,34 @@ pub struct Completion {
     pub latency_ns: u64,
 }
 
+/// Completion logs handed back by dropped reports and merged shards,
+/// for later runs to refill: a fresh log costs the shard thread a page
+/// fault every 128 completions. Holds at most [`metrics::MAX_SHARDS`]
+/// logs. Every update leaves a valid list, so a poisoned lock is
+/// recovered.
+pub(crate) static COMPLETION_POOL: Mutex<Vec<Vec<Completion>>> = Mutex::new(Vec::new());
+
+/// An empty log with room for `capacity` completions: the smallest pooled
+/// log that fits (the latest returned on a tie), else a fresh one.
+pub(crate) fn take_completion_log(capacity: usize) -> Vec<Completion> {
+    let mut pool = COMPLETION_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    let fit = (0..pool.len()).rev().filter(|&i| pool[i].capacity() >= capacity);
+    let fit = fit.min_by_key(|&i| pool[i].capacity());
+    let mut log = fit.map_or_else(|| Vec::with_capacity(capacity), |i| pool.remove(i));
+    log.clear();
+    log
+}
+
+/// Pools a log, freeing the smallest once more than `MAX_SHARDS` are held.
+pub(crate) fn recycle_completion_log(log: Vec<Completion>) {
+    let mut pool = COMPLETION_POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    pool.push(log);
+    if pool.len() > metrics::MAX_SHARDS {
+        pool.sort_by_key(|log| std::cmp::Reverse(log.capacity()));
+        pool.truncate(metrics::MAX_SHARDS);
+    }
+}
+
 /// Why a request was shed instead of served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
@@ -156,12 +185,13 @@ pub struct Shed {
     pub reason: ShedReason,
 }
 
-/// Per-function accumulator: parallel columns of a pending batch.
+/// Per-function accumulator: parallel columns of a pending batch. The
+/// deadline has no column: it is checked at dequeue, and a request
+/// admitted to a batch is answered.
 pub(crate) struct Batch {
     pub x_bits: [u32; BATCH],
     pub tag: [u64; BATCH],
     pub t_enq: [u64; BATCH],
-    pub deadline: [u64; BATCH],
     /// Dequeue timestamp of trace-sampled lanes (0 = not sampled);
     /// feeds the batch-residency attribution at flush time.
     pub t_deq: [u64; BATCH],
@@ -174,7 +204,6 @@ impl Batch {
             x_bits: [0; BATCH],
             tag: [0; BATCH],
             t_enq: [0; BATCH],
-            deadline: [0; BATCH],
             t_deq: [0; BATCH],
             len: 0,
         }
@@ -185,7 +214,6 @@ impl Batch {
         self.x_bits[self.len] = req.x_bits;
         self.tag[self.len] = req.tag;
         self.t_enq[self.len] = req.t_enqueue_ns;
-        self.deadline[self.len] = req.deadline_ns;
         self.t_deq[self.len] = t_deq_ns;
         self.len += 1;
         self.len == BATCH
@@ -256,7 +284,7 @@ pub(crate) struct ShardState {
 impl ShardState {
     pub fn new(shard: usize, expected: usize, chaos_cfg: Option<&crate::chaos::ChaosConfig>) -> ShardState {
         ShardState {
-            completions: Vec::with_capacity(expected),
+            completions: take_completion_log(expected),
             sheds: Vec::new(),
             batches: (0..workload::NUM_FUNCS).map(|_| Batch::new()).collect(),
             inbox: Inbox::new(),
@@ -287,7 +315,18 @@ impl ShardState {
         }
         self.sheds.push(Shed { func, x_bits, tag, reason });
     }
+
+    /// Flushes function `f`'s pending batch, lending the free `flush` the
+    /// disjoint parts of the state it writes.
+    #[inline]
+    fn flush(&mut self, f: usize, scratch: &mut Scratch, q: &MpmcQueue<Request>, epoch: Instant) {
+        let (batch, attribution) = (&mut self.batches[f], &mut self.attribution[f]);
+        let (chaos, completions) = (&mut self.chaos, &mut self.completions);
+        let shard = self.quiesce.shard;
+        flush(shard, f as u8, batch, scratch, chaos, q, epoch, completions, attribution);
+    }
 }
+
 
 // Takes the batch, chaos state and completion log as disjoint borrows of
 // ShardState (they cannot be passed as one &mut without aliasing the
@@ -420,17 +459,7 @@ pub(crate) fn shard_pass(
     let st = &mut *state;
     for f in 0..workload::NUM_FUNCS {
         if st.batches[f].len == BATCH {
-            flush(
-                shard,
-                f as u8,
-                &mut st.batches[f],
-                &mut scratch,
-                &mut st.chaos,
-                queue,
-                epoch,
-                &mut st.completions,
-                &mut st.attribution[f],
-            );
+            st.flush(f, &mut scratch, queue, epoch);
         }
     }
     loop {
@@ -443,17 +472,7 @@ pub(crate) fn shard_pass(
                 for f in 0..workload::NUM_FUNCS {
                     if st.batches[f].len > 0 {
                         flushed_lanes += st.batches[f].len as u64;
-                        flush(
-                            shard,
-                            f as u8,
-                            &mut st.batches[f],
-                            &mut scratch,
-                            &mut st.chaos,
-                            queue,
-                            epoch,
-                            &mut st.completions,
-                            &mut st.attribution[f],
-                        );
+                        st.flush(f, &mut scratch, queue, epoch);
                     }
                 }
                 if flushed_lanes == 0 {
@@ -512,17 +531,7 @@ pub(crate) fn shard_pass(
             0
         };
         if st.batches[f].push(&req, t_deq) {
-            flush(
-                shard,
-                f as u8,
-                &mut st.batches[f],
-                &mut scratch,
-                &mut st.chaos,
-                queue,
-                epoch,
-                &mut st.completions,
-                &mut st.attribution[f],
-            );
+            st.flush(f, &mut scratch, queue, epoch);
         }
     }
 }

@@ -257,6 +257,7 @@ mod tests {
     fn salvage_covers_requests_still_in_the_inbox() {
         use crate::shard::{make_tag, BATCH, NO_DEADLINE};
         crate::chaos::install_panic_filter();
+        let _turn = crate::tests::serve_turn();
         // 16 requests of function 1, then two batches of function 0. The
         // first burst batches all 64; the second fills function 0's
         // batch at its 16th request, whose flush panics with 48 requests
@@ -317,6 +318,7 @@ mod tests {
     fn restartable_panic_on_a_full_ring_sheds_nothing() {
         use crate::shard::{make_tag, NO_DEADLINE};
         crate::chaos::install_panic_filter();
+        let _turn = crate::tests::serve_turn();
         const CAP: usize = 128;
         let reqs: Vec<Request> = (0..1024u64)
             .map(|j| {
