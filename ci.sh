@@ -25,6 +25,12 @@ echo "== oracle pin: every oracle result stays bit-identical =="
 # entries plus seeded f32 and posit32 samples (~10 s in release).
 cargo test -q --offline --release -p rlibm-mp --test oracle_pin -- --ignored
 
+echo "== generator pin: every generated coefficient stays bit-identical =="
+# The ignored test runs gen_polynomial on gen_bench's ten fp16 domains and
+# hashes every coefficient's bit pattern (a few seconds in release): a
+# change to the LP, the CEGIS loop or the oracle must move no coefficient.
+cargo test -q --offline --release -p rlibm-bench --test gen_pin -- --ignored
+
 echo "== stride-sample pin: no output bit moves, scalar and simd =="
 # The ignored stride sample hashes every registry row's scalar, dd and
 # batched outputs over a stride of the whole input domain (~45 s per

@@ -6,12 +6,10 @@
 //! `BENCH_gen.json` (schema `rlibm-bench/gen/v1`) diffable by
 //! `bench_compare`, so generator-side regressions can't land silently.
 //!
-//! Workloads are identity-reduction Half (fp16) runs on per-function
-//! domains sized so every generation *succeeds* (the bench panics if one
-//! goes infeasible — a silent `Err` would time the failure path):
-//! log family on `[1, 2)`, exp family on `±[2^-8, 2^-2]`, sinh/cosh on
-//! `[2^-6, 2^-2]`, sinpi/cospi on `[2^-8, 2^-2]`, with odd/even term
-//! sets matching each function's parity.
+//! Workloads are the ten identity-reduction Half (fp16) domains of
+//! [`rlibm_bench::gen`], sized so every generation *succeeds* (the bench
+//! panics if one goes infeasible — a silent `Err` would time the failure
+//! path); `tests/gen_pin.rs` pins their coefficients.
 //!
 //! Timing protocol:
 //!
@@ -32,18 +30,15 @@
 //! Usage: `cargo run -p rlibm-bench --release --bin gen_bench -- \
 //!             [--quick] [--out PATH]`
 
+use rlibm_bench::gen::{gen_domains, oracle_cases, GenDomain};
 use rlibm_bench::json::{check_bench_schema, write_validated, Json};
 use rlibm_bench::timing::geomean;
 use rlibm_core::reduced::ReductionCase;
-use rlibm_core::validate::all_16bit;
 use rlibm_core::{
-    deduce_reduced_intervals, gen_polynomial, merge_by_reduced_input, rounding_interval,
-    PolyGenConfig, ReducedConstraint,
+    deduce_reduced_intervals, gen_polynomial, merge_by_reduced_input, PolyGenConfig,
+    ReducedConstraint,
 };
 use rlibm_fp::Half;
-use rlibm_mp::oracle::{
-    is_special_case, try_correctly_rounded, try_correctly_rounded_f64, DEFAULT_PREC_CEILING,
-};
 use rlibm_mp::Func;
 use std::time::Instant;
 
@@ -72,55 +67,8 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// Per-function generation workload: the input domain (over f64-widened
-/// Half values) and the polynomial term exponents.
-struct Workload {
-    func: Func,
-    terms: Vec<u32>,
-    lo: f64,
-    hi: f64,
-    both_signs: bool,
-}
-
-fn workloads() -> Vec<Workload> {
-    let w = |func, terms: Vec<u32>, lo: f64, hi: f64, both_signs| Workload {
-        func,
-        terms,
-        lo,
-        hi,
-        both_signs,
-    };
-    vec![
-        // Log family on one binade (the pipeline e2e test proves this
-        // shape feasible for log2 at degree 7).
-        w(Func::Ln, (0..=7).collect(), 1.0, 2.0, false),
-        w(Func::Log2, (0..=7).collect(), 1.0, 2.0, false),
-        w(Func::Log10, (0..=7).collect(), 1.0, 2.0, false),
-        // Exp family near zero, both signs.
-        w(Func::Exp, (0..=6).collect(), 2f64.powi(-8), 2f64.powi(-2), true),
-        w(Func::Exp2, (0..=6).collect(), 2f64.powi(-8), 2f64.powi(-2), true),
-        w(Func::Exp10, (0..=6).collect(), 2f64.powi(-8), 2f64.powi(-2), true),
-        // Parity-matched term sets for the odd/even functions.
-        w(Func::Sinh, vec![1, 3, 5], 2f64.powi(-6), 2f64.powi(-2), false),
-        w(Func::Cosh, vec![0, 2, 4], 2f64.powi(-6), 2f64.powi(-2), false),
-        w(Func::SinPi, vec![1, 3, 5, 7], 2f64.powi(-8), 2f64.powi(-2), false),
-        // cospi needs the x^6 term: at x=1/4 the degree-4 truncation
-        // error (pi x)^6/720 ~ 3.3e-4 exceeds a Half rounding interval.
-        w(Func::CosPi, vec![0, 2, 4, 6], 2f64.powi(-8), 2f64.powi(-2), false),
-    ]
-}
-
-fn inputs_for(w: &Workload, quick: bool) -> Vec<Half> {
-    let in_domain = |v: f64| {
-        let m = v.abs();
-        (w.lo..w.hi).contains(&m) && (w.both_signs || v > 0.0)
-    };
-    let xs: Vec<Half> = all_16bit::<Half>()
-        .filter(|x| {
-            let v = x.to_f64();
-            v.is_finite() && in_domain(v) && !is_special_case(w.func, v)
-        })
-        .collect();
+fn inputs_for(w: &GenDomain, quick: bool) -> Vec<Half> {
+    let xs = w.inputs();
     // Quick mode subsamples the domain; generation still runs end to end
     // (sampling keeps the first/last constraint, so the shape holds).
     if quick {
@@ -128,24 +76,6 @@ fn inputs_for(w: &Workload, quick: bool) -> Vec<Half> {
     } else {
         xs
     }
-}
-
-/// One oracle case-construction pass over `inputs` (the per-input work
-/// of the pipeline's `oracle_cases`, identity reduction). Returns the
-/// cases so the caller can reuse the final pass's output.
-fn oracle_pass(func: Func, inputs: &[Half]) -> Vec<ReductionCase> {
-    let mut cases = Vec::with_capacity(inputs.len());
-    for &x in inputs {
-        let xf = x.to_f64();
-        let y: Half = try_correctly_rounded(func, x, DEFAULT_PREC_CEILING)
-            .unwrap_or_else(|e| panic!("{}: oracle failed on {xf}: {e:?}", func.name()));
-        let Some(target) = rounding_interval(y) else { continue };
-        let r = xf; // identity range reduction
-        let cv = try_correctly_rounded_f64(func, r, DEFAULT_PREC_CEILING)
-            .unwrap_or_else(|e| panic!("{}: f64 oracle failed on {r}: {e:?}", func.name()));
-        cases.push(ReductionCase { x: xf, target, r, component_values: vec![cv] });
-    }
-    cases
 }
 
 /// Best-of-`reps` per-input oracle time, each rep on a fresh thread so
@@ -157,7 +87,7 @@ fn time_oracle(func: Func, inputs: &[Half], reps: usize) -> (f64, Vec<ReductionC
         let (ns, c) = std::thread::scope(|s| {
             s.spawn(|| {
                 let t0 = Instant::now();
-                let c = oracle_pass(func, inputs);
+                let c = oracle_cases(func, inputs);
                 (t0.elapsed().as_nanos() as f64 / inputs.len().max(1) as f64, c)
             })
             .join()
@@ -186,7 +116,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut total_inputs = 0usize;
     let (mut all_oracle, mut all_gen) = (Vec::new(), Vec::new());
-    for w in workloads() {
+    for w in gen_domains() {
         let name = w.func.name();
         let inputs = inputs_for(&w, cli.quick);
         assert!(!inputs.is_empty(), "{name}: empty workload domain");

@@ -237,7 +237,6 @@ fn main() {
     stats::register_all();
     rlibm_mp::oracle::register_metrics();
     rlibm_lp::simplex::register_metrics();
-    rlibm_lp::simplex_f64::register_metrics();
 
     exercise_generator(cli.quick);
     exercise_oracle(cli.seed, if cli.quick { 60 } else { 2000 });

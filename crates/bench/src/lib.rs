@@ -28,6 +28,7 @@
 //! registry dependencies): schema-tagged (`rlibm-bench/timing/v1`, ...),
 //! re-parsed and schema-checked by the harness itself before exit.
 
+pub mod gen;
 pub mod json;
 pub mod sweep;
 pub mod serve;

@@ -50,15 +50,6 @@ impl Interval {
     pub fn width(&self) -> f64 {
         self.hi - self.lo
     }
-
-    /// Number of doubles in the interval (inclusive), saturating at
-    /// `u64::MAX`. The paper's "highly constrained" intervals are the ones
-    /// where this is small.
-    pub fn count_doubles(&self) -> u64 {
-        let lo = f64_order_key(self.lo);
-        let hi = f64_order_key(self.hi);
-        (hi - lo) as u64 + 1
-    }
 }
 
 /// The rounding interval of `y`: every double in `[lo, hi]` rounds to `y`
@@ -247,13 +238,6 @@ mod tests {
         let c = Interval::new(5.0, 6.0);
         assert!(a.intersect(&c).is_none());
         assert_eq!(a.width(), 2.0);
-    }
-
-    #[test]
-    fn count_doubles_is_exact_for_adjacent() {
-        let x = 1.0f64;
-        let iv = Interval::new(x, next_up_f64(next_up_f64(x)));
-        assert_eq!(iv.count_doubles(), 3);
     }
 
     #[test]

@@ -95,8 +95,10 @@
 //!
 //! Each function also gets a **prefix kernel** (`eval::<_, true>`): the
 //! same reduction and table combine, but evaluating only a low-degree
-//! prefix of the polynomial (the progressive sets
-//! `rlibm_core::polygen::gen_progressive` emits). The truncation error is
+//! prefix of the same hand-written polynomial. Nothing generates these
+//! prefixes: `rlibm_core::polygen::gen_progressive` models the same
+//! truncation for a generated polynomial, but no generated polynomial
+//! reaches this crate. The truncation error is
 //! larger, so the prefix result is tested against a wider prefix band;
 //! the rare escalations (the band is still a tiny fraction of the
 //! 2^28-scale rounding boundary, so well under 1% of inputs) re-run the

@@ -9,15 +9,14 @@
 //! rarely violates a constraint, cutting down the search-and-refine loop).
 //!
 //! Because there are only `k = degree + 1` coefficients but up to tens of
-//! thousands of constraints, we hand the simplex the *dual*: `k + 2` rows
+//! thousands of constraints, we hand the simplex the *dual*: `k + 1` rows
 //! instead of `2m`, making each pivot O(k·m) instead of O(m²). The primal
 //! coefficients are recovered from the optimal dual basis by solving the
 //! `k+1` active constraints as an exact linear system.
 
 use crate::error::LpError;
-use crate::simplex::{solve_standard_form, solve_standard_form_warm, StandardResult};
-use crate::simplex_f64::{solve_standard_form_f64, solve_standard_form_f64_warm, F64Result};
-use rlibm_mp::{BigUint, Rational};
+use crate::simplex::{solve, Field, StandardResult};
+use rlibm_mp::Rational;
 use std::collections::HashMap;
 
 /// One linear constraint `lo <= sum_j basis_j * c_j <= hi` on the
@@ -247,30 +246,10 @@ pub fn max_margin_fit_warm(
     };
 
     // ---- Fast layer: f64 simplex proposes a basis. ----
-    let basis_f64: Vec<f64> = constraints
-        .iter()
-        .flat_map(|c| c.basis.iter().map(Rational::to_f64))
-        .collect();
-    let mut a64 = vec![vec![0.0f64; cols]; rows];
-    let mut c64 = vec![0.0f64; cols];
-    for (i, con) in constraints.iter().enumerate() {
-        for j in 0..k {
-            a64[j][2 * i] = basis_f64[i * k + j];
-            a64[j][2 * i + 1] = -basis_f64[i * k + j];
-        }
-        a64[k][2 * i] = 1.0;
-        a64[k][2 * i + 1] = 1.0;
-        c64[2 * i] = con.hi.to_f64();
-        c64[2 * i + 1] = -con.lo.to_f64();
-    }
-    let mut b64 = vec![0.0f64; rows];
-    b64[k] = 1.0;
     let budget = 2000 + 80 * m;
-    let f64_result = match &warm_cols {
-        Some(wb) => solve_standard_form_f64_warm(&a64, &b64, &c64, budget, wb),
-        None => solve_standard_form_f64(&a64, &b64, &c64, budget),
-    };
-    if let Ok(F64Result::Optimal { basis, .. }) = f64_result {
+    let warm_cols = warm_cols.as_deref();
+    let (a, b, c) = dual_lp::<f64>(constraints, k);
+    if let Ok(StandardResult::Optimal { basis, .. }) = solve(&a, &b, &c, budget, warm_cols) {
         if let Some(fit) = recover_exact(&basis, constraints, k, cols) {
             if fit.margin.is_negative() {
                 if warm_cols.is_none() {
@@ -292,24 +271,8 @@ pub fn max_margin_fit_warm(
     }
 
     // ---- Exact layer: rational simplex fallback. ----
-    let mut a_std = vec![vec![Rational::zero(); cols]; rows];
-    let mut c_std = vec![Rational::zero(); cols];
-    for (i, con) in constraints.iter().enumerate() {
-        for (j, bj) in con.basis.iter().enumerate() {
-            a_std[j][2 * i] = bj.clone();
-            a_std[j][2 * i + 1] = bj.neg();
-        }
-        a_std[k][2 * i] = Rational::one();
-        a_std[k][2 * i + 1] = Rational::one();
-        c_std[2 * i] = con.hi.clone();
-        c_std[2 * i + 1] = con.lo.neg();
-    }
-    let mut b_std = vec![Rational::zero(); rows];
-    b_std[k] = Rational::one();
-    let exact_result = match &warm_cols {
-        Some(wb) => solve_standard_form_warm(&a_std, &b_std, &c_std, budget, wb)?,
-        None => solve_standard_form(&a_std, &b_std, &c_std, budget)?,
-    };
+    let (a, b, c) = dual_lp::<Rational>(constraints, k);
+    let exact_result = solve(&a, &b, &c, budget, warm_cols)?;
     let (basis, objective) = match exact_result {
         StandardResult::Optimal { basis, objective, .. } => (basis, objective),
         StandardResult::Infeasible => {
@@ -331,6 +294,29 @@ pub fn max_margin_fit_warm(
     Ok(Some((fit, ws)))
 }
 
+/// The dual LP in field `F`: `min q^T y, D^T y = (0,..,0,1), y >= 0`,
+/// one column per primal inequality — constraint `i`'s `hi` bound in
+/// column `2i`, its `lo` bound in column `2i + 1` — and `k + 1` rows.
+fn dual_lp<F: Field>(constraints: &[FitConstraint], k: usize) -> (Vec<Vec<F>>, Vec<F>, Vec<F>) {
+    let cols = 2 * constraints.len();
+    let mut a = vec![vec![F::zero(); cols]; k + 1];
+    let mut c = vec![F::zero(); cols];
+    for (i, con) in constraints.iter().enumerate() {
+        for (j, bj) in con.basis.iter().enumerate() {
+            let v = F::from_rational(bj);
+            a[j][2 * i + 1] = v.neg();
+            a[j][2 * i] = v;
+        }
+        a[k][2 * i] = F::one();
+        a[k][2 * i + 1] = F::one();
+        c[2 * i] = F::from_rational(&con.hi);
+        c[2 * i + 1] = F::from_rational(&con.lo).neg();
+    }
+    let mut b = vec![F::zero(); k + 1];
+    b[k] = F::one();
+    (a, b, c)
+}
+
 /// Solves the `k+1` active primal constraints named by a dual basis as an
 /// exact linear system, recovering `(coefficients, margin)`.
 fn recover_exact(
@@ -339,38 +325,26 @@ fn recover_exact(
     k: usize,
     cols: usize,
 ) -> Option<FitResult> {
-    let rows = k + 1;
-    let mut sys: Vec<Vec<Rational>> = Vec::with_capacity(rows);
-    let mut rhs: Vec<Rational> = Vec::with_capacity(rows);
-    for &bj in basis {
-        if bj < cols {
-            let i = bj / 2;
-            let upper = bj % 2 == 0;
-            let con = &constraints[i];
-            let mut row: Vec<Rational> = Vec::with_capacity(rows);
-            if upper {
-                row.extend(con.basis.iter().cloned());
-                row.push(Rational::one());
-                rhs.push(con.hi.clone());
-            } else {
-                row.extend(con.basis.iter().map(Rational::neg));
-                row.push(Rational::one());
-                rhs.push(con.lo.neg());
+    let (mut sys, mut rhs): (Vec<Vec<Rational>>, Vec<Rational>) = basis
+        .iter()
+        .map(|&bj| {
+            if bj >= cols {
+                // Artificial basic at zero pins the corresponding primal
+                // coordinate to zero.
+                let mut row = vec![Rational::zero(); k + 1];
+                row[bj - cols] = Rational::one();
+                return (row, Rational::zero());
             }
-            sys.push(row);
-        } else {
-            // Artificial basic at zero pins the corresponding primal
-            // coordinate to zero.
-            let t = bj - cols;
-            let mut row = vec![Rational::zero(); rows];
-            row[t] = Rational::one();
-            sys.push(row);
-            rhs.push(Rational::zero());
-        }
-    }
-    let z = solve_linear_system(&mut sys, &mut rhs)?;
-    let margin = z[k].clone();
-    let coeffs = z[..k].to_vec();
+            // Column 2i is constraint i's ( a_i, 1) . z <= h_i, column
+            // 2i + 1 its (-a_i, 1) . z <= -l_i.
+            let (con, upper) = (&constraints[bj / 2], bj % 2 == 0);
+            let sign = |v: &Rational| if upper { v.clone() } else { v.neg() };
+            let row = con.basis.iter().map(sign).chain([Rational::one()]).collect();
+            (row, if upper { con.hi.clone() } else { con.lo.neg() })
+        })
+        .unzip();
+    let mut coeffs = solve_linear_system(&mut sys, &mut rhs)?;
+    let margin = coeffs.pop()?;
     Some(FitResult { coeffs, margin })
 }
 
@@ -418,31 +392,6 @@ fn solve_linear_system(a: &mut [Vec<Rational>], b: &mut [Rational]) -> Option<Ve
         x[i] = b[i].div(&a[i][i]);
     }
     Some(x)
-}
-
-/// Interpolation helper: the unique polynomial of degree `n-1` through `n`
-/// exact points, via the same Gaussian elimination. Used by tests and by
-/// the generator's lower-degree fallback.
-pub fn interpolate(points: &[(Rational, Rational)]) -> Option<Vec<Rational>> {
-    let n = points.len();
-    let mut a: Vec<Vec<Rational>> = points
-        .iter()
-        .map(|(x, _)| (0..n as u32).map(|e| pow_rational(x, e)).collect())
-        .collect();
-    let mut b: Vec<Rational> = points.iter().map(|(_, y)| y.clone()).collect();
-    solve_linear_system(&mut a, &mut b)
-}
-
-/// Builds `2^k` as a Rational (convenience for tests and interval maths).
-pub fn pow2_rational(k: i64) -> Rational {
-    if k >= 0 {
-        Rational::new(
-            rlibm_mp::BigInt::from_biguint(false, BigUint::one().shl(k as u64)),
-            BigUint::one(),
-        )
-    } else {
-        Rational::new(rlibm_mp::BigInt::one(), BigUint::one().shl((-k) as u64))
-    }
 }
 
 #[cfg(test)]
@@ -540,31 +489,6 @@ mod tests {
         let c = fit.coeffs_f64();
         assert!((c[0] - 1.0).abs() < 1e-5);
         assert!((c[1] - 0.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn interpolation_recovers_cubic() {
-        let r = Rational::from_i64;
-        // y = x^3 - 2x + 1 at 4 points.
-        let pts: Vec<_> = [-1i64, 0, 1, 2]
-            .iter()
-            .map(|&x| {
-                let xr = r(x);
-                let y = xr.mul(&xr).mul(&xr).sub(&r(2).mul(&xr)).add(&r(1));
-                (xr, y)
-            })
-            .collect();
-        let c = interpolate(&pts).expect("nonsingular");
-        assert_eq!(c[0], r(1));
-        assert_eq!(c[1], r(-2));
-        assert_eq!(c[2], r(0));
-        assert_eq!(c[3], r(1));
-    }
-
-    #[test]
-    fn pow2_rational_both_signs() {
-        assert_eq!(pow2_rational(10).to_f64(), 1024.0);
-        assert_eq!(pow2_rational(-3).to_f64(), 0.125);
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! at the boundary, which is exactly where correctly rounded libraries
 //! live. This crate provides:
 //!
-//! * [`simplex`] — a two-phase primal simplex over [`rlibm_mp::Rational`]
-//!   with Dantzig pricing and a Bland anti-cycling fallback.
+//! * [`simplex`] — one two-phase primal simplex with Dantzig pricing, a
+//!   Bland anti-cycling fallback and warm re-entry, generic over its
+//!   field: `f64` as the fast *basis oracle*, [`rlibm_mp::Rational`] as
+//!   the exact reference (SoPlex's iterative refinement).
 //! * [`fit`] — the polynomial-fitting front end: maximum-margin interval
 //!   fitting via the dual LP (rows = number of coefficients, so tens of
-//!   thousands of constraints stay cheap), plus exact interpolation.
+//!   thousands of constraints stay cheap), with every fit verified in
+//!   exact arithmetic.
 //!
-//! Both solvers are bounded and panic-free: pivot budgets surface as
+//! The solver is bounded and panic-free: pivot budgets surface as
 //! [`LpError::Cycling`] and malformed inputs as
 //! [`LpError::DimensionMismatch`], so a degenerate basis can never hang
 //! or abort a generator run.
@@ -34,10 +37,7 @@
 pub mod error;
 pub mod fit;
 pub mod simplex;
-pub mod simplex_f64;
 
 pub use error::LpError;
-pub use fit::{
-    interpolate, max_margin_fit, max_margin_fit_warm, FitConstraint, FitResult, FitWarmStart,
-};
+pub use fit::{max_margin_fit, max_margin_fit_warm, FitConstraint, FitResult, FitWarmStart};
 pub use simplex::{solve_standard_form, StandardResult};

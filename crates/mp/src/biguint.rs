@@ -722,22 +722,6 @@ impl BigUint {
         }
         acc
     }
-
-    /// Parses a decimal string.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-digit characters or an empty string.
-    pub fn from_decimal(s: &str) -> BigUint {
-        assert!(!s.is_empty(), "empty decimal string");
-        let mut acc = BigUint::zero();
-        for c in s.chars() {
-            assert!(c.is_ascii_digit(), "invalid decimal digit {c:?}");
-            let d = c.to_digit(10).unwrap_or(0) as u64;
-            acc = acc.mul_u64(10).add(&BigUint::from_u64(d));
-        }
-        acc
-    }
 }
 
 impl PartialOrd for BigUint {
@@ -810,8 +794,15 @@ impl core::fmt::Display for BigUint {
 mod tests {
     use super::*;
 
+    /// Parses a decimal string.
     fn big(s: &str) -> BigUint {
-        BigUint::from_decimal(s)
+        assert!(!s.is_empty(), "empty decimal string");
+        let mut acc = BigUint::zero();
+        for c in s.chars() {
+            let d = c.to_digit(10).unwrap_or_else(|| panic!("invalid decimal digit {c:?}"));
+            acc = acc.mul_u64(10).add(&BigUint::from_u64(u64::from(d)));
+        }
+        acc
     }
 
     #[test]

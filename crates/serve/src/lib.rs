@@ -543,10 +543,16 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     if let Some(i) = shard_outcomes.iter().position(Option::is_none) {
         return Err(ServeError::ShardLost { shard: i });
     }
-    // The first shard's log becomes the merged log and the others are
-    // appended to it, so no second copy of a full log is ever resident;
-    // the drained logs go back to the pool.
-    let mut completions = Vec::new();
+    // A lone shard's log becomes the report's as it is. With more shards,
+    // every log is appended to one pooled log with room for a 1-shard
+    // run's completions, so no log ever grows into fresh pages and the
+    // next run of any shape can refill it; the drained logs go back to
+    // the pool.
+    let mut completions = if shards > 1 {
+        shard::take_completion_log(completion_log_capacity(total, 1, producers))
+    } else {
+        Vec::new()
+    };
     let mut sheds = Vec::new();
     let mut panics = 0u64;
     let mut restarts = 0u64;
@@ -557,7 +563,7 @@ pub fn serve_closed_loop(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     let mut flight = Vec::new();
     for (i, outcome) in shard_outcomes.into_iter().enumerate() {
         let mut o = outcome.unwrap_or_else(|| unreachable!("checked above"));
-        if i == 0 {
+        if shards == 1 {
             completions = std::mem::take(&mut o.completions);
         } else {
             completions.append(&mut o.completions);
@@ -1012,7 +1018,7 @@ mod tests {
         assert_eq!(pooled_logs(), vec![small_log], "the small log stays pooled, untouched");
     }
 
-    /// The logs of a 3-shard run (two handed back at merge time, the
+    /// The logs of a 3-shard run (all three handed back at merge time, the
     /// merged one when the report drops) serve a 1-shard run after it.
     #[test]
     fn a_three_shard_run_then_a_one_shard_run() {
@@ -1021,15 +1027,16 @@ mod tests {
         let three =
             serve_closed_loop(&ServeConfig { shards: 3, ..small_cfg() }).expect("healthy run");
         assert!(three.balanced());
-        assert_eq!(pooled_logs().len(), 2, "shards 1 and 2 hand their drained logs back");
+        assert_eq!(pooled_logs().len(), 3, "every shard hands its drained log back");
         let merged = (three.completions.as_ptr(), three.completions.capacity());
         let served = served_set(&three);
         drop(three);
-        assert_eq!(pooled_logs().len(), 3);
+        assert_eq!(pooled_logs().len(), 4);
         let cfg = ServeConfig { shards: 1, ..small_cfg() };
-        // The merged log grew (by doubling) past all 10 000 completions,
-        // so it is the one pooled log a 1-shard run fits in.
-        assert!(merged.1 >= completion_log_capacity(cfg.requests, 1, cfg.producers));
+        // The merged log was taken with room for a 1-shard run and never
+        // grew: growing would have at least doubled its capacity.
+        let need = completion_log_capacity(cfg.requests, 1, cfg.producers);
+        assert!(need <= merged.1 && merged.1 < 2 * need, "merged capacity {} for {need}", merged.1);
         let one = serve_closed_loop(&cfg).expect("healthy run");
         assert!(one.balanced());
         assert_eq!(one.completions.as_ptr(), merged.0);
