@@ -77,10 +77,13 @@ fi
 echo "regenerated tables match pin $PINNED_FNV"
 
 echo "== tier counters: delta accounting in both telemetry configs =="
-# Every in-domain call ships from exactly one of the three progressive
-# tiers (prefix/full/dd), scalar and batched alike; with telemetry off
-# the counters must stay zero and the outputs bit-identical. Run the
-# delta suite in both configurations.
+# Every in-domain call ships from exactly one of the two tiers (the
+# kernel's banded fast step, counted as `prefix`, or dd), scalar and
+# batched alike, and the batched driver resolves exactly its special and
+# band-rejected lanes through the scalar entry; with telemetry off the
+# counters must stay zero and the outputs bit-identical. Run the delta
+# suite in both configurations (the simd leg below runs it on the AVX2
+# lane).
 cargo test -q --offline --release -p rlibm --features telemetry --test tier_counters
 cargo test -q --offline --release -p rlibm --test tier_counters
 
@@ -125,9 +128,9 @@ echo "== simd inlining gate: AVX2 stages and scalar ladders stay call-free =="
 #  - any AVX2 stage (`lane::avx2::avx2_stage`, which holds both the
 #    kernel stages and the round-safe + narrow stages) contains a call or
 #    jumps into another function, or
-#  - any of the 18 scalar entry points (the inlined f32/posit32 ladders,
-#    whose prefix tier ships >99.9% of calls) calls anything but the cold
-#    `registry::escalate` (the full tier, then dd) and its dd rung, or any
+#  - any of the 18 scalar entry points (the inlined f32/posit32 entries,
+#    whose fast step ships >99.9% of calls) calls anything but the cold
+#    `registry::escalate` (the dd rung) and its dd kernels, or any
 #    `escalate` calls anything but the dd rung: the dd kernels and
 #    round-to-odd, their `fma`, and the table index bounds-fail panic.
 #    (Round-to-odd steps to its odd neighbour with one bit operation, so

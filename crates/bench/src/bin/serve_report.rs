@@ -271,6 +271,16 @@ fn kernel_injected_total() -> u64 {
     0
 }
 
+/// Lanes the batched driver has resolved through the scalar entry, both
+/// formats (0 without telemetry).
+fn rescalar_lanes_total() -> u64 {
+    let snap = rlibm_obs::snapshot();
+    ["runtime.slice.f32.rescalar_lanes", "runtime.slice.posit32.rescalar_lanes"]
+        .iter()
+        .map(|name| snap.counter(name).unwrap_or(0))
+        .sum()
+}
+
 /// Everything the document gathers across scenarios beside their rows.
 #[derive(Default)]
 struct Gathered {
@@ -279,7 +289,11 @@ struct Gathered {
     sheds: Vec<Vec<Json>>,
     /// Distinct rescalar exemplars from the trace rings, capped.
     rescalar: Vec<Json>,
-    rescalar_total: u64,
+    /// Rescalar events left in the trace rings after the harvest.
+    rescalar_seen: u64,
+    /// Lanes the batched driver resolved through the scalar entry during
+    /// the harvest (the `runtime.slice.*.rescalar_lanes` delta).
+    rescalar_lanes: u64,
     /// The slowest healthy completions.
     slowest: Vec<Json>,
     /// The healthy scenario's `healthy.<label>` rows.
@@ -307,9 +321,11 @@ fn with_quantiles(row: Json, lat: &mut [u64]) -> Json {
 fn run_scenario(s: &Scenario, g: &mut Gathered) {
     let name = s.name;
     let kernel0 = kernel_injected_total();
+    let rescalar0 = rescalar_lanes_total();
     let report = serve_closed_loop(&s.cfg)
         .unwrap_or_else(|e| panic!("scenario {name}: accounting lost: {e}"));
     let kernel_injections = kernel_injected_total() - kernel0;
+    let rescalar_lanes = rescalar_lanes_total() - rescalar0;
 
     // The contract, on every scenario whatever was injected.
     let completions = report.completions.len() as u64;
@@ -342,10 +358,11 @@ fn run_scenario(s: &Scenario, g: &mut Gathered) {
         Feeds::Row => {}
         Feeds::Attribution => gather_attribution(&report, g),
         Feeds::Rescalar => {
+            g.rescalar_lanes += rescalar_lanes;
             // Snapshot now: the next scenario's threads reclaim the rings.
             for t in obs_trace::snapshot_rings() {
                 for e in t.events.iter().filter(|e| e.kind == obs_trace::TraceKind::Rescalar) {
-                    g.rescalar_total += 1;
+                    g.rescalar_seen += 1;
                     let ex = exemplar(e.aux, e.payload);
                     if g.rescalar.len() < EXEMPLAR_CAP && !g.rescalar.contains(&ex) {
                         g.rescalar.push(ex);
@@ -640,12 +657,14 @@ fn main() {
     println!("{}", "-".repeat(112));
     print_workload_rows(&g.workload_rows);
     println!(
-        "\n{} requests, {} injections; sampled {} healthy requests; {} rescalar exemplars \
-         seen ({} kept); {} flight dump(s) ({} panic, {} corruption); {} trace drops",
+        "\n{} requests, {} injections; sampled {} healthy requests; {} rescalar lanes, {} \
+         rescalar exemplars seen ({} kept); {} flight dump(s) ({} panic, {} corruption); {} \
+         trace drops",
         g.submitted,
         g.injected,
         g.sampled,
-        g.rescalar_total,
+        g.rescalar_lanes,
+        g.rescalar_seen,
         g.rescalar.len(),
         g.flight_panic + g.flight_corruption,
         g.flight_panic,
@@ -675,7 +694,7 @@ fn main() {
         .set("total_injected", g.injected as f64)
         .set("sampled", g.sampled as f64)
         .set("dropped_events", obs_trace::dropped_events() as f64)
-        .set("rescalar_events", g.rescalar_total as f64)
+        .set("rescalar_events", g.rescalar_lanes as f64)
         .set("stage_quantiles", g.stage_quantiles.expect("the healthy scenario ran"))
         .set(
             "flight",

@@ -17,11 +17,10 @@
 //!    at 200k and settles for registered-at-zero presence).
 //! 4. **Batched eval** — one `eval_slice_f32` call ticking the
 //!    `runtime.slice.f32.*` counters.
-//! 5. **Progressive tiers** — the timing harness's f32 workload through
-//!    every scalar front end, populating `runtime.tier.{prefix,full,dd}.*`
-//!    and asserting the prefix tier carried >= 90% of in-domain calls
-//!    (the cheap tier must be the common case or the ladder is
-//!    mis-tuned).
+//! 5. **Tiers** — the timing harness's f32 workload through every
+//!    scalar front end, populating `runtime.tier.{prefix,dd}.*` and
+//!    asserting the fast step carried >= 90% of in-domain calls (the
+//!    cheap tier must be the common case or the band is mis-tuned).
 //!
 //! The binary asserts telemetry is compiled in (it is, in this crate),
 //! asserts the snapshot's core sections are populated, prints a human
@@ -169,32 +168,30 @@ fn exercise_fallbacks(seed: u64, cap: u64) -> Vec<String> {
     missing
 }
 
-/// Phase 5: the progressive-tier hit-rate check. Runs the kernel-domain
+/// Phase 5: the fast-step hit-rate check. Runs the kernel-domain
 /// workload the timing harness times through every scalar front end and
 /// returns the aggregate prefix-tier share of in-domain calls.
 fn exercise_tiers(per_fn: usize) -> f64 {
     let mut prefix_total = 0u64;
     let mut total = 0u64;
-    println!("\n{:>8} | {:>8} | {:>8} | {:>8} | {:>8}", "fn", "prefix", "full", "dd", "prefix%");
-    println!("{}", "-".repeat(52));
+    println!("\n{:>8} | {:>8} | {:>8} | {:>8}", "fn", "prefix", "dd", "prefix%");
+    println!("{}", "-".repeat(41));
     for f in Func::ALL {
         let name = f.name();
         let fast = rlibm_math::f32_fn_by_name(name).expect("known name");
         let slot = stats::f32_slot_by_name(name).expect("known name");
-        let before = (stats::tier_prefix(slot), stats::tier_full(slot), stats::tier_dd(slot));
+        let before = (stats::tier_prefix(slot), stats::tier_dd(slot));
         for x in rlibm_bench::workloads::timing_inputs_f32(name, per_fn, 42) {
             std::hint::black_box(fast(x));
         }
         let dp = stats::tier_prefix(slot) - before.0;
-        let df = stats::tier_full(slot) - before.1;
-        let dd = stats::tier_dd(slot) - before.2;
-        let in_domain = dp + df + dd;
-        assert!(in_domain > 0, "{name}: timing workload never entered the tier ladder");
+        let dd = stats::tier_dd(slot) - before.1;
+        let in_domain = dp + dd;
+        assert!(in_domain > 0, "{name}: timing workload never reached the kernel");
         println!(
-            "{:>8} | {:>8} | {:>8} | {:>8} | {:>7.2}%",
+            "{:>8} | {:>8} | {:>8} | {:>7.2}%",
             name,
             dp,
-            df,
             dd,
             100.0 * dp as f64 / in_domain as f64
         );
@@ -282,8 +279,8 @@ fn main() {
     let tier_counters =
         snap.counters.iter().filter(|c| c.name.starts_with("runtime.tier.")).count();
     assert!(
-        tier_counters == 54,
-        "expected 54 runtime.tier.* counters (3 tiers x 18 slots), snapshot has {tier_counters}"
+        tier_counters == 36,
+        "expected 36 runtime.tier.* counters (2 tiers x 18 slots), snapshot has {tier_counters}"
     );
 
     println!("\n{:>34} | {:>12}", "counter", "value");

@@ -115,6 +115,9 @@ fn row_name(row: &Json) -> &str {
 /// `n_inputs`, latency fields on every row) it checks:
 ///
 /// * the flags and the stage-quantile, exemplar and flight sections;
+/// * `rescalar_events`, the lanes the rescalar harvest resolved through
+///   the scalar entry, is at least the number of rescalar exemplars kept
+///   (each exemplar is one such lane);
 /// * the scenario rows are exactly the build's table, in order, and each
 ///   balances (`completions + sheds == requests`, with the per-reason
 ///   counts summing to `sheds`), with zero `mismatches` and zero
@@ -163,6 +166,13 @@ pub fn check_serve_report(doc: &Json) -> Result<(), String> {
     }
     if section_len("rescalar")? == 0 && telemetry && !quick {
         return Err("full report has no rescalar exemplars".to_string());
+    }
+    let rescalar_events = count(doc, "rescalar_events")?;
+    if rescalar_events < section_len("rescalar")? as f64 {
+        return Err(format!(
+            "rescalar_events {rescalar_events} < {} rescalar exemplars kept",
+            section_len("rescalar")?
+        ));
     }
     if section_len("slowest")? == 0 {
         return Err("'slowest' exemplars are empty".to_string());
@@ -334,6 +344,7 @@ mod tests {
             .set("sample_shift", 4.0)
             .set("n_inputs", n_inputs)
             .set("total_injected", injected)
+            .set("rescalar_events", 40.0)
             .set("stage_quantiles", STAGES.iter().fold(Json::obj(), |q, s| q.set(s, stage())))
             .set(
                 "flight",
@@ -440,6 +451,15 @@ mod tests {
         let mut doc = minimal_doc(true, true, true);
         *at(&mut doc, &["exemplars", "poisoned"]) = Json::Arr(Vec::new());
         rejects(&doc, "poisoned");
+    }
+
+    #[test]
+    fn rejects_fewer_rescalar_events_than_exemplars() {
+        let mut doc = minimal_doc(false, true, false);
+        *at(&mut doc, &["rescalar_events"]) = Json::Num(2.0);
+        assert_eq!(check_serve_report(&doc), Ok(()));
+        *at(&mut doc, &["rescalar_events"]) = Json::Num(1.0);
+        rejects(&doc, "rescalar_events");
     }
 
     #[test]

@@ -103,15 +103,6 @@ pub fn midpoint_f32(a: f32, b: f32) -> f64 {
     (a as f64 + b as f64) * 0.5
 }
 
-/// The value halfway between the largest finite `f32` and what would be the
-/// next representable value (`2^128`). Doubles at or beyond this magnitude
-/// round to `f32::INFINITY` under round-to-nearest-even.
-pub fn f32_overflow_threshold() -> f64 {
-    // max finite f32 = (2 - 2^-23) * 2^127; the next step would be 2^104
-    // wide, so the rounding boundary is max + 2^103.
-    f32::MAX as f64 + 2f64.powi(103)
-}
-
 /// Unbiased exponent of a finite nonzero `f64` (the `e` in `m * 2^e` with
 /// `m` in `[1, 2)` for normal values; subnormals report their effective
 /// exponent based on the leading significand bit).
@@ -213,40 +204,6 @@ pub fn is_even_f32(x: f32) -> bool {
     x.to_bits() & 1 == 0
 }
 
-/// Rounds an extended-precision value expressed as `value + direction` to
-/// `f32`, where `value` is an `f64` and `direction` indicates a nonzero
-/// residual with the given sign (`> 0` means the true value is slightly
-/// above `value`). This implements exact round-to-nearest-even of a value
-/// that is *not* representable as a double but is sandwiched strictly
-/// between `value` and its `f64` neighbour.
-pub fn round_residual_f32(value: f64, residual_positive: bool) -> f32 {
-    let base = value as f32;
-    // `value as f32` rounds ties to even; we must fix up the case where
-    // `value` is exactly a rounding boundary (midpoint between two f32
-    // values) and the residual pushes the true value off the midpoint.
-    if (base as f64) == value {
-        return base; // value is exactly an f32; residual can't cross a boundary
-    }
-    let lo = if value > base as f64 {
-        base
-    } else {
-        next_down_f32(base)
-    };
-    let hi = if value > base as f64 {
-        next_up_f32(base)
-    } else {
-        base
-    };
-    let mid = midpoint_f32(lo, hi);
-    if value > mid || (value == mid && residual_positive) {
-        hi
-    } else if value < mid || (value == mid && !residual_positive) {
-        lo
-    } else {
-        base
-    }
-}
-
 /// Maps an `f64` to an `i64` key that is strictly monotone in the IEEE
 /// total order of non-NaN values (`-inf < ... < -0.0 < +0.0 < ... < +inf`).
 /// Used for binary searches over the double line.
@@ -333,13 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_threshold_rounds_to_inf() {
-        let t = f32_overflow_threshold();
-        assert_eq!(t as f32, f32::INFINITY);
-        assert_eq!(next_down_f64(t) as f32, f32::MAX);
-    }
-
-    #[test]
     fn exponent_matches_powers_of_two() {
         assert_eq!(exponent_f64(1.0), 0);
         assert_eq!(exponent_f64(2.0), 1);
@@ -379,16 +329,5 @@ mod tests {
         assert!(!is_even_f32(next_up_f32(1.0)));
         assert!(is_even_f64(1.0));
         assert!(!is_even_f64(next_up_f64(1.0)));
-    }
-
-    #[test]
-    fn round_residual_breaks_midpoint_ties() {
-        let a = 1.0f32;
-        let b = next_up_f32(a);
-        let mid = midpoint_f32(a, b);
-        // True value slightly above the midpoint -> round up regardless of parity.
-        assert_eq!(round_residual_f32(mid, true), b);
-        // Slightly below -> round down.
-        assert_eq!(round_residual_f32(mid, false), a);
     }
 }

@@ -23,8 +23,6 @@
 //!   target — correct in double, wrong for float exactly on the
 //!   double-rounding cases.
 
-use rlibm_posit::Posit32;
-
 /// The model of a mainstream single-precision libm.
 pub mod float32 {
     use crate::lane::round_even_i64;
@@ -311,15 +309,10 @@ pub mod crlibm {
     }
 }
 
-/// Posit front end for the baselines used in Figure 4 (glibc/Intel double
-/// and CR-LIBM re-purposed for posit32).
-pub fn double64_posit(name: &str, x: Posit32) -> Posit32 {
-    double64::to_posit32(name, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlibm_posit::Posit32;
 
     #[test]
     fn float32_baseline_is_usually_right_but_not_always() {

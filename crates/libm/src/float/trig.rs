@@ -104,7 +104,7 @@ pub(crate) fn cospi_kernel(a: f64) -> (bool, Dd) {
     (k ^ m, v)
 }
 
-/// The sinpi dd kernel (the ladder's dd rung and the dd reference's
+/// The sinpi dd kernel (the fast entry's dd rung and the dd reference's
 /// kernel): [`sinpi_kernel`] with the sign applied, for signed in-domain
 /// `x`.
 pub(crate) fn sinpi_kernel_signed(x: f64) -> Dd {

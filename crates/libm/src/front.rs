@@ -15,7 +15,7 @@
 //! Four paths read that one definition:
 //!
 //! 1. the fast scalar entry ([`crate::registry`]'s `entry`) through
-//!    `fast_front`: `fast_dom` climbs the ladder, anything else is
+//!    `fast_front`: `fast_dom` runs the fast kernel, anything else is
 //!    `fast_special` (the posit32 logarithms decide on the bit pattern,
 //!    [`Format::log_front`]);
 //! 2. the dd reference ([`reference`]): `dom` runs the dd kernel and
@@ -24,7 +24,7 @@
 //!    reference at their format;
 //! 4. the batched driver ([`crate::slice`]), whose per-lane mask on the
 //!    f64 or AVX2 lane is `fast_dom`: the lanes the fast entry sends to
-//!    the ladder.
+//!    the kernel.
 //!
 //! # Where the thresholds live
 //!
@@ -179,7 +179,7 @@ pub(crate) trait Front<T: Format> {
     fn special(x: T, xd: f64) -> T;
 
     /// The lanes the fast entry and the batched driver send to the
-    /// ladder: `dom` less the fast-only shortcut.
+    /// kernel: `dom` less the fast-only shortcut.
     #[inline(always)]
     fn fast_dom<V: F64Lane>(x: V) -> V::Mask {
         Self::dom(x)
@@ -192,7 +192,7 @@ pub(crate) trait Front<T: Format> {
     }
 
     /// The fast scalar entry's front end: `Ok` with `x` widened for the
-    /// inputs `fast_dom` sends to the ladder, `Err` with the result of
+    /// inputs `fast_dom` sends to the kernel, `Err` with the result of
     /// the rest.
     #[inline(always)]
     fn fast_front(x: T) -> Result<f64, T> {

@@ -1,16 +1,16 @@
 //! The f64 lane every fast kernel is written against.
 //!
 //! A kernel in [`crate::kernel`] is one generic function,
-//! `eval<V: F64Lane, const PREFIX: bool>(x: V) -> V`, and [`F64Lane`]
+//! `eval<V: F64Lane>(x: V) -> V`, and [`F64Lane`]
 //! is the whole vocabulary it may use: IEEE add/sub/mul/div and negation,
 //! splat, abs, compares and a mask select, the round-to-even and
 //! truncating conversions to a small-integer lane, exact floor of
 //! non-negative values, the integer ops of the reductions (`& 63`,
 //! `>> 6`, `pow2i`, the cospi mirror `256 - n`), the log reduction's
-//! exponent/significand split, and the packed-table gathers. Two types
-//! implement it:
+//! exponent/significand split, and the packed tables' hi-word gather.
+//! Two types implement it:
 //!
-//! * `f64`, one lane: the scalar ladder and the portable batched path;
+//! * `f64`, one lane: the scalar entries and the portable batched path;
 //! * [`avx2::Avx2`], four lanes in a `__m256d` (`simd` feature,
 //!   x86_64): the batched stages on AVX2 hardware.
 //!
@@ -31,7 +31,7 @@
 //! [`F64Lane::blend`] picks between two computed values; the expensive
 //! branches (the sinh/cosh Taylor-vs-exp split, cospi's `n = 0` path) go
 //! through [`F64Lane::select`], which takes both sides as closures. The
-//! `f64` lane branches and runs one side, so the scalar ladder pays for
+//! `f64` lane branches and runs one side, so a scalar call pays for
 //! one; the AVX2 lane runs each side exactly once and blends.
 //!
 //! # Inlining
@@ -139,8 +139,6 @@ pub(crate) trait F64Lane:
     fn pow2i(i: Self::Int) -> Self;
     /// The hi words of entries `i` of `t`.
     fn gather_hi(t: &Packed, i: Self::Int) -> Self;
-    /// The `(hi, lo)` pairs of entries `i` of `t`.
-    fn gather_packed(t: &Packed, i: Self::Int) -> (Self, Self);
 }
 
 /// `v.round_ties_even() as i64` for `|v| <= 2^51`, without a libm call.
@@ -304,11 +302,6 @@ impl F64Lane for f64 {
     fn gather_hi(t: &Packed, i: i64) -> f64 {
         t.hi(i as usize)
     }
-
-    #[inline(always)]
-    fn gather_packed(t: &Packed, i: i64) -> (f64, f64) {
-        t.entry(i as usize)
-    }
 }
 
 /// The AVX2 lane: four f64 lanes in one `__m256d`.
@@ -459,21 +452,6 @@ pub(crate) mod avx2 {
         let code = _mm256_srli_epi64::<52>(w); // word is pre-masked to 56 bits
         let exp = _mm256_slli_epi64::<52>(_mm256_add_epi64(code, _mm256_set1_epi64x(base as i64 - 1)));
         let bits = _mm256_or_si256(exp, mant);
-        let zero = _mm256_cmpeq_epi64(code, _mm256_setzero_si256());
-        _mm256_castsi256_pd(_mm256_andnot_si256(zero, bits))
-    }
-
-    /// Vector twin of `tables_codec::decode_lo` (sign in bit 56).
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline(always)]
-    unsafe fn decode_lo(w: __m256i, base: u64) -> __m256d {
-        let mant = _mm256_and_si256(w, _mm256_set1_epi64x(codec::MANT52_MASK as i64));
-        let code = _mm256_and_si256(_mm256_srli_epi64::<52>(w), _mm256_set1_epi64x(0xF));
-        let sign = _mm256_slli_epi64::<7>(_mm256_and_si256(w, _mm256_set1_epi64x(1i64 << 56)));
-        let exp = _mm256_slli_epi64::<52>(_mm256_add_epi64(code, _mm256_set1_epi64x(base as i64 - 1)));
-        let bits = _mm256_or_si256(sign, _mm256_or_si256(exp, mant));
         let zero = _mm256_cmpeq_epi64(code, _mm256_setzero_si256());
         _mm256_castsi256_pd(_mm256_andnot_si256(zero, bits))
     }
@@ -649,22 +627,6 @@ pub(crate) mod avx2 {
                 let w0 = _mm256_i32gather_epi64::<1>(t.bytes.as_ptr().cast::<i64>(), off);
                 let hw = _mm256_and_si256(w0, _mm256_set1_epi64x(codec::HI_WORD_MASK as i64));
                 Avx2(decode_hi(hw, t.hi_base))
-            }
-        }
-
-        /// Two scale-1 gathers at byte offsets `15n` and `15n + 7`. The
-        /// last entry's lo load ends exactly at the table's final byte, so
-        /// every clamped index gathers in bounds.
-        #[inline(always)]
-        fn gather_packed(t: &Packed, i: Avx2Int) -> (Avx2, Avx2) {
-            unsafe {
-                let base = t.bytes.as_ptr().cast::<i64>();
-                let off = byte_offsets(t, i);
-                let w0 = _mm256_i32gather_epi64::<1>(base, off);
-                let w1 = _mm256_i32gather_epi64::<1>(base, _mm_add_epi32(off, _mm_set1_epi32(7)));
-                let hw = _mm256_and_si256(w0, _mm256_set1_epi64x(codec::HI_WORD_MASK as i64));
-                let lw = _mm256_and_si256(w1, _mm256_set1_epi64x(codec::LO_WORD_MASK as i64));
-                (Avx2(decode_hi(hw, t.hi_base)), Avx2(decode_lo(lw, t.lo_base)))
             }
         }
     }

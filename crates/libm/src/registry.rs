@@ -8,9 +8,9 @@
 //!
 //! * its public scalar entry point;
 //! * its kernel ([`crate::kernel`]): one type carrying the kernel's math
-//!   for every lane and tier, its tiers' Horner terms, bands and derived
-//!   bounds, its dd kernel, and the function's special-case front end for
-//!   every format ([`crate::front`]);
+//!   for every lane, its [`Rung`] (Horner terms, band and derived bound),
+//!   its dd kernel, and the function's special-case front end for every
+//!   format ([`crate::front`]);
 //! * for f32 the float baseline.
 //!
 //! From the rows the `registry!` macro generates the [`slot`] constants,
@@ -26,18 +26,15 @@
 //! here; a new format is one [`crate::front::Format`] impl. Nothing else
 //! keeps a per-function list.
 //!
-//! # The ladder
+//! # Two steps
 //!
-//! After its front end, every scalar entry point climbs the same three
-//! rungs: the kernel's truncated **prefix** polynomial tested against a
-//! wide round-safety band, the **full**-degree polynomial tested against
-//! the regular band, and the dd kernel with round-to-odd. Soundness,
-//! pinned by the tests below: a value that passes the prefix band while
-//! the prefix polynomial is within `prefix_derived` of the dd kernel
-//! rounds identically to the dd result, and likewise for the full tier.
-//! The fault hook nudges prefix results by the full tier's slack, so the
-//! ladder also needs `prefix_derived + (full_band - full_derived) <=
-//! prefix_band`.
+//! After its front end, every scalar entry point takes Ziv's two steps:
+//! the kernel's plain-double polynomial tested against its round-safety
+//! band, then, for the values the band rejects, the dd kernel with
+//! round-to-odd. Soundness: a value that passes the band while the
+//! kernel is within `derived` of the dd kernel rounds identically to the
+//! dd result. The fault hook nudges kernel results by at most
+//! `band - derived`, which keeps them inside the band.
 
 use rlibm_fp::{BFloat16, Half};
 use rlibm_obs::Counter;
@@ -50,38 +47,29 @@ use crate::slice::Tally;
 use crate::stats::TierCounters;
 use crate::{baselines::float32 as base, posit, slice};
 
-/// One tier of a ladder, in `2^-53` relative units.
+/// A kernel's fast step, in `2^-53` relative units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rung {
-    /// Terms the tier's Horner chain evaluates.
+    /// Terms the kernel's Horner chain evaluates.
     pub terms: usize,
-    /// Round-safety band the tier's result is tested against (28-bit
+    /// Round-safety band the kernel's result is tested against (28-bit
     /// frac distance).
     pub band: u64,
-    /// Certified bound on |tier result − dd kernel|.
+    /// Certified bound on |kernel result − dd kernel|.
     pub derived: u64,
 }
 
-/// One row's escalation ladder: its kernel's two fast tiers.
+/// One row's fast step: its kernel's rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierSpec {
     /// Row name, matching the suffix of the `runtime.tier.*` counters
     /// (e.g. `"f32.exp"`).
     pub name: &'static str,
-    /// The truncated-polynomial tier.
-    pub prefix: Rung,
-    /// The full-degree tier.
-    pub full: Rung,
+    /// The kernel's rung.
+    pub rung: Rung,
 }
 
 impl TierSpec {
-    /// The soundness inequality for this ladder: any value the prefix
-    /// tier accepts must also be a value the full tier would accept,
-    /// given the two certified error bounds.
-    pub const fn prefix_subsumed_by_full(&self) -> bool {
-        self.prefix.derived + (self.full.band - self.full.derived) <= self.prefix.band
-    }
-
     /// Looks a spec up by its name (`"f32.exp"`, `"posit32.ln"`).
     pub fn by_name(name: &str) -> Option<&'static TierSpec> {
         TIERS.iter().find(|t| t.name == name)
@@ -137,10 +125,10 @@ impl Posit32Row {
     }
 }
 
-/// A 32-bit format the ladder and the batched driver round into. Every
-/// tier evaluates in f64 whatever the format, so a format only supplies
-/// its exact widening and correctly rounding narrowing and its front-end
-/// cuts ([`Format`]), its round-safety test fused with the narrowing it
+/// A 32-bit format the scalar entries and the batched driver round into.
+/// Every kernel evaluates in f64 whatever the format, so a format only
+/// supplies its exact widening and correctly rounding narrowing and its
+/// front-end cuts ([`Format`]), its round-safety test fused with the narrowing it
 /// certifies, and the counters its slices land in.
 pub(crate) trait Lane: Format {
     /// Filler for a partial chunk's unused lanes (never read back).
@@ -181,36 +169,30 @@ impl Lane for Posit32 {
 
 /// The fast scalar entry of kernel `K` in format `L`, registry row
 /// `slot`: the front end ([`Front::fast_front`], with the fast-only
-/// shortcuts), then the progressive-tier ladder. The prefix result
-/// (through the fault hook of `slot`) ships if it is round-safe under the
-/// prefix band, else the full result if round-safe under the full band,
-/// else the dd kernel's round-to-odd composition. Each outcome bumps its
-/// tier counter.
+/// shortcuts), then the kernel. Its result (through the fault hook of
+/// `slot`) ships if it is round-safe under the kernel's band, else the dd
+/// kernel's round-to-odd composition does. Each outcome bumps its tier
+/// counter.
 #[inline(always)]
 pub(crate) fn entry<L: Lane, K: Kernel + Front<L>>(slot: usize, x: L) -> L {
     let xd = match K::fast_front(x) {
         Ok(xd) => xd,
         Err(special) => return special,
     };
-    let y = crate::fault::perturb(slot, K::eval::<f64, true>(xd));
-    if let Some(r) = L::narrow_if_safe(y, K::PREFIX.band) {
+    let y = crate::fault::perturb(slot, K::eval::<f64>(xd));
+    if let Some(r) = L::narrow_if_safe(y, K::RUNG.band) {
         crate::stats::record_tier_prefix(slot);
         return r;
     }
     escalate::<L, K>(slot, xd)
 }
 
-/// The ladder's full and dd rungs, out of line: under 0.1% of calls get
-/// here, and inlining them into every entry point measured slower prefix
-/// paths (`float.sinpi.ns` +25% in the benchmark's `call_f32`).
+/// The dd rung, out of line: under 0.1% of calls get here, and inlining
+/// the rare path into every entry point measured slower fast paths
+/// (`float.sinpi.ns` +25% in the benchmark's `call_f32`).
 #[cold]
 #[inline(never)]
 fn escalate<L: Lane, K: Kernel>(slot: usize, xd: f64) -> L {
-    let y = K::eval::<f64, false>(xd);
-    if let Some(r) = L::narrow_if_safe(y, K::FULL.band) {
-        crate::stats::record_tier_full(slot);
-        return r;
-    }
     crate::stats::record_tier_dd(slot);
     crate::round::round_dd(K::dd(xd))
 }
@@ -219,7 +201,6 @@ macro_rules! tier_counters {
     ($kind:literal, $name:ident) => {
         TierCounters::new(
             concat!("runtime.tier.prefix.", $kind, ".", stringify!($name)),
-            concat!("runtime.tier.full.", $kind, ".", stringify!($name)),
             concat!("runtime.tier.dd.", $kind, ".", stringify!($name)),
         )
     };
@@ -262,21 +243,19 @@ macro_rules! registry {
         /// The posit32 function names, in Table 2 (slot) order.
         pub const POSIT32_NAMES: [&str; slot::COUNT - F32_COUNT] = [$(stringify!($p)),*];
 
-        /// Every row's ladder, indexed by [`slot`].
+        /// Every row's fast step, indexed by [`slot`].
         pub static TIERS: [TierSpec; slot::COUNT] = [
             $(TierSpec {
                 name: concat!("f32.", stringify!($f)),
-                prefix: <$fk>::PREFIX,
-                full: <$fk>::FULL,
+                rung: <$fk>::RUNG,
             },)*
             $(TierSpec {
                 name: concat!("posit32.", stringify!($p)),
-                prefix: <$pk>::PREFIX,
-                full: <$pk>::FULL,
+                rung: <$pk>::RUNG,
             },)*
         ];
 
-        /// The `runtime.tier.{prefix,full,dd}.<kind>.<fn>` counters,
+        /// The `runtime.tier.{prefix,dd}.<kind>.<fn>` counters,
         /// indexed by [`slot`].
         pub(crate) static TIER_COUNTERS: [TierCounters; slot::COUNT] = [
             $(tier_counters!("f32", $f),)*
@@ -332,7 +311,7 @@ macro_rules! registry {
         /// The f32 rows' batched entries: the batched driver over the
         /// row's kernel and front end, on the widest lane the CPU runs when
         /// `widest` is set and on `f64` otherwise; the scalar entry
-        /// resolves special and twice-rejected lanes.
+        /// resolves special and band-rejected lanes.
         mod f32_batched {
             use super::*;
             $(
@@ -366,11 +345,11 @@ macro_rules! registry {
     };
 }
 
-// Each row names its public entry point and its kernel, whose consts
-// carry the bands, derived bounds and term counts (derived in
+// Each row names its public entry point and its kernel, whose rung
+// carries the band, derived bound and term count (derived in
 // `crate::kernel`) and whose front end (`crate::front`) filters the
 // specials for every format. The posit rows run their f32 twins'
-// kernels: the bands bound the kernel's error, not the target's
+// kernels: the band bounds the kernel's error, not the target's
 // rounding.
 registry! {
     f32 {
@@ -498,9 +477,9 @@ mod tests {
             };
             assert_eq!((kind, name), want);
             // Every accessor answers for every slot, in both telemetry
-            // configurations.
-            let _ = crate::stats::tier_prefix(s) + crate::stats::tier_full(s);
-            let _ = crate::stats::tier_dd(s);
+            // configurations; no call ships from a full tier.
+            let _ = crate::stats::tier_prefix(s) + crate::stats::tier_dd(s);
+            assert_eq!(crate::stats::tier_full(s), 0);
         }
         for name in ["f32.tan", "posit32.sinpi", "posit32.cospi", "exp", ""] {
             assert_eq!(TierSpec::by_name(name), None, "{name:?}");
@@ -508,21 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn every_ladder_is_sound() {
+    fn every_rung_has_slack() {
         for t in &TIERS {
-            assert!(
-                t.prefix_subsumed_by_full(),
-                "{}: prefix derived {} + (full band {} - full derived {}) > prefix band {}",
-                t.name,
-                t.prefix.derived,
-                t.full.band,
-                t.full.derived,
-                t.prefix.band
-            );
-            assert!(t.full.derived < t.full.band, "{}: no fault slack", t.name);
-            assert!(t.prefix.band > t.full.band, "{}: prefix band must be wider", t.name);
-            assert!(t.prefix.band < (1 << 26), "{}: band too wide for f32_round_safe", t.name);
-            assert!(t.prefix.terms < t.full.terms, "{}: prefix must be shorter", t.name);
+            assert!(t.rung.derived < t.rung.band, "{}: no fault slack", t.name);
+            assert!(t.rung.band < (1 << 26), "{}: band too wide for f32_round_safe", t.name);
         }
     }
 }

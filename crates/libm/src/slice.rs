@@ -1,9 +1,9 @@
 //! Batched evaluation — the §4.3 vectorization regime as a real API.
 //!
 //! [`eval_slice_f32`] and [`eval_slice_posit32`] evaluate a whole input
-//! slice with the same progressive-tier guarantee as the scalar
-//! functions: the output is **bit-identical** to mapping the scalar
-//! function over the slice.
+//! slice with the same two-step guarantee as the scalar functions: the
+//! output is **bit-identical** to mapping the scalar function over the
+//! slice.
 //!
 //! # One driver
 //!
@@ -13,32 +13,29 @@
 //! AVX2 CPU, chosen at run time by [`dispatch`]) evaluates groups of four.
 //! Per chunk:
 //!
-//! 1. **prefix stage**: each group of lanes is widened (f32 cast or posit
+//! 1. **stage**: each group of lanes is widened (f32 cast or posit
 //!    decode), classified against the row's fast-path domain (its front
 //!    end's `fast_dom`; out-of-domain lanes get the placeholder `1.0`, so
-//!    the arithmetic stays total), and
-//!    run through the kernel's prefix tier — the same `Kernel::eval` the
-//!    scalar ladder runs;
-//! 2. **safety mask**: the round-safety test against the wide prefix band,
+//!    the arithmetic stays total), and run through the kernel — the same
+//!    `Kernel::eval` the scalar entry runs;
+//! 2. **safety mask**: the round-safety test against the kernel's band,
 //!    fused with the narrowing cast (f32 cast or posit encode);
-//! 3. **full stage**: the groups holding in-domain lanes the prefix band
-//!    rejected re-run at the full tier and are re-tested against the
-//!    narrow full band (rare: well under 1% of in-domain lanes);
-//! 4. **resolve**: special lanes and lanes both bands reject re-enter the
-//!    scalar progressive entry, which owns the dd tier.
+//! 3. **resolve**: special lanes and the lanes the band rejects (rare:
+//!    well under 1% of in-domain lanes) re-enter the scalar entry, which
+//!    owns the dd tier.
 //!
 //! A format supplies only its two ends ([`Ends`]): widen + decode, and
 //! round-safe + narrow. For `f64` those are the scalar predicates and
 //! codecs; for AVX2 their vector twins in the `slice_simd` module.
 //! Per-tier accounting lands in the same `runtime.tier.*` counters the
-//! scalar front ends use — prefix and full acceptances batched per call,
-//! dd events recorded by the scalar entry the rescalar lanes fall into.
+//! scalar front ends use — fast-step acceptances batched per call, dd
+//! events recorded by the scalar entry the rescalar lanes fall into.
 //!
 //! Each lane's domain is the mask half of its function's front end
 //! ([`crate::front::Front::fast_dom`]), the same definition the scalar
 //! entry tests, so a lane takes the staged path exactly when the scalar
-//! entry would climb the ladder. Special lanes resolve through the
-//! scalar entry.
+//! entry would run the kernel. Special lanes resolve through the scalar
+//! entry.
 
 use crate::front::Front;
 use crate::kernel::Kernel;
@@ -60,7 +57,7 @@ pub(crate) const LANES: usize = 64;
 // Batched-evaluation telemetry (no-ops unless built with the `telemetry`
 // feature). Both counters accumulate locally and hit the atomics once per
 // call, never per lane. The rescalar count is the number to watch: every
-// rescalar lane pays the scalar two-tier price, so a high ratio against
+// rescalar lane pays the scalar price, so a high ratio against
 // `64 * chunks` means the workload defeats the staging.
 pub(crate) static SLICE_CHUNKS: Counter = Counter::new("runtime.slice.f32.chunks");
 pub(crate) static SLICE_RESCALAR: Counter = Counter::new("runtime.slice.f32.rescalar_lanes");
@@ -81,7 +78,7 @@ pub(crate) fn register_metrics() {
     SLICE_POSIT_REQUESTS.register();
 }
 
-/// Resolves one rescalar lane through the scalar two-tier entry. With
+/// Resolves one rescalar lane through the scalar entry. With
 /// the `telemetry` feature the lane is also timed and reported to the
 /// flight recorder as an exemplar (`rescalar` event carrying the input
 /// bits, attributed via the thread's trace context), and the scalar-path
@@ -104,9 +101,9 @@ fn rescalar_resolve<L: Lane>(scalar: fn(L) -> L, x: L) -> L {
     scalar(x)
 }
 
-/// Routes the prefix results of the lanes set in `lanes` through the
-/// fault hook of the registry row `slot`, as the scalar ladder routes
-/// its prefix result, so `fault` builds also test the batched driver's
+/// Routes the kernel results of the lanes set in `lanes` through the
+/// fault hook of the registry row `slot`, as the scalar entry routes its
+/// kernel result, so `fault` builds also test the batched driver's
 /// round-safety certification. Compiles to nothing without `fault`.
 #[inline(always)]
 fn perturb_prefix(slot: usize, y: &mut [f64; LANES], lanes: u64) {
@@ -164,55 +161,48 @@ pub(crate) trait SliceFormat: Ends<f64> {}
 impl SliceFormat for f32 {}
 impl SliceFormat for Posit32 {}
 
-/// The groups (lanes `WIDTH·g ..`) holding one of `lanes`.
-#[inline(always)]
-fn groups_of<V: F64Lane>(lanes: u64) -> impl Iterator<Item = usize> {
-    let group = (1u64 << V::WIDTH) - 1;
-    (0..LANES / V::WIDTH).filter(move |g| (lanes >> (V::WIDTH * g)) & group != 0)
-}
-
-/// Runs kernel `K` at the selected tier on `groups`: widen, domain mask
+/// Runs kernel `K` on groups `0..groups`: widen, domain mask
 /// (placeholder `1.0` outside the domain), eval, store to `y`. Returns
 /// the in-domain lanes of the staged groups.
 #[inline(always)]
-fn stage<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>, const PREFIX: bool>(
+fn stage<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>>(
     isa: V::Isa,
     xs: &[L; LANES],
     y: &mut [f64; LANES],
-    groups: impl Iterator<Item = usize>,
+    groups: usize,
 ) -> u64 {
     let mut in_dom = 0u64;
-    for g in groups {
+    for g in 0..groups {
         let x = L::widen(isa, xs, g);
         let m = K::fast_dom(x);
-        K::eval::<V, PREFIX>(V::blend(m, x, x.splat(1.0))).store(y, g);
+        K::eval(V::blend(m, x, x.splat(1.0))).store(y, g);
         in_dom |= V::mask_bits(m) << (V::WIDTH * g);
     }
     in_dom
 }
 
-/// The round-safety mask against `band` of `groups`, with the accepted
-/// lanes narrowed into `out`.
+/// The round-safety mask against `band` of groups `0..groups`, with the
+/// accepted lanes narrowed into `out`.
 #[inline(always)]
 pub(crate) fn safe_narrow<L: Ends<V>, V: F64Lane>(
     isa: V::Isa,
     y: &[f64; LANES],
     band: u64,
-    groups: impl Iterator<Item = usize>,
+    groups: usize,
     out: &mut [L; LANES],
 ) -> u64 {
     let mut safe = 0u64;
-    for g in groups {
+    for g in 0..groups {
         safe |= L::safe_narrow(V::load(isa, y, g), band, out, g) << (V::WIDTH * g);
     }
     safe
 }
 
 /// The batched driver, generic over the lane format `L`, the f64 lane
-/// `V` and the kernel `K`: the prefix stage, the safety mask against the
-/// wide prefix band, the full-tier re-run of the groups holding rejected
-/// lanes, and the rescalar resolve through `scalar` (the row's entry
-/// point), with the tier and slice counters of the registry row `slot`.
+/// `V` and the kernel `K`: the kernel stage, the safety mask against the
+/// kernel's band, and the rescalar resolve of special and rejected lanes
+/// through `scalar` (the row's entry point), with the tier and slice
+/// counters of the registry row `slot`.
 pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>>(
     isa: V::Isa,
     xs: &[L],
@@ -246,58 +236,34 @@ pub(crate) fn drive<L: Ends<V>, V: F64Lane, K: Kernel + Front<L>>(
         let in_dom = V::enter(
             isa,
             #[inline(always)]
-            || stage::<L, V, K, true>(isa, xfull, &mut y, 0..staged),
+            || stage::<L, V, K>(isa, xfull, &mut y, staged),
         ) & live;
         perturb_prefix(slot, &mut y, in_dom);
         let safe = V::enter(
             isa,
             #[inline(always)]
-            || safe_narrow(isa, &y, K::PREFIX.band, 0..staged, &mut narrowed),
+            || safe_narrow(isa, &y, K::RUNG.band, staged, &mut narrowed),
         );
-        tally.prefix += u64::from((in_dom & safe).count_ones());
-        // Ship every lane's narrowed prefix result, then overwrite the
-        // ones the prefix tier did not accept.
+        let shipped = in_dom & safe;
+        tally.prefix += u64::from(shipped.count_ones());
+        // Ship every lane's narrowed result, then overwrite the special
+        // lanes and the ones the band did not accept.
         match <&mut [L; LANES]>::try_from(&mut *oc) {
             Ok(full) => *full = narrowed,
             Err(_) => oc.copy_from_slice(&narrowed[..n]),
         }
-        let mut special = !in_dom & live;
-        while special != 0 {
-            let i = special.trailing_zeros() as usize;
-            special &= special - 1;
-            tally.rescalar += 1;
+        let mut rest = live & !shipped;
+        tally.rescalar += u64::from(rest.count_ones());
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
             oc[i] = rescalar_resolve(scalar, xc[i]);
-        }
-        let mut pending = in_dom & !safe;
-        if pending != 0 {
-            V::enter(
-                isa,
-                #[inline(always)]
-                || stage::<L, V, K, false>(isa, xfull, &mut y, groups_of::<V>(pending)),
-            );
-            let safe_full = V::enter(
-                isa,
-                #[inline(always)]
-                || safe_narrow(isa, &y, K::FULL.band, groups_of::<V>(pending), &mut narrowed),
-            );
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                if (safe_full >> i) & 1 == 1 {
-                    tally.full += 1;
-                    oc[i] = narrowed[i];
-                } else {
-                    tally.rescalar += 1;
-                    oc[i] = rescalar_resolve(scalar, xc[i]);
-                }
-            }
         }
     }
     let (chunk_counter, rescalar_counter) = L::counters();
     chunk_counter.add(tally.chunks);
     rescalar_counter.add(tally.rescalar);
     crate::stats::record_tier_prefix_n(slot, tally.prefix);
-    crate::stats::record_tier_full_n(slot, tally.full);
     tally
 }
 
@@ -309,10 +275,8 @@ pub(crate) struct Tally {
     pub(crate) chunks: u64,
     /// Lanes resolved through the scalar entry.
     pub(crate) rescalar: u64,
-    /// Lanes shipped from the prefix tier.
+    /// Lanes shipped from the kernel's fast step.
     pub(crate) prefix: u64,
-    /// Lanes shipped from the full tier.
-    pub(crate) full: u64,
 }
 
 /// [`drive`] on the widest lane the CPU runs when `widest` is set (AVX2
@@ -362,7 +326,7 @@ pub fn eval_slice_f32(name: &str, xs: &[f32], out: &mut [f32]) -> Result<(), Unk
 /// domain mask is its scalar entry's front end, so NaR, zero and
 /// negative log inputs, saturating exp/sinh/cosh inputs and sinh's
 /// `|x| < 2^-13` lanes resolve per lane through that entry (NaR in, NaR
-/// out), as do the in-domain lanes both bands reject. Unknown names are
+/// out), as do the in-domain lanes the band rejects. Unknown names are
 /// a typed error.
 pub fn eval_slice_posit32(
     name: &str,

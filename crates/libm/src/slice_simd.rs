@@ -344,7 +344,7 @@ mod tests {
                 let mask = Avx2::enter(
                     isa,
                     #[inline(always)]
-                    || safe_narrow::<_, Avx2>(isa, &y, band, 0..LANES / 4, &mut out),
+                    || safe_narrow::<_, Avx2>(isa, &y, band, LANES / 4, &mut out),
                 );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::f32_round_safe(v, band);
@@ -512,7 +512,7 @@ mod tests {
                 let mask = Avx2::enter(
                     isa,
                     #[inline(always)]
-                    || safe_narrow::<_, Avx2>(isa, &y, band, 0..LANES / 4, &mut out),
+                    || safe_narrow::<_, Avx2>(isa, &y, band, LANES / 4, &mut out),
                 );
                 for (i, &v) in y.iter().enumerate() {
                     let want = crate::round::posit32_safe_narrow(v, band);

@@ -1,9 +1,10 @@
-//! Progressive-tier instrumentation for the scalar and batched entries.
+//! Tier instrumentation for the scalar and batched entries.
 //!
 //! Every call that enters an f32/posit32 front end in-domain ships from
-//! exactly one tier of the ladder (see [`crate::registry`]), and the
-//! ladder records which one in the `runtime.tier.{prefix,full,dd}.
-//! {f32,posit32}.<fn>` counters of the workspace-wide `rlibm-obs`
+//! exactly one of the two steps (see [`crate::registry`]): the kernel's
+//! banded polynomial (the `prefix` counter) or the dd kernel. The entries
+//! record which one in the `runtime.tier.{prefix,dd}.{f32,posit32}.<fn>`
+//! counters of the workspace-wide `rlibm-obs`
 //! registry, so a telemetry snapshot sees them next to the generator's
 //! metrics. The dd column is the dd-fallback count the bench harnesses
 //! report as a rate. With the `telemetry` feature off (the default) every
@@ -19,20 +20,19 @@ use crate::registry::{F32_NAMES, POSIT32_NAMES, TIER_COUNTERS};
 
 pub use crate::registry::slot;
 
-/// The three tier counters of one registry row.
+/// The two tier counters of one registry row.
 pub(crate) struct TierCounters {
     prefix: Counter,
-    full: Counter,
     dd: Counter,
 }
 
 impl TierCounters {
-    pub(crate) const fn new(prefix: &'static str, full: &'static str, dd: &'static str) -> Self {
-        TierCounters { prefix: Counter::new(prefix), full: Counter::new(full), dd: Counter::new(dd) }
+    pub(crate) const fn new(prefix: &'static str, dd: &'static str) -> Self {
+        TierCounters { prefix: Counter::new(prefix), dd: Counter::new(dd) }
     }
 
-    fn all(&self) -> [&Counter; 3] {
-        [&self.prefix, &self.full, &self.dd]
+    fn all(&self) -> [&Counter; 2] {
+        [&self.prefix, &self.dd]
     }
 }
 
@@ -43,52 +43,39 @@ pub fn enabled() -> bool {
     rlibm_obs::enabled()
 }
 
-/// Records one prefix-tier acceptance for `slot` (no-op without
+/// Records one fast-step acceptance for `slot` (no-op without
 /// telemetry). This is the only per-call counter on the scalar happy
 /// path, so it uses the lossy barrier-free increment — a locked RMW here
-/// measurably slows every call (see `Counter::add_lossy`). The rare tiers
-/// (full, dd) and the batched slice-driver adds stay exact.
+/// measurably slows every call (see `Counter::add_lossy`). The rare dd
+/// tier and the batched slice-driver adds stay exact.
 #[inline(always)]
 pub(crate) fn record_tier_prefix(s: usize) {
     TIER_COUNTERS[s].prefix.add_lossy(1);
 }
 
-/// Records `n` prefix-tier acceptances for `slot`. Batched by the slice
+/// Records `n` fast-step acceptances for `slot`. Batched by the slice
 /// drivers.
 #[inline(always)]
 pub(crate) fn record_tier_prefix_n(s: usize, n: u64) {
     TIER_COUNTERS[s].prefix.add(n);
 }
 
-/// Records one full-tier acceptance (prefix escalated, full-degree
-/// polynomial passed) for `slot`.
-#[inline(always)]
-pub(crate) fn record_tier_full(s: usize) {
-    TIER_COUNTERS[s].full.add(1);
-}
-
-/// Records `n` full-tier acceptances for `slot`. Batched by the slice
-/// drivers when a chunk escalates prefix-rejected lanes in bulk.
-#[inline(always)]
-pub(crate) fn record_tier_full_n(s: usize, n: u64) {
-    TIER_COUNTERS[s].full.add(n);
-}
-
-/// Records one dd-tier event (both fast bands rejected, the dd kernel
-/// re-ran) for `slot`.
+/// Records one dd-tier event (the band rejected, the dd kernel re-ran)
+/// for `slot`.
 #[inline(always)]
 pub(crate) fn record_tier_dd(s: usize) {
     TIER_COUNTERS[s].dd.add(1);
 }
 
-/// Prefix-tier acceptances for `slot` since the last [`reset`].
+/// Fast-step acceptances for `slot` since the last [`reset`].
 pub fn tier_prefix(s: usize) -> u64 {
     TIER_COUNTERS[s].prefix.get()
 }
 
-/// Full-tier acceptances for `slot` since the last [`reset`].
-pub fn tier_full(s: usize) -> u64 {
-    TIER_COUNTERS[s].full.get()
+/// Always 0: no middle tier sits between the fast step and dd any more.
+/// Kept for callers that still report a full-tier column.
+pub fn tier_full(_s: usize) -> u64 {
+    0
 }
 
 /// dd-tier events (dd fallbacks) for `slot` since the last [`reset`].
@@ -113,7 +100,7 @@ pub fn reset() {
     }
 }
 
-/// Forces all 54 tier counters (and the runtime's other metrics) into
+/// Forces all 36 tier counters (and the runtime's other metrics) into
 /// the snapshot registry at value zero, so a report can distinguish "no
 /// fallbacks observed" from "counters not linked". Harnesses call this
 /// once before taking snapshots.
@@ -134,17 +121,15 @@ mod tests {
         reset();
         record_tier_prefix(slot::EXP);
         record_tier_prefix_n(slot::EXP, 3);
-        record_tier_full(slot::EXP);
-        record_tier_full_n(slot::EXP, 2);
         record_tier_dd(slot::EXP);
         record_tier_dd(slot::EXP);
         if enabled() {
             assert_eq!(tier_prefix(slot::EXP), 4);
-            assert_eq!(tier_full(slot::EXP), 3);
             assert_eq!(tier_dd(slot::EXP), 2);
         } else {
-            assert_eq!(tier_prefix(slot::EXP) + tier_full(slot::EXP) + tier_dd(slot::EXP), 0);
+            assert_eq!(tier_prefix(slot::EXP) + tier_dd(slot::EXP), 0);
         }
+        assert_eq!(tier_full(slot::EXP), 0);
         reset();
         assert_eq!(tier_prefix(slot::EXP) + tier_dd(slot::EXP), 0);
     }

@@ -85,9 +85,9 @@ pub fn unpack_entry(bytes: &[u8], idx: usize, hi_base: u64, lo_base: u64) -> (f6
 }
 
 /// Unpacks only the hi half of entry `idx`: one u64 load at offset
-/// `15 * idx` plus the hi decode. Tiers whose certified error band
-/// dwarfs the lo words' ~2^-53 contribution (the trig prefix tier) use
-/// this to halve their table traffic.
+/// `15 * idx` plus the hi decode. The fast kernels, whose certified
+/// error bands dwarf the lo words' ~2^-53 contribution, use this to halve
+/// their table traffic.
 #[inline(always)]
 pub fn unpack_hi(bytes: &[u8], idx: usize, hi_base: u64) -> f64 {
     let off = idx * PACKED_STRIDE;

@@ -76,11 +76,6 @@ impl SpanTimer {
     pub fn count(&self) -> u64 {
         self.durations_ns.count()
     }
-
-    /// Total nanoseconds across completed spans (0 without the feature).
-    pub fn total_ns(&self) -> u64 {
-        self.durations_ns.sum()
-    }
 }
 
 /// Guard returned by [`SpanTimer::start`]; records on drop.
@@ -126,7 +121,7 @@ mod tests {
             assert_eq!(OUTER.count(), 1);
             assert_eq!(INNER.count(), 1);
             // Outer span encloses the inner one.
-            assert!(OUTER.total_ns() >= INNER.total_ns());
+            assert!(OUTER.durations_ns().sum() >= INNER.durations_ns().sum());
         } else {
             assert_eq!(OUTER.count(), 0);
         }
