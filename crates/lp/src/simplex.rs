@@ -75,13 +75,6 @@ pub(crate) trait Field: Clone + PartialOrd {
     const COUNTERS: &'static Counters;
     fn zero() -> Self;
     fn one() -> Self;
-    /// Phase-2 cost of an artificial column. It cannot enter, and after a
-    /// cold phase 1 a basic one sits in a row that is zero on every
-    /// column that can, so the value is inert there; but a warm entry
-    /// can leave one basic in a row that is not, and there it decides
-    /// the path (a free artificial in the exact engine turns a feasible
-    /// CEGIS fit infeasible).
-    fn artificial_cost() -> Self;
     /// The field's value of an exact rational.
     fn from_rational(q: &Rational) -> Self;
     /// Exactly zero (a skippable term).
@@ -117,9 +110,6 @@ impl Field for f64 {
     }
     fn one() -> f64 {
         1.0
-    }
-    fn artificial_cost() -> f64 {
-        0.0
     }
     fn from_rational(q: &Rational) -> f64 {
         q.to_f64()
@@ -186,9 +176,6 @@ impl Field for Rational {
         Rational::zero()
     }
     fn one() -> Rational {
-        Rational::one()
-    }
-    fn artificial_cost() -> Rational {
         Rational::one()
     }
     fn from_rational(q: &Rational) -> Rational {
@@ -356,18 +343,7 @@ pub(crate) fn solve<F: Field>(
     if infeasibility.sign().is_gt() {
         return Ok(StandardResult::Infeasible);
     }
-    // Drive any (zero-valued) artificials out of the basis when possible.
-    // If the whole row is zero on structural columns, the row is
-    // redundant; the artificial stays basic at value zero, which is
-    // harmless for phase 2: its column is barred from entering, and no
-    // pivot on a structural column changes its all-zero row.
-    for i in 0..m {
-        if t.basis[i] >= n {
-            if let Some(j) = (0..n).find(|&j| t.rows[i][j].sign().is_ne()) {
-                t.pivot(i, j);
-            }
-        }
-    }
+    t.drive_out_artificials();
     match t.phase2(c) {
         Some(res) => Ok(res),
         None => cycling(),
@@ -433,6 +409,7 @@ fn warm_entry<F: Field>(
             return None;
         }
     }
+    t.drive_out_artificials();
     t.phase2(c)
 }
 
@@ -469,12 +446,28 @@ impl<F: Field> Tableau<F> {
         Tableau { rows, basis: (n..n + m).collect(), n, pivots_left: max_pivots }
     }
 
+    /// Pivots every basic artificial, each at value zero, out of its row
+    /// on the row's first nonzero structural entry. A row that is zero on
+    /// every structural column is redundant: its artificial stays basic
+    /// at zero, which is harmless for phase 2, since its column is barred
+    /// from entering and no pivot on a structural column changes its
+    /// all-zero row. A row that is not must not keep one, or phase 2
+    /// could raise it above zero and solve another problem.
+    fn drive_out_artificials(&mut self) {
+        for i in 0..self.rows.len() {
+            if self.basis[i] >= self.n {
+                if let Some(j) = (0..self.n).find(|&j| self.rows[i][j].sign().is_ne()) {
+                    self.pivot(i, j);
+                }
+            }
+        }
+    }
+
     /// Phase 2 on the original costs, artificial columns barred from
-    /// entering; `None` when the budget runs out.
+    /// entering at cost zero; `None` when the budget runs out.
     fn phase2(mut self, c: &[F]) -> Option<StandardResult<F>> {
         let (n, m) = (self.n, self.rows.len());
-        let artificials = core::iter::repeat_n(F::artificial_cost(), m);
-        let cost: Vec<F> = c.iter().cloned().chain(artificials).collect();
+        let cost: Vec<F> = c.iter().cloned().chain(core::iter::repeat_n(F::zero(), m)).collect();
         match self.run(n, &cost) {
             Phase::Optimal => {}
             Phase::Unbounded => return Some(StandardResult::Unbounded),
@@ -827,6 +820,32 @@ mod tests {
                     }
                     other => panic!("unexpected {other:?}"),
                 }
+            }
+        }
+        both_fields!(check);
+    }
+
+    #[test]
+    fn warm_artificial_in_a_live_row_is_driven_out() {
+        // min -10 x0 s.t. -x0 + x1 = 0, x1 + x2 = 1: optimum x0 = x1 = 1.
+        // The warm basis {a0, x2} keeps artificial a0 basic at zero in row
+        // 0, which is not zero on x0 and x1. Left there, phase 2 raises a0
+        // with x0 and reports the LP unbounded.
+        fn check<F: Field + Close + core::fmt::Debug>() {
+            let a = mat::<F>(&[&[-1.0, 1.0, 0.0], &[0.0, 1.0, 1.0]]);
+            let (b, c) = (vec_of::<F>(&[0.0, 1.0]), vec_of::<F>(&[-10.0, 0.0, 0.0]));
+            let cold = solve(&a, &b, &c, 1000, None);
+            let warm = warm_entry(&a, &b, &c, 3, 1000, &[3, 2]);
+            match (cold, warm) {
+                (
+                    Ok(StandardResult::Optimal { x, objective, .. }),
+                    Some(StandardResult::Optimal { x: wx, objective: wo, .. }),
+                ) => {
+                    assert!(objective.close(&F::from_rational(&Rational::from_i64(-10)), 1e-9));
+                    assert!(wo.close(&objective, 1e-9), "warm {wo:?} vs cold {objective:?}");
+                    assert!(wx.iter().zip(&x).all(|(w, c)| w.close(c, 1e-9)), "{wx:?} vs {x:?}");
+                }
+                other => panic!("unexpected {other:?}"),
             }
         }
         both_fields!(check);
