@@ -44,6 +44,14 @@ cargo test -q --offline --release -p rlibm --features simd --test two_tier_ident
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc: warning-free on the crates that already are =="
+# A doc link to a deleted or renamed item is a rustdoc warning, so this
+# catches docs that outlive the code they cite. rlibm-mp, rlibm-lp,
+# rlibm-math and rlibm-serve still emit warnings and stay out until they
+# are clean.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
+    -p rlibm-core -p rlibm-fp -p rlibm-posit -p rlibm-obs -p rlibm-bench -p rlibm
+
 echo "== panic-free gate: library crates deny unwrap/expect/panic =="
 # The failure-model policy (DESIGN.md): every reachable failure in the
 # library crates is a typed error. --lib scopes the gate to library

@@ -7,13 +7,11 @@
 //! `±[2^-8, 2^-2]`, sinh/cosh on `[2^-6, 2^-2]`, sinpi/cospi on
 //! `[2^-8, 2^-2]`, with odd/even term sets matching each function's parity.
 
+use rlibm_core::pipeline::{oracle_case, GeneratorSpec};
 use rlibm_core::reduced::ReductionCase;
-use rlibm_core::rounding_interval;
 use rlibm_core::validate::all_16bit;
 use rlibm_fp::Half;
-use rlibm_mp::oracle::{
-    is_special_case, try_correctly_rounded, try_correctly_rounded_f64, DEFAULT_PREC_CEILING,
-};
+use rlibm_mp::oracle::is_special_case;
 use rlibm_mp::Func;
 
 /// Per-function generation workload: the input domain (over f64-widened
@@ -76,24 +74,17 @@ impl GenDomain {
     }
 }
 
-/// One oracle case-construction pass over `inputs` (the per-input work
-/// of the pipeline's `oracle_cases`, identity reduction): the Half
-/// result's rounding interval plus the f64 component value.
+/// One oracle case-construction pass over `inputs`: the pipeline's
+/// [`oracle_case`] for each input, identity reduction, run serially.
 ///
 /// # Panics
 ///
-/// If the oracle fails on an input (the domains exclude special cases).
+/// If the oracle fails on an input.
 pub fn oracle_cases(func: Func, inputs: &[Half]) -> Vec<ReductionCase> {
-    let mut cases = Vec::with_capacity(inputs.len());
-    for &x in inputs {
-        let xf = x.to_f64();
-        let y: Half = try_correctly_rounded(func, x, DEFAULT_PREC_CEILING)
-            .unwrap_or_else(|e| panic!("{}: oracle failed on {xf}: {e:?}", func.name()));
-        let Some(target) = rounding_interval(y) else { continue };
-        let r = xf; // identity range reduction
-        let cv = try_correctly_rounded_f64(func, r, DEFAULT_PREC_CEILING)
-            .unwrap_or_else(|e| panic!("{}: f64 oracle failed on {r}: {e:?}", func.name()));
-        cases.push(ReductionCase { x: xf, target, r, component_values: vec![cv] });
-    }
-    cases
+    let spec = GeneratorSpec::identity(func, Vec::new());
+    let case = |&x: &Half| {
+        let fail = |e| panic!("{}: oracle failed on {}: {e}", func.name(), x.to_f64());
+        oracle_case(&spec, x).map(|case| case.unwrap_or_else(fail))
+    };
+    inputs.iter().filter_map(case).collect()
 }

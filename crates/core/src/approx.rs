@@ -35,16 +35,6 @@ impl PiecewiseApprox {
         self.polys.len()
     }
 
-    /// The sub-domain polynomials.
-    pub fn polynomials(&self) -> &[Polynomial] {
-        &self.polys
-    }
-
-    /// The splitter (for storage-size accounting).
-    pub fn splitter(&self) -> &BitPatternSplitter {
-        &self.splitter
-    }
-
     /// Maximum polynomial degree across sub-domains (Table 3's "Degree").
     pub fn max_degree(&self) -> u32 {
         self.polys.iter().map(Polynomial::degree).max().unwrap_or(0)

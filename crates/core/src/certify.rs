@@ -8,10 +8,10 @@
 //! consecutive bit patterns each); for every input of a shard the
 //! two-tier fast path is bit-compared against the dd-only reference, and
 //! a budgeted subset of shards is additionally spot-checked against the
-//! Ziv oracle. Per-shard verdicts persist in a tmp+rename checkpoint
-//! file (same crash-safety discipline as the generator's
-//! [`crate::pipeline`] checkpoints), so a sweep is resumable at shard
-//! granularity and accumulates across invocations.
+//! Ziv oracle. Per-shard verdicts persist in a checkpoint file written
+//! to a temporary sibling and renamed into place, so a crash never leaves
+//! a torn file, and a sweep is resumable at shard granularity and
+//! accumulates across invocations.
 //!
 //! The driver is deliberately **representation-agnostic**: it sweeps
 //! `fn(u32) -> u32` bit transfer functions, so this crate needs no
@@ -42,9 +42,9 @@ static CERT_ORACLE_CHECKED: Counter = Counter::new("certify.oracle.checked");
 static CERT_ORACLE_MISMATCHES: Counter = Counter::new("certify.oracle.mismatches");
 static CERT_SHARD_SPAN: SpanTimer = SpanTimer::new("certify.shard");
 
-/// Typed failures of the certification driver. The checkpoint variants
-/// mirror the generator's policy: a file that does not bind to the
-/// requested sweep is an error to surface, never a silent recompute.
+/// Typed failures of the certification driver. A checkpoint that does
+/// not bind to the requested sweep is an error to surface, never a
+/// silent recompute.
 #[derive(Debug)]
 pub enum CertError {
     /// Checkpoint file malformed, version-mismatched, or bound to a
@@ -306,11 +306,6 @@ impl CertState {
     /// Shard indices without a recorded verdict, ascending.
     pub fn remaining(&self) -> Vec<u32> {
         (0..self.shard_count() as u32).filter(|s| !self.verdicts.contains_key(s)).collect()
-    }
-
-    /// True once every shard has a verdict.
-    pub fn is_complete(&self) -> bool {
-        self.verdicts.len() as u64 == self.shard_count()
     }
 
     /// Aggregates the recorded verdicts into manifest material.

@@ -8,7 +8,7 @@
 //! correctly rounded for every input.
 
 use crate::approx::{gen_approx, ApproxConfig, ApproxError, SignSplitApprox};
-use crate::interval::{rounding_interval, Interval};
+use crate::interval::rounding_interval;
 use crate::reduced::{
     deduce_reduced_intervals, merge_by_reduced_input, ReducedError, ReductionCase,
 };
@@ -17,7 +17,6 @@ use rlibm_mp::{
     try_correctly_rounded, try_correctly_rounded_f64, Func, OracleError, DEFAULT_PREC_CEILING,
 };
 use rlibm_obs::SpanTimer;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,8 +76,6 @@ pub enum GenError {
     Reduced(ReducedError),
     /// Piecewise generation failed for a component.
     Approx(ApproxError),
-    /// A checkpoint file could not be read, written, or parsed.
-    Checkpoint(String),
 }
 
 impl From<OracleError> for GenError {
@@ -105,7 +102,6 @@ impl core::fmt::Display for GenError {
             GenError::Oracle(e) => write!(f, "oracle failed: {e}"),
             GenError::Reduced(e) => write!(f, "reduced-interval deduction failed: {e:?}"),
             GenError::Approx(e) => write!(f, "piecewise generation failed: {e}"),
-            GenError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
         }
     }
 }
@@ -167,50 +163,10 @@ pub fn generate<T: Representation>(
     spec: &GeneratorSpec,
     inputs: &[T],
 ) -> Result<GeneratedFunction, GenError> {
-    generate_with_checkpoint(spec, inputs, None)
-}
-
-/// [`generate`] with optional checkpoint/resume for long runs.
-///
-/// The oracle sweep (Algorithm 1 lines 3-6) dominates wall-clock on
-/// 32-bit-scale runs; with `checkpoint = Some(path)` its result — the
-/// full `ReductionCase` set — is written to `path` after computing, and
-/// any later run with the same spec and inputs resumes from the file
-/// instead of re-running the Ziv loops. A checkpoint whose header does
-/// not match the current spec/inputs is a [`GenError::Checkpoint`] (it
-/// belongs to a different run; delete it to recompute). Writes go to a
-/// temporary sibling file first and are renamed into place, so an
-/// interrupted run never leaves a torn checkpoint.
-pub fn generate_with_checkpoint<T: Representation>(
-    spec: &GeneratorSpec,
-    inputs: &[T],
-    checkpoint: Option<&Path>,
-) -> Result<GeneratedFunction, GenError> {
     assert_eq!(spec.components.len(), spec.approx_cfgs.len());
     let _span = GENERATE_SPAN.start();
     let start = Instant::now();
-    if let Some(path) = checkpoint {
-        // A run killed between write and rename leaves a `.tmp` sibling.
-        // The rename never happened, so the main file (or its absence) is
-        // the authoritative state — drop the torn temporary instead of
-        // letting it pile up next to every long-running sweep.
-        let tmp = path.with_extension("tmp");
-        if tmp.exists() {
-            std::fs::remove_file(&tmp).map_err(|e| {
-                GenError::Checkpoint(format!("remove stale {}: {e}", tmp.display()))
-            })?;
-        }
-    }
-    let cases = match checkpoint {
-        Some(path) if path.exists() => load_checkpoint(spec, inputs.len(), path)?,
-        _ => {
-            let cases = oracle_cases(spec, inputs)?;
-            if let Some(path) = checkpoint {
-                save_checkpoint(spec, inputs.len(), &cases, path)?;
-            }
-            cases
-        }
-    };
+    let cases = oracle_cases(spec, inputs)?;
     assemble(spec, &cases, start)
 }
 
@@ -224,38 +180,50 @@ fn oracle_cases<T: Representation>(
     inputs: &[T],
 ) -> Result<Vec<ReductionCase>, GenError> {
     let _span = ORACLE_CASES_SPAN.start();
-    crate::par::par_map(inputs, crate::par::num_threads(), |&x| {
-        if x.is_nan() {
-            return None;
-        }
-        let xf = x.to_f64();
-        // Special and exactly representable cases are handled by the
-        // library front-end, not the polynomial (their degenerate
-        // rounding intervals would force the LP to zero margin).
-        if rlibm_mp::oracle::is_special_case(spec.func, xf) {
-            return None;
-        }
-        let y: T = match try_correctly_rounded(spec.func, x, DEFAULT_PREC_CEILING) {
-            Ok(y) => y,
-            Err(e) => return Some(Err(GenError::Oracle(e))),
-        };
-        let target = rounding_interval(y)?;
-        let r = (spec.range_reduce)(xf);
-        let mut component_values = Vec::with_capacity(spec.components.len());
-        for &fi in &spec.components {
-            match try_correctly_rounded_f64(fi, r, DEFAULT_PREC_CEILING) {
-                Ok(v) => component_values.push(v),
-                Err(e) => return Some(Err(GenError::Oracle(e))),
-            }
-        }
-        Some(Ok(ReductionCase { x: xf, target, r, component_values }))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    crate::par::par_map(inputs, crate::par::num_threads(), |&x| oracle_case(spec, x))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Algorithms 2-4 over the (possibly checkpoint-restored) case set.
+/// One input's case: the oracle's result in `T`, its rounding interval,
+/// the reduced input and the component values there. `None` for inputs
+/// the library front-end handles instead of the polynomial: NaN, special
+/// and exactly representable cases (their degenerate rounding intervals
+/// would force the LP to zero margin), and results with no rounding
+/// interval.
+///
+/// # Errors
+///
+/// [`GenError::Oracle`] if a Ziv loop hits its precision ceiling.
+pub fn oracle_case<T: Representation>(
+    spec: &GeneratorSpec,
+    x: T,
+) -> Option<Result<ReductionCase, GenError>> {
+    if x.is_nan() {
+        return None;
+    }
+    let xf = x.to_f64();
+    if rlibm_mp::oracle::is_special_case(spec.func, xf) {
+        return None;
+    }
+    let y: T = match try_correctly_rounded(spec.func, x, DEFAULT_PREC_CEILING) {
+        Ok(y) => y,
+        Err(e) => return Some(Err(GenError::Oracle(e))),
+    };
+    let target = rounding_interval(y)?;
+    let r = (spec.range_reduce)(xf);
+    let mut component_values = Vec::with_capacity(spec.components.len());
+    for &fi in &spec.components {
+        match try_correctly_rounded_f64(fi, r, DEFAULT_PREC_CEILING) {
+            Ok(v) => component_values.push(v),
+            Err(e) => return Some(Err(GenError::Oracle(e))),
+        }
+    }
+    Some(Ok(ReductionCase { x: xf, target, r, component_values }))
+}
+
+/// Algorithms 2-4 over the case set.
 fn assemble(
     spec: &GeneratorSpec,
     cases: &[ReductionCase],
@@ -298,124 +266,6 @@ fn assemble(
         output_comp: Arc::clone(&spec.output_comp),
         stats,
     })
-}
-
-/// First line of a checkpoint file. The header binds the file to one
-/// (function, input count, component count) so a stale file from another
-/// run is rejected instead of silently generating from the wrong cases.
-const CHECKPOINT_MAGIC: &str = "rlibm-checkpoint v1";
-
-fn save_checkpoint(
-    spec: &GeneratorSpec,
-    n_inputs: usize,
-    cases: &[ReductionCase],
-    path: &Path,
-) -> Result<(), GenError> {
-    use std::fmt::Write as _;
-    let mut text = format!(
-        "{CHECKPOINT_MAGIC} func={} inputs={} components={} cases={}\n",
-        spec.func.name(),
-        n_inputs,
-        spec.components.len(),
-        cases.len(),
-    );
-    for c in cases {
-        let _ = write!(
-            text,
-            "{:016x} {:016x} {:016x} {:016x}",
-            c.x.to_bits(),
-            c.target.lo.to_bits(),
-            c.target.hi.to_bits(),
-            c.r.to_bits(),
-        );
-        for v in &c.component_values {
-            let _ = write!(text, " {:016x}", v.to_bits());
-        }
-        text.push('\n');
-    }
-    // Write-then-rename: an interrupted run leaves the old checkpoint (or
-    // none) intact, never a torn file.
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)
-        .map_err(|e| GenError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| GenError::Checkpoint(format!("rename into {}: {e}", path.display())))
-}
-
-fn parse_bits_f64(tok: &str) -> Result<f64, GenError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| GenError::Checkpoint(format!("bad hex field {tok:?}")))
-}
-
-fn load_checkpoint(
-    spec: &GeneratorSpec,
-    n_inputs: usize,
-    path: &Path,
-) -> Result<Vec<ReductionCase>, GenError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| GenError::Checkpoint(format!("read {}: {e}", path.display())))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| GenError::Checkpoint(format!("{}: empty checkpoint", path.display())))?;
-    let expect = format!(
-        "{CHECKPOINT_MAGIC} func={} inputs={} components={} cases=",
-        spec.func.name(),
-        n_inputs,
-        spec.components.len(),
-    );
-    let Some(count_str) = header.strip_prefix(&expect) else {
-        // Distinguish "written by a different format version" (this build
-        // cannot read it at all) from "belongs to a different run" (same
-        // format, different spec/inputs) — both typed, never a garbled
-        // line-level parse error further down.
-        if !header.starts_with(CHECKPOINT_MAGIC) {
-            return Err(GenError::Checkpoint(format!(
-                "{}: unsupported checkpoint version (header {header:?}, this build reads \
-                 {CHECKPOINT_MAGIC:?}); delete the file to recompute",
-                path.display(),
-            )));
-        }
-        return Err(GenError::Checkpoint(format!(
-            "{}: header {header:?} does not match this run ({expect}<n>); \
-             delete the file to recompute",
-            path.display(),
-        )));
-    };
-    let n_cases: usize = count_str
-        .parse()
-        .map_err(|_| GenError::Checkpoint(format!("bad case count {count_str:?}")))?;
-    let mut cases = Vec::with_capacity(n_cases);
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let mut toks = line.split(' ').map(parse_bits_f64);
-        let mut fixed = [0.0f64; 4];
-        for slot in &mut fixed {
-            *slot = toks.next().ok_or_else(|| {
-                GenError::Checkpoint(format!("truncated checkpoint line {line:?}"))
-            })??;
-        }
-        let [x, lo, hi, r] = fixed;
-        let component_values: Vec<f64> = toks.collect::<Result<_, _>>()?;
-        if component_values.len() != spec.components.len() {
-            return Err(GenError::Checkpoint(format!(
-                "checkpoint line has {} component values, spec has {} components",
-                component_values.len(),
-                spec.components.len(),
-            )));
-        }
-        cases.push(ReductionCase { x, target: Interval::new(lo, hi), r, component_values });
-    }
-    if cases.len() != n_cases {
-        return Err(GenError::Checkpoint(format!(
-            "expected {n_cases} cases, found {}",
-            cases.len(),
-        )));
-    }
-    Ok(cases)
 }
 
 #[cfg(test)]
@@ -524,89 +374,6 @@ mod tests {
             report.total
         );
         assert_eq!(g.components().len(), 2);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_resumes_and_rejects_stale() {
-        let spec = GeneratorSpec::identity(Func::Log2, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let inputs: Vec<Half> = all_16bit::<Half>()
-            .filter(|x: &Half| {
-                x.is_finite()
-                    && x.to_f64() >= 1.0
-                    && x.to_f64() < 2.0
-                    && !rlibm_mp::oracle::is_special_case(Func::Log2, x.to_f64())
-            })
-            .collect();
-        let path = std::env::temp_dir().join(format!("rlibm_ckpt_{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let g1 = generate_with_checkpoint(&spec, &inputs, Some(path.as_path())).expect("first run");
-        assert!(path.exists(), "first run must write the checkpoint");
-        // Second run resumes from the file (same cases -> same polynomials).
-        let g2 = generate_with_checkpoint(&spec, &inputs, Some(path.as_path())).expect("resume");
-        for x in inputs.iter().step_by(17) {
-            assert_eq!(
-                g1.eval(x.to_f64()).to_bits(),
-                g2.eval(x.to_f64()).to_bits(),
-                "resumed run must reproduce the original polynomials"
-            );
-        }
-        // A checkpoint for a different input set is stale: typed error.
-        match generate_with_checkpoint(&spec, &inputs[..100], Some(path.as_path())) {
-            Err(GenError::Checkpoint(_)) => {}
-            Err(other) => panic!("expected Checkpoint error, got {other:?}"),
-            Ok(_) => panic!("stale checkpoint must be rejected"),
-        }
-        // A torn/corrupt file is a typed error too, not a panic.
-        std::fs::write(&path, "rlibm-checkpoint v1 garbage\n").expect("rewrite");
-        match generate_with_checkpoint(&spec, &inputs, Some(path.as_path())) {
-            Err(GenError::Checkpoint(_)) => {}
-            Err(other) => panic!("expected Checkpoint error, got {other:?}"),
-            Ok(_) => panic!("corrupt checkpoint must be rejected"),
-        }
-        // A future format version is its own typed rejection, naming the
-        // version this build reads — not a garbled line-level parse.
-        std::fs::write(&path, "rlibm-checkpoint v9 func=log2 inputs=1 components=1 cases=0\n")
-            .expect("rewrite");
-        match generate_with_checkpoint(&spec, &inputs, Some(path.as_path())) {
-            Err(GenError::Checkpoint(msg)) => assert!(
-                msg.contains("unsupported checkpoint version"),
-                "version mismatch must be named: {msg}"
-            ),
-            Err(other) => panic!("expected Checkpoint error, got {other:?}"),
-            Ok(_) => panic!("version-mismatched checkpoint must be rejected"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_stale_tmp_is_cleaned_on_resume() {
-        let spec = GeneratorSpec::identity(Func::Log2, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let inputs: Vec<Half> = all_16bit::<Half>()
-            .filter(|x: &Half| {
-                x.is_finite()
-                    && x.to_f64() >= 1.0
-                    && x.to_f64() < 2.0
-                    && !rlibm_mp::oracle::is_special_case(Func::Log2, x.to_f64())
-            })
-            .collect();
-        let path = std::env::temp_dir().join(format!("rlibm_ckpt_tmp_{}.txt", std::process::id()));
-        let tmp = path.with_extension("tmp");
-        let _ = std::fs::remove_file(&path);
-        // Simulate a crash between write and rename: a torn tmp, no
-        // main checkpoint. The next run must clean it up and proceed.
-        std::fs::write(&tmp, "rlibm-checkpoint v1 half-written").expect("plant tmp");
-        let g1 = generate_with_checkpoint(&spec, &inputs, Some(path.as_path())).expect("run");
-        assert!(!tmp.exists(), "stale tmp must be removed on resume");
-        assert!(path.exists());
-        // And again with a valid checkpoint present: the tmp is still
-        // dropped, the checkpoint still honored.
-        std::fs::write(&tmp, "torn again").expect("plant tmp");
-        let g2 = generate_with_checkpoint(&spec, &inputs, Some(path.as_path())).expect("resume");
-        assert!(!tmp.exists());
-        for x in inputs.iter().step_by(29) {
-            assert_eq!(g1.eval(x.to_f64()).to_bits(), g2.eval(x.to_f64()).to_bits());
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

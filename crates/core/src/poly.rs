@@ -38,11 +38,6 @@ impl Polynomial {
         Polynomial { terms, coeffs }
     }
 
-    /// The zero polynomial.
-    pub fn zero() -> Polynomial {
-        Polynomial { terms: vec![0], coeffs: vec![0.0] }
-    }
-
     /// Term exponents.
     pub fn terms(&self) -> &[u32] {
         &self.terms
@@ -161,10 +156,5 @@ mod tests {
         let x = 1.5f64;
         let naive = 1.0 + x * x + x.powi(7);
         assert!((p.eval(x) - naive).abs() < 1e-10);
-    }
-
-    #[test]
-    fn zero_poly() {
-        assert_eq!(Polynomial::zero().eval(123.0), 0.0);
     }
 }

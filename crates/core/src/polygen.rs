@@ -48,16 +48,6 @@ static POLYGEN_CEGIS_ROUNDS: Histogram = Histogram::new("polygen.cegis_rounds");
 static POLYGEN_FINAL_SAMPLE: Histogram = Histogram::new("polygen.final_sample");
 static POLYGEN_SPAN: SpanTimer = SpanTimer::new("polygen.gen_polynomial");
 
-// Progressive-tier telemetry: how many progressive generations ran, how
-// many had to ship the full-degree polynomial as the "prefix" (no
-// shorter tier met the hit-rate target), and the distributions of the
-// chosen prefix length and its certified hit rate (in basis points, so
-// the integer histogram keeps 4 digits of resolution).
-static PROGRESSIVE_RUNS: Counter = Counter::new("polygen.progressive.runs");
-static PROGRESSIVE_DEGENERATE: Counter = Counter::new("polygen.progressive.degenerate");
-static PROGRESSIVE_PREFIX_TERMS: Histogram = Histogram::new("polygen.progressive.prefix_terms");
-static PROGRESSIVE_HIT_RATE_BP: Histogram = Histogram::new("polygen.progressive.hit_rate_bp");
-
 /// Below this many constraints the full-set counterexample check runs
 /// serially — thread spawn/merge overhead would exceed the sweep itself.
 const PAR_CHECK_MIN: usize = 4096;
@@ -67,6 +57,9 @@ const PAR_CHECK_MIN: usize = 4096;
 /// a property of the particular basis sequence, so a different sample
 /// almost always clears it.
 const MAX_LP_RESTARTS: usize = 3;
+
+/// Cap on LP re-solves in the coefficient search-and-refine loop.
+const MAX_REFINEMENTS: usize = 64;
 
 /// Tunables for Algorithm 4.
 #[derive(Debug, Clone)]
@@ -82,8 +75,6 @@ pub struct PolyGenConfig {
     /// Intervals at most this wide are "highly constrained" and are always
     /// added to the initial sample (the paper's `epsilon`).
     pub highly_constrained_width: f64,
-    /// Cap on LP re-solves in the coefficient search-and-refine loop.
-    pub max_refinements: usize,
     /// Carry the optimal LP basis across re-solves within one attempt
     /// (phase-1 skipping). Solver-level fallbacks keep this safe; the
     /// switch exists for differential testing against the cold path.
@@ -97,7 +88,6 @@ impl Default for PolyGenConfig {
             initial_sample: 48,
             max_sample: 4_000,
             highly_constrained_width: 0.0,
-            max_refinements: 64,
             warm_start: true,
         }
     }
@@ -178,125 +168,6 @@ pub fn gen_polynomial(
             Err(e)
         }
     }
-}
-
-/// Tunables for progressive (tiered) generation on top of
-/// [`PolyGenConfig`].
-#[derive(Debug, Clone)]
-pub struct ProgressiveConfig {
-    /// Configuration for the full-degree polynomial (Algorithm 4).
-    pub base: PolyGenConfig,
-    /// Never report a prefix shorter than this many terms (a one-term
-    /// "polynomial" is rarely worth a tier of its own).
-    pub min_prefix_terms: usize,
-    /// The prefix tier must land inside the rounding interval for at
-    /// least this fraction of the constraints (e.g. `0.99`). The
-    /// shortest prefix meeting the target is chosen.
-    pub target_hit_rate: f64,
-}
-
-impl Default for ProgressiveConfig {
-    fn default() -> Self {
-        ProgressiveConfig {
-            base: PolyGenConfig::default(),
-            min_prefix_terms: 2,
-            target_hit_rate: 0.99,
-        }
-    }
-}
-
-/// A full-degree certified polynomial plus the length of its shortest
-/// leading-coefficient prefix that alone satisfies the configured
-/// fraction of the constraints — the generation-side artifact behind
-/// the runtime's progressive tiers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressivePolynomial {
-    /// The certified full-degree polynomial (satisfies **every**
-    /// constraint — same guarantee as [`gen_polynomial`]).
-    pub full: Polynomial,
-    /// Number of leading terms in the prefix tier, counting storage
-    /// slots (`min_prefix_terms ..= full.coeffs().len()`).
-    pub prefix_len: usize,
-    /// Fraction of the constraints the prefix alone satisfies (the
-    /// certified lower bound on the runtime prefix-tier hit rate over a
-    /// constraint-distributed workload).
-    pub prefix_hit_rate: f64,
-}
-
-impl ProgressivePolynomial {
-    /// The prefix tier as a standalone polynomial (the first
-    /// `prefix_len` terms of `full`, coefficient bits unchanged).
-    pub fn prefix(&self) -> Polynomial {
-        Polynomial::new(
-            self.full.terms()[..self.prefix_len].to_vec(),
-            self.full.coeffs()[..self.prefix_len].to_vec(),
-        )
-    }
-
-    /// True when no shorter prefix met the hit-rate target and the
-    /// "prefix" tier is the full polynomial (the runtime should then
-    /// collapse to two tiers for this function).
-    pub fn is_degenerate(&self) -> bool {
-        self.prefix_len == self.full.coeffs().len()
-    }
-}
-
-/// Runs Algorithm 4, then derives the shortest progressive prefix: the
-/// full-degree polynomial is generated exactly as [`gen_polynomial`]
-/// does (identical bits, identical stats), and each candidate prefix —
-/// leading coefficients only, never refit — is swept against the whole
-/// constraint set to measure how many rounding intervals it already
-/// lands in. The shortest prefix at or above `target_hit_rate` wins;
-/// if none qualifies the full polynomial is returned as a degenerate
-/// prefix with hit rate 1.
-///
-/// Truncation (not refitting) is what makes the runtime escalation
-/// cheap: tier 0 evaluates a Horner prefix of the same coefficient
-/// array, so escalating to the full degree reuses the table lookup and
-/// reduction work unchanged.
-pub fn gen_progressive(
-    constraints: &[ReducedConstraint],
-    cfg: &ProgressiveConfig,
-) -> Result<(ProgressivePolynomial, PolyGenStats), PolyGenError> {
-    let (full, stats) = gen_polynomial(constraints, &cfg.base)?;
-    PROGRESSIVE_RUNS.add(1);
-    // Storage slots, not `num_terms()` (which skips exactly-zero
-    // coefficients and would collapse the floor on sparse fits).
-    let n_terms = full.coeffs().len();
-    let min_len = cfg.min_prefix_terms.clamp(1, n_terms);
-    let target = cfg.target_hit_rate.clamp(0.0, 1.0);
-    let mut chosen = (n_terms, 1.0);
-    for len in min_len..n_terms {
-        let prefix = Polynomial::new(
-            full.terms()[..len].to_vec(),
-            full.coeffs()[..len].to_vec(),
-        );
-        let hits = if constraints.len() >= PAR_CHECK_MIN {
-            par::par_filter_indices(constraints.len(), par::num_threads(), |i| {
-                let c = &constraints[i];
-                c.interval.contains(prefix.eval(c.r))
-            })
-            .len()
-        } else {
-            constraints
-                .iter()
-                .filter(|c| c.interval.contains(prefix.eval(c.r)))
-                .count()
-        };
-        let rate =
-            if constraints.is_empty() { 1.0 } else { hits as f64 / constraints.len() as f64 };
-        if rate >= target {
-            chosen = (len, rate);
-            break;
-        }
-    }
-    let (prefix_len, prefix_hit_rate) = chosen;
-    if prefix_len == n_terms {
-        PROGRESSIVE_DEGENERATE.add(1);
-    }
-    PROGRESSIVE_PREFIX_TERMS.record(prefix_len as u64);
-    PROGRESSIVE_HIT_RATE_BP.record((prefix_hit_rate * 10_000.0) as u64);
-    Ok((ProgressivePolynomial { full, prefix_len, prefix_hit_rate }, stats))
 }
 
 fn gen_polynomial_impl(
@@ -439,7 +310,7 @@ fn gen_attempt(
                     None => break poly,
                     Some((i, high_side)) => {
                         refinements += 1;
-                        if refinements > cfg.max_refinements {
+                        if refinements > MAX_REFINEMENTS {
                             return Err(PolyGenError::RefinementExhausted);
                         }
                         let iv = &mut work[i].interval;
@@ -567,102 +438,6 @@ mod tests {
         for c in &cons {
             assert!(c.interval.contains(poly.eval(c.r)), "violated at {}", c.r);
         }
-    }
-
-    #[test]
-    fn progressive_prefers_short_prefix_on_wide_intervals() {
-        // With windows ~1e-6, the quadratic prefix of the fitted
-        // quartic already lands in every interval on this tiny domain:
-        // the cubic and quartic terms contribute < r^3 < 2e-7.
-        let n = 2000;
-        let cons = constraints_from_fn(
-            |x| x.exp(),
-            (0..n).map(|i| i as f64 * 0.0054 / n as f64),
-            1e-6,
-        );
-        let cfg = ProgressiveConfig {
-            base: PolyGenConfig { terms: vec![0, 1, 2, 3, 4], ..Default::default() },
-            min_prefix_terms: 2,
-            target_hit_rate: 1.0,
-        };
-        let (prog, _stats) = gen_progressive(&cons, &cfg).expect("feasible");
-        assert!(prog.prefix_len < prog.full.coeffs().len(), "expected a real prefix");
-        assert!(!prog.is_degenerate());
-        assert_eq!(prog.prefix_hit_rate, 1.0);
-        // The prefix polynomial is literally the leading coefficients.
-        let prefix = prog.prefix();
-        assert_eq!(prefix.num_terms(), prog.prefix_len);
-        assert_eq!(prefix.coeffs(), &prog.full.coeffs()[..prog.prefix_len]);
-        // And the full polynomial still satisfies every constraint.
-        for c in &cons {
-            assert!(c.interval.contains(prog.full.eval(c.r)));
-        }
-    }
-
-    #[test]
-    fn progressive_degenerates_on_tight_intervals() {
-        // With 1e-12 windows every term of the fitted polynomial is
-        // load-bearing, so no strict prefix can meet a 99% target and
-        // the result collapses to the full polynomial.
-        let n = 2000;
-        let cons = constraints_from_fn(
-            |x| x.exp(),
-            (0..n).map(|i| i as f64 * 0.0054 / n as f64),
-            1e-12,
-        );
-        let cfg = ProgressiveConfig {
-            base: PolyGenConfig { terms: vec![0, 1, 2, 3], ..Default::default() },
-            min_prefix_terms: 2,
-            target_hit_rate: 0.99,
-        };
-        let (prog, _stats) = gen_progressive(&cons, &cfg).expect("feasible");
-        assert!(prog.is_degenerate());
-        assert_eq!(prog.prefix_len, prog.full.coeffs().len());
-        assert_eq!(prog.prefix_hit_rate, 1.0);
-    }
-
-    #[test]
-    fn progressive_full_matches_gen_polynomial_bits() {
-        // The full-degree polynomial must be bit-identical to a plain
-        // gen_polynomial run: progressive tiering is a pure overlay.
-        let n = 1500;
-        let cons = constraints_from_fn(
-            |x| (1.0 + x).ln(),
-            (0..n).map(|i| i as f64 * 0.003 / n as f64),
-            1e-10,
-        );
-        let base = PolyGenConfig { terms: vec![1, 2, 3, 4], ..Default::default() };
-        let (plain, _) = gen_polynomial(&cons, &base).expect("feasible");
-        let cfg = ProgressiveConfig {
-            base,
-            min_prefix_terms: 2,
-            target_hit_rate: 0.9,
-        };
-        let (prog, _) = gen_progressive(&cons, &cfg).expect("feasible");
-        let plain_bits: Vec<u64> = plain.coeffs().iter().map(|c| c.to_bits()).collect();
-        let prog_bits: Vec<u64> = prog.full.coeffs().iter().map(|c| c.to_bits()).collect();
-        assert_eq!(plain_bits, prog_bits);
-        // min_prefix_terms is a floor even when one term would do.
-        assert!(prog.prefix_len >= 2);
-    }
-
-    #[test]
-    fn progressive_respects_min_prefix_floor() {
-        // Constant function: the 1-term prefix would hit 100%, but the
-        // configured floor of 3 terms must win.
-        let n = 800;
-        let cons = constraints_from_fn(
-            |_| 1.0,
-            (0..n).map(|i| i as f64 * 0.001 / n as f64),
-            1e-3,
-        );
-        let cfg = ProgressiveConfig {
-            base: PolyGenConfig { terms: vec![0, 1, 2, 3], ..Default::default() },
-            min_prefix_terms: 3,
-            target_hit_rate: 0.5,
-        };
-        let (prog, _stats) = gen_progressive(&cons, &cfg).expect("feasible");
-        assert!(prog.prefix_len >= 3);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 /// double representation after the common prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitPatternSplitter {
-    /// Bits shared by every reduced input, from the MSB.
-    common_prefix_len: u32,
     /// Number of index bits (`n`); `2^n` sub-domains.
     index_bits: u32,
     /// Right-shift amount applied to the raw bits.
@@ -44,7 +42,6 @@ impl BitPatternSplitter {
         );
         let shift = 64 - common - index_bits;
         BitPatternSplitter {
-            common_prefix_len: common,
             index_bits,
             shift,
             mask: if index_bits == 0 { 0 } else { (1u64 << index_bits) - 1 },
@@ -54,16 +51,6 @@ impl BitPatternSplitter {
     /// Number of sub-domains (`2^n`).
     pub fn domains(&self) -> usize {
         1usize << self.index_bits
-    }
-
-    /// Number of index bits.
-    pub fn index_bits(&self) -> u32 {
-        self.index_bits
-    }
-
-    /// Length of the common bit prefix this splitter assumes.
-    pub fn common_prefix_len(&self) -> u32 {
-        self.common_prefix_len
     }
 
     /// The sub-domain of a reduced input: exactly the paper's two bitwise
@@ -88,7 +75,7 @@ mod tests {
         let r_max = 2f64.powi(-9) * 1.999;
         let s = BitPatternSplitter::new(r_min, r_max, 5);
         assert_eq!(s.domains(), 32);
-        assert_eq!(s.common_prefix_len(), 6);
+        assert_eq!(64 - s.index_bits - s.shift, 6, "common prefix length");
         // The paper's concrete reduced input and its sub-domain: R =
         // 1.86264514923095703125e-09 = 0x3E20000000000000; the six common
         // bits are 001111, the next five are 10001 = 17.

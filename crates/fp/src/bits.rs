@@ -180,30 +180,6 @@ pub fn decompose_f64(x: f64) -> (bool, u64, i32) {
     (sign, mant, exp)
 }
 
-/// Reconstructs the `f64` from a [`decompose_f64`] triple. Exact as long as
-/// the value is representable (which it always is for triples produced by
-/// `decompose_f64`).
-pub fn compose_f64(sign: bool, mant: u64, exp: i32) -> f64 {
-    let v = mant as f64 * 2f64.powi(exp);
-    if sign {
-        -v
-    } else {
-        v
-    }
-}
-
-/// True when the `f64` significand (including hidden bit semantics) is even,
-/// i.e. the lowest stored fraction bit is 0. Used to decide whether a
-/// rounding-interval endpoint is attained under ties-to-even.
-pub fn is_even_f64(x: f64) -> bool {
-    x.to_bits() & 1 == 0
-}
-
-/// True when the `f32` significand is even (lowest fraction bit 0).
-pub fn is_even_f32(x: f32) -> bool {
-    x.to_bits() & 1 == 0
-}
-
 /// Maps an `f64` to an `i64` key that is strictly monotone in the IEEE
 /// total order of non-NaN values (`-inf < ... < -0.0 < +0.0 < ... < +inf`).
 /// Used for binary searches over the double line.
@@ -316,18 +292,11 @@ mod tests {
     fn decompose_compose_roundtrip() {
         for &x in &[1.0, -1.0, 0.75, 3.5, 1e-40, -2.5e30, f64::MIN_POSITIVE] {
             let (s, m, e) = decompose_f64(x);
-            assert_eq!(compose_f64(s, m, e), x, "x = {x}");
+            let v = m as f64 * 2f64.powi(e);
+            assert_eq!(if s { -v } else { v }, x, "x = {x}");
             if m != 0 {
                 assert_eq!(m % 2, 1, "mantissa must be odd for x = {x}");
             }
         }
-    }
-
-    #[test]
-    fn evenness() {
-        assert!(is_even_f32(1.0));
-        assert!(!is_even_f32(next_up_f32(1.0)));
-        assert!(is_even_f64(1.0));
-        assert!(!is_even_f64(next_up_f64(1.0)));
     }
 }

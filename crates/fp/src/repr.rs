@@ -40,10 +40,6 @@ pub trait Representation: Copy + core::fmt::Debug + PartialEq + Send + Sync + 's
     fn next_up(self) -> Option<Self>;
     /// Numeric predecessor among non-NaN values, or `None` at the bottom.
     fn next_down(self) -> Option<Self>;
-    /// Number of distinct bit patterns.
-    fn pattern_count() -> u64 {
-        1u64 << Self::BITS
-    }
 }
 
 impl Representation for f32 {

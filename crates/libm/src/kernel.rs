@@ -28,9 +28,9 @@
 //!
 //! Each function is one type implementing [`Kernel`]: its reduce → table
 //! → polynomial → reconstruct as `eval<V: F64Lane>`, its dd kernel, and
-//! its [`Rung`]: the Horner terms, band and derived bound of the fast
-//! step. The same type carries the function's special-case front end
-//! for every format ([`crate::front`]), which decides what it is fed. The
+//! its [`Rung`]: the band and derived bound of the fast step. The same
+//! type carries the function's special-case front end for every format
+//! ([`crate::front`]), which decides what it is fed. The
 //! scalar entry (`eval::<f64>`), the portable batched driver (the same,
 //! 64 lanes per chunk) and the AVX2 stages (`eval::<Avx2>`) are
 //! instantiations of that one function, so a band, term-count or
@@ -106,7 +106,7 @@ use crate::tables as t;
 /// One function's fast kernel: the single source of its plain-double
 /// math for every lane.
 pub(crate) trait Kernel {
-    /// The fast step's Horner terms, band and derived bound.
+    /// The fast step's band and derived bound.
     const RUNG: Rung;
 
     /// The kernel on in-domain lanes (or the batched placeholder `1.0`).
@@ -163,7 +163,7 @@ fn exp_combine<V: F64Lane>(k: V::Int, r: V) -> V {
 pub(crate) struct Exp;
 
 impl Kernel for Exp {
-    const RUNG: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const RUNG: Rung = Rung { band: 2048, derived: 512 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -186,7 +186,7 @@ impl Kernel for Exp {
 pub(crate) struct Exp2;
 
 impl Kernel for Exp2 {
-    const RUNG: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const RUNG: Rung = Rung { band: 2048, derived: 512 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -210,7 +210,7 @@ impl Kernel for Exp2 {
 pub(crate) struct Exp10;
 
 impl Kernel for Exp10 {
-    const RUNG: Rung = Rung { terms: 5, band: 4096, derived: 1024 };
+    const RUNG: Rung = Rung { band: 4096, derived: 1024 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -264,7 +264,7 @@ fn log1p<V: F64Lane>(u: V) -> V {
 pub(crate) struct Ln;
 
 impl Kernel for Ln {
-    const RUNG: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const RUNG: Rung = Rung { band: 16384, derived: 4096 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -285,7 +285,7 @@ impl Kernel for Ln {
 pub(crate) struct Log2;
 
 impl Kernel for Log2 {
-    const RUNG: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const RUNG: Rung = Rung { band: 16384, derived: 4096 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -305,7 +305,7 @@ impl Kernel for Log2 {
 pub(crate) struct Log10;
 
 impl Kernel for Log10 {
-    const RUNG: Rung = Rung { terms: 5, band: 16384, derived: 4096 };
+    const RUNG: Rung = Rung { band: 16384, derived: 4096 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -335,7 +335,7 @@ impl Kernel for Log10 {
 pub(crate) struct Sinh;
 
 impl Kernel for Sinh {
-    const RUNG: Rung = Rung { terms: 5, band: 16384, derived: 8192 };
+    const RUNG: Rung = Rung { band: 16384, derived: 8192 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -368,7 +368,7 @@ impl Kernel for Sinh {
 pub(crate) struct Cosh;
 
 impl Kernel for Cosh {
-    const RUNG: Rung = Rung { terms: 5, band: 2048, derived: 512 };
+    const RUNG: Rung = Rung { band: 2048, derived: 512 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -429,7 +429,7 @@ fn mod2_split<V: F64Lane>(a: V) -> (V::Mask, V) {
 pub(crate) struct Sinpi;
 
 impl Kernel for Sinpi {
-    const RUNG: Rung = Rung { terms: 2, band: 1 << 19, derived: 1 << 17 };
+    const RUNG: Rung = Rung { band: 1 << 19, derived: 1 << 17 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {
@@ -461,7 +461,7 @@ impl Kernel for Sinpi {
 pub(crate) struct Cospi;
 
 impl Kernel for Cospi {
-    const RUNG: Rung = Rung { terms: 3, band: 1 << 19, derived: 1 << 17 };
+    const RUNG: Rung = Rung { band: 1 << 19, derived: 1 << 17 };
 
     #[inline(always)]
     fn eval<V: F64Lane>(x: V) -> V {

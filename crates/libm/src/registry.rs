@@ -8,7 +8,7 @@
 //!
 //! * its public scalar entry point;
 //! * its kernel ([`crate::kernel`]): one type carrying the kernel's math
-//!   for every lane, its [`Rung`] (Horner terms, band and derived bound),
+//!   for every lane, its [`Rung`] (band and derived bound),
 //!   its dd kernel, and the function's special-case front end for every
 //!   format ([`crate::front`]);
 //! * for f32 the float baseline.
@@ -50,8 +50,6 @@ use crate::{baselines::float32 as base, posit, slice};
 /// A kernel's fast step, in `2^-53` relative units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rung {
-    /// Terms the kernel's Horner chain evaluates.
-    pub terms: usize,
     /// Round-safety band the kernel's result is tested against (28-bit
     /// frac distance).
     pub band: u64,

@@ -65,5 +65,9 @@ fn exact_solves_are_pinned() {
         lines.push(line);
     }
     assert!(seen.iter().all(|&s| s >= 100), "optimal/infeasible/unbounded cases: {seen:?}");
-    assert!(h == PINNED, "result hash {h:#018x} != pinned {PINNED:#018x}; results:\n{}", lines.join("\n"));
+    assert!(
+        h == PINNED,
+        "result hash {h:#018x} != pinned {PINNED:#018x}; results:\n{}",
+        lines.join("\n")
+    );
 }

@@ -41,14 +41,6 @@ impl BigInt {
         }
     }
 
-    /// Constructs from an `i128`.
-    pub fn from_i128(x: i128) -> Self {
-        BigInt {
-            negative: x < 0,
-            mag: BigUint::from_u128(x.unsigned_abs()),
-        }
-    }
-
     /// Constructs from a sign and magnitude.
     pub fn from_biguint(negative: bool, mag: BigUint) -> Self {
         BigInt {
@@ -299,7 +291,6 @@ mod tests {
     fn i64_boundaries() {
         assert_eq!(BigInt::from_i64(i64::MIN).to_i64(), i64::MIN);
         assert_eq!(BigInt::from_i64(i64::MAX).to_i64(), i64::MAX);
-        assert_eq!(BigInt::from_i128(-1).to_i64(), -1);
     }
 
     #[test]

@@ -650,18 +650,6 @@ impl BigUint {
         self.limbs().first().copied().unwrap_or(0)
     }
 
-    /// The top 64 significant bits as a `u64` with MSB set (undefined for
-    /// zero). Together with `bit_len` this summarizes the magnitude.
-    pub fn top_bits(&self) -> u64 {
-        assert!(!self.is_zero());
-        let len = self.bit_len();
-        if len <= 64 {
-            self.limbs()[0] << (64 - len)
-        } else {
-            self.shr(len - 64).to_u64()
-        }
-    }
-
     /// Greatest common divisor.
     ///
     /// Binary (Stein) gcd — only shifts and subtractions, so the inner
@@ -942,13 +930,6 @@ mod tests {
     fn decimal_roundtrip() {
         let s = "123456789098765432101112131415161718192021222324252627282930";
         assert_eq!(big(s).to_string(), s);
-    }
-
-    #[test]
-    fn top_bits() {
-        let a = BigUint::from_u64(1).shl(100);
-        assert_eq!(a.top_bits(), 1u64 << 63);
-        assert_eq!(BigUint::from_u64(3).top_bits(), 3u64 << 62);
     }
 
     /// Values that fit [`INLINE_LIMBS`] limbs must always be stored

@@ -356,43 +356,6 @@ impl MpFloat {
         Self::normalize_round(sign, self.exp, mant, prec, false)
     }
 
-    /// Rounds to the nearest integer (ties away from zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result does not fit in `i64`.
-    pub fn round_to_i64(&self) -> i64 {
-        if self.is_zero() {
-            return 0;
-        }
-        let v = if self.exp >= 0 {
-            let shifted = self.mant.shl(self.exp as u64);
-            assert!(shifted.bit_len() <= 62, "round_to_i64 overflow");
-            shifted.to_u64()
-        } else {
-            let sh = (-self.exp) as u64;
-            if sh > self.mant.bit_len() {
-                // |value| <= 1/2 at most... check the half boundary.
-                if sh == self.mant.bit_len() && self.mant.bit(self.mant.bit_len() - 1) {
-                    // value in [1/2, 1): rounds to 1 only if >= 1/2 (ties away)
-                    1
-                } else {
-                    0
-                }
-            } else {
-                let int = self.mant.shr(sh);
-                assert!(int.bit_len() <= 62, "round_to_i64 overflow");
-                let half = self.mant.bit(sh - 1);
-                int.to_u64() + half as u64
-            }
-        };
-        if self.sign {
-            -(v as i64)
-        } else {
-            v as i64
-        }
-    }
-
     /// Correctly rounded (RNE) conversion to `f64`, handling the subnormal
     /// range and overflow to infinity.
     pub fn to_f64(&self) -> f64 {
@@ -482,28 +445,6 @@ impl MpFloat {
             m |= 1;
         }
         apply_sign(exact_scale(m, e2), self.sign)
-    }
-
-    /// The integer part `floor(|self|)` as a `u64` together with whether a
-    /// fractional part exists. Used by argument reductions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the integer part exceeds `u64`.
-    pub fn trunc_abs_u64(&self) -> (u64, bool) {
-        if self.is_zero() {
-            return (0, false);
-        }
-        if self.exp >= 0 {
-            let v = self.mant.shl(self.exp as u64);
-            return (v.to_u64(), false);
-        }
-        let sh = (-self.exp) as u64;
-        if sh >= self.mant.bit_len() {
-            return (0, true);
-        }
-        let int = self.mant.shr(sh);
-        (int.to_u64(), self.mant.any_low_bits(sh))
     }
 }
 
@@ -726,17 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn round_to_i64_cases() {
-        assert_eq!(mp(2.5).round_to_i64(), 3);
-        assert_eq!(mp(-2.5).round_to_i64(), -3);
-        assert_eq!(mp(2.49).round_to_i64(), 2);
-        assert_eq!(mp(0.49).round_to_i64(), 0);
-        assert_eq!(mp(0.5).round_to_i64(), 1);
-        assert_eq!(mp(-0.25).round_to_i64(), 0);
-        assert_eq!(mp(1e15).round_to_i64(), 1_000_000_000_000_000);
-    }
-
-    #[test]
     fn offset_ulps_walks_neighbours() {
         let v = mp(1.0);
         let up = v.offset_ulps(1);
@@ -789,12 +719,5 @@ mod tests {
         assert_eq!(big.to_f64(), f64::INFINITY);
         assert_eq!(big.to_f64_round_odd(), f64::MAX);
         assert_eq!(big.neg().to_f64(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn trunc_abs() {
-        assert_eq!(mp(3.75).trunc_abs_u64(), (3, true));
-        assert_eq!(mp(-4.0).trunc_abs_u64(), (4, false));
-        assert_eq!(mp(0.25).trunc_abs_u64(), (0, true));
     }
 }

@@ -52,7 +52,7 @@ pub enum RlibmError {
     Oracle(mp::OracleError),
     /// The exact rational / f64 simplex failed (cycling, dimensions).
     Lp(lp::LpError),
-    /// The end-to-end generator failed (includes checkpoint I/O).
+    /// The end-to-end generator failed.
     Generator(gen::pipeline::GenError),
     /// A by-name lookup in the runtime library missed.
     UnknownFunction(math::UnknownFunction),
