@@ -286,7 +286,8 @@ pub fn solve_standard_form(
 /// counterexamples become dual variables) and rewriting the objective
 /// (interval refinement) — both leave an old basis primal feasible, so
 /// phase 1 can be skipped: rebuild the tableau, pivot the warm columns
-/// back in, and run phase 2 directly. Any snag (stale index, dependent
+/// back in, drive basic artificials out as the cold path does after
+/// phase 1, and run phase 2 directly. Any snag (stale index, dependent
 /// column, negative rhs, exhausted budget) falls back to the cold
 /// two-phase solve; warm starting can only change speed, never the
 /// validity of the answer.
